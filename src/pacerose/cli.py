@@ -277,14 +277,18 @@ def _demand_histogram(cfg: RunConfig, directions, kept) -> AngularHistogram:
     return build_histogram(source, bin_count=cfg.bins)
 
 
-def _filter_indices(cfg: RunConfig, paces):
-    policy = FilterPolicy(cfg.lower_cut, cfg.upper_cut)
-    return percentile_filter(list(paces), policy)
+def _validated(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError reported as an input error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise InputFormatError(f"invalid option: {exc}") from exc
 
 
 def cmd_hist(cfg: RunConfig) -> int:
+    policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
     directions, paces = _load_trips(cfg)
-    kept = _filter_indices(cfg, paces)
+    kept = percentile_filter(list(paces), policy)
     demand = _demand_histogram(cfg, directions, kept)
     network = _load_network_histogram(cfg)
 
@@ -349,15 +353,17 @@ def _curve_csv(curve) -> str:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
+    spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
+                      network_point_symmetric=cfg.point_symmetric)
+    policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
+    if cfg.curve_grid < 8:
+        raise InputFormatError(
+            f"invalid option: curve grid must be >= 8, got {cfg.curve_grid}"
+        )
     directions, paces = _load_trips(cfg)
-    kept = _filter_indices(cfg, paces)
+    kept = percentile_filter(list(paces), policy)
     demand = _demand_histogram(cfg, directions, kept)
     network = _load_network_histogram(cfg)
-    spec = ModelSpec(
-        k_max=cfg.k_max,
-        bins=cfg.bins,
-        network_point_symmetric=cfg.point_symmetric,
-    )
     X, y = build_design_matrix(paces[kept], directions[kept], demand,
                                network, spec)
     fit = ols_fit(
@@ -439,10 +445,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _parse_directions(thetas, degrees: bool) -> np.ndarray:
+    values = []
+    for raw in thetas:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise InputFormatError(f"bad direction value {raw!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError(f"direction must be finite, got {raw!r}")
+        values.append(value)
+    values = np.array(values)
+    return np.radians(values) if degrees else values
+
+
 def cmd_predict(cfg: RunConfig, thetas, degrees: bool,
                 explicit: set) -> int:
     if not cfg.model:
         raise InputFormatError("predict needs --model")
+    directions = _parse_directions(thetas, degrees)
     fit, spec, demand, network = load_model(cfg.model)
     for key, value in (("k_max", spec.k_max), ("bins", spec.bins),
                        ("point_symmetric", spec.network_point_symmetric)):
@@ -451,13 +472,8 @@ def cmd_predict(cfg: RunConfig, thetas, degrees: bool,
                 f"--{key.replace('_', '-')} {getattr(cfg, key)} does not "
                 f"match the model ({value})"
             )
-    for raw in thetas:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise InputFormatError(f"bad direction value {raw!r}") from None
-        theta = math.radians(value) if degrees else value
-        print(_format_float(predict_pace(theta, demand, network, fit, spec)))
+    paces = predict_pace(directions, demand, network, fit, spec)
+    sys.stdout.write("".join(_format_float(p) + "\n" for p in paces))
     return EXIT_OK
 
 

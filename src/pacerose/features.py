@@ -1,10 +1,17 @@
 """Fourier-weighted histogram features and the regression design matrix.
 
-For a trip heading theta, the demand feature of harmonic k is the histogram
-sum of cos/sin(k * offset), where offset is the signed angular difference
-between each bin center and theta. Features therefore depend only on the
-offsets, never on absolute direction: rotating the data and the histograms
-together leaves every feature unchanged.
+For a trip heading theta and a histogram h with bin centers c_j, harmonic k
+gives the feature pair
+
+    sum_j h_j cos(k (c_j - theta)) = C_k cos(k theta) + S_k sin(k theta)
+    sum_j h_j sin(k (c_j - theta)) = S_k cos(k theta) - C_k sin(k theta)
+
+with the histogram's moments C_k, S_k = sum_j h_j cos/sin(k c_j). So the
+design factors as X = F(theta) M(d, n), a Fourier basis times the moments
+of both histograms, and ``moment_features`` is the one kernel evaluating it.
+Rotating data and histograms together leaves every feature unchanged, and
+demand and network columns sharing a k both lie in the span of cos(k theta)
+and sin(k theta): the design is collinear whenever both carry mass at k.
 
 Column layout is fixed: demand columns a_c1, a_s1, ..., a_cK, a_sK, then
 network columns in ascending harmonic, cos before sin. When the network
@@ -14,7 +21,6 @@ only even-k columns are emitted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +36,8 @@ __all__ = [
     "build_design_matrix",
     "demand_features",
     "feature_row",
+    "model_features",
+    "moment_features",
     "network_features",
 ]
 
@@ -94,12 +102,23 @@ class FeatureRow:
     trip_direction: float = 0.0
 
 
-def _signed_offsets(centers: np.ndarray, theta) -> np.ndarray:
-    """Vectorized angular_difference(centers, theta), in [-pi, pi)."""
-    d = np.fmod(centers - np.asarray(theta, dtype=float)[..., None], TWO_PI)
-    d = np.where(d < -math.pi, d + TWO_PI, d)
-    d = np.where(d >= math.pi, d - TWO_PI, d)
-    return d
+def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
+    """Cos/sin feature pair of ``hist`` per harmonic at directions ``thetas``.
+
+    The result has shape ``np.shape(thetas) + (2 * len(harmonics),)``.
+    """
+    k = np.asarray(harmonics, dtype=float)
+    kc = np.outer(k, hist.bin_centers())
+    c = np.cos(kc) @ hist.values
+    s = np.sin(kc) @ hist.values
+    # one period keeps k * theta small, so cos/sin keep their accuracy
+    kt = np.multiply.outer(np.mod(thetas, TWO_PI), k)
+    cos_kt = np.cos(kt)
+    sin_kt = np.sin(kt, out=kt)
+    out = np.empty(kt.shape[:-1] + (2 * k.size,))
+    out[..., 0::2] = c * cos_kt + s * sin_kt
+    out[..., 1::2] = s * cos_kt - c * sin_kt
+    return out
 
 
 def _require_normalized(hist: AngularHistogram, what: str):
@@ -107,21 +126,10 @@ def _require_normalized(hist: AngularHistogram, what: str):
         raise ValueError(f"{what} histogram must be normalized")
 
 
-def _harmonic_sums(offsets: np.ndarray, values: np.ndarray, harmonics) -> np.ndarray:
-    """Columns [hist . cos(k*offsets), hist . sin(k*offsets)] per harmonic."""
-    cols = []
-    for k in harmonics:
-        arg = k * offsets
-        cols.append(np.cos(arg) @ values)
-        cols.append(np.sin(arg) @ values)
-    return np.stack(cols, axis=-1)
-
-
 def demand_features(theta: float, hist: AngularHistogram, k_max: int) -> np.ndarray:
     """Demand feature vector of length 2*k_max for one direction."""
     _require_normalized(hist, "demand")
-    offsets = _signed_offsets(hist.bin_centers(), theta)
-    return _harmonic_sums(offsets, hist.values, range(1, k_max + 1))
+    return moment_features(theta, hist, range(1, k_max + 1))
 
 
 def network_features(
@@ -139,11 +147,8 @@ def network_features(
     _require_normalized(hist, "network")
     if point_symmetric:
         _check_point_symmetry(hist)
-        harmonics = range(2, k_max + 1, 2)
-    else:
-        harmonics = range(1, k_max + 1)
-    offsets = _signed_offsets(hist.bin_centers(), theta)
-    return _harmonic_sums(offsets, hist.values, harmonics)
+    harmonics = range(2, k_max + 1, 2) if point_symmetric else range(1, k_max + 1)
+    return moment_features(theta, hist, harmonics)
 
 
 def _check_point_symmetry(hist: AngularHistogram):
@@ -162,9 +167,30 @@ def _check_point_symmetry(hist: AngularHistogram):
         )
 
 
-def _design_block(thetas: np.ndarray, hist: AngularHistogram, harmonics) -> np.ndarray:
-    offsets = _signed_offsets(hist.bin_centers(), thetas)
-    return _harmonic_sums(offsets, hist.values, harmonics)
+def model_features(
+    thetas,
+    demand_hist: AngularHistogram,
+    network_hist: AngularHistogram,
+    spec: ModelSpec,
+) -> np.ndarray:
+    """All regressor columns of ``spec`` at ``thetas``, in column order.
+
+    Validates both histograms against the spec (normalized, bin count,
+    point symmetry when the spec asks for it). Any number of directions is
+    accepted; the last axis of the result indexes the columns.
+    """
+    for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
+        _require_normalized(hist, what)
+        if hist.bin_count != spec.bins:
+            raise SpecMismatchError(
+                f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
+            )
+    if spec.network_point_symmetric:
+        _check_point_symmetry(network_hist)
+    return np.concatenate([
+        moment_features(thetas, demand_hist, spec.demand_harmonics),
+        moment_features(thetas, network_hist, spec.network_harmonics),
+    ], axis=-1)
 
 
 def build_design_matrix(
@@ -184,24 +210,13 @@ def build_design_matrix(
     thetas = np.asarray(directions, dtype=float)
     if y.shape != thetas.shape or y.ndim != 1:
         raise ValueError("paces and directions must be 1-D and equally long")
-    _require_normalized(demand_hist, "demand")
-    _require_normalized(network_hist, "network")
-    for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
-        if hist.bin_count != spec.bins:
-            raise SpecMismatchError(
-                f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
-            )
-    if spec.network_point_symmetric:
-        _check_point_symmetry(network_hist)
-    n = y.size
-    if n < spec.parameter_count:
+    X = model_features(thetas, demand_hist, network_hist, spec)
+    if y.size < spec.parameter_count:
         raise InsufficientDataError(
-            f"underdetermined system: {n} trips for "
+            f"underdetermined system: {y.size} trips for "
             f"{spec.parameter_count} parameters"
         )
-    demand_block = _design_block(thetas, demand_hist, spec.demand_harmonics)
-    network_block = _design_block(thetas, network_hist, spec.network_harmonics)
-    return np.hstack([demand_block, network_block]), y.copy()
+    return X, y.copy()
 
 
 def feature_row(
@@ -212,11 +227,6 @@ def feature_row(
     spec: ModelSpec,
 ) -> FeatureRow:
     """Single regression row, mostly for diagnostics and debug dumps."""
-    regressors = np.concatenate([
-        demand_features(theta, demand_hist, spec.k_max),
-        network_features(
-            theta, network_hist, spec.k_max, spec.network_point_symmetric
-        ),
-    ])
+    regressors = model_features(float(theta), demand_hist, network_hist, spec)
     return FeatureRow(target=float(pace), regressors=regressors,
                       trip_direction=float(theta))

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import AngularHistogram
-from .errors import SpecMismatchError
+from .errors import InputFormatError, SpecMismatchError
 from .estimator import FitResult
-from .features import ModelSpec, demand_features, network_features
+from .features import ModelSpec, model_features
 from .special import t_p_value
 
 MODEL_FORMAT = "pacerose-model/1"
@@ -131,33 +131,25 @@ def reconstruct_curve(
 
 
 def predict_pace(
-    theta: float,
+    theta,
     demand_hist: AngularHistogram,
     network_hist: AngularHistogram,
     fit: FitResult,
     spec: ModelSpec,
-) -> float:
+):
     """Predicted pace (s/km) for direction ``theta``.
 
-    Uses every fitted coefficient; significance masking applies only to
-    curve reconstruction.
+    A scalar ``theta`` gives a float, an array of directions an array of
+    the same shape. Uses every fitted coefficient; significance masking
+    applies only to curve reconstruction.
     """
     if fit.column_names != spec.column_names:
         raise SpecMismatchError(
             "fit and spec disagree on the regression columns"
         )
-    for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
-        if hist.bin_count != spec.bins:
-            raise SpecMismatchError(
-                f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
-            )
-    row = np.concatenate([
-        demand_features(theta, demand_hist, spec.k_max),
-        network_features(
-            theta, network_hist, spec.k_max, spec.network_point_symmetric
-        ),
-    ])
-    return float(fit.gamma + row @ fit.coefficients)
+    paces = fit.gamma + model_features(
+        theta, demand_hist, network_hist, spec) @ fit.coefficients
+    return float(paces) if np.ndim(paces) == 0 else paces
 
 
 def expected_sign_report(alpha: InfluenceCurve, beta: InfluenceCurve) -> str:
@@ -225,47 +217,106 @@ def save_model(
         f.write("\n")
 
 
+_MODEL_KEYS = (
+    "format", "k_max", "bins", "point_symmetric", "column_names", "gamma",
+    "gamma_std_error", "coefficients", "std_errors", "t_values", "p_values",
+    "r_squared", "f_statistic", "prob_f", "n_samples", "dof_residual", "rank",
+    "demand_hist", "network_hist",
+)
+# an exact fit (zero residuals) has infinite t values and F statistic
+_MAY_BE_INFINITE = ("t_values", "f_statistic")
+
+
+def _model_numbers(payload: dict, key: str, shape: tuple) -> np.ndarray:
+    """Entry ``key`` as a float array of ``shape``, checked for finiteness."""
+    try:
+        values = np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"model {key}: not numeric ({exc})") from exc
+    if values.shape != shape:
+        raise InputFormatError(
+            f"model {key}: expected shape {shape}, got {values.shape}"
+        )
+    bad = np.isnan(values) if key in _MAY_BE_INFINITE else ~np.isfinite(values)
+    if np.any(bad):
+        raise InputFormatError(f"model {key}: values must be finite")
+    return values
+
+
 def load_model(path):
     """Load a model written by save_model.
 
     Returns (fit, spec, demand_hist, network_hist). The fit carries no
     fitted values or residuals (they are not persisted).
+
+    Raises
+    ------
+    InputFormatError
+        If the file is not JSON, lacks a key, or holds an array whose
+        length disagrees with the spec's columns or bins, a non-finite
+        value, or an invalid spec or histogram.
+    SpecMismatchError
+        On an unknown format or column names that disagree with the spec.
     """
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: not a JSON model: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{path}: model must be a JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise SpecMismatchError(
             f"unsupported model format {payload.get('format')!r}"
         )
-    spec = ModelSpec(
-        k_max=int(payload["k_max"]),
-        bins=int(payload["bins"]),
-        network_point_symmetric=bool(payload["point_symmetric"]),
-    )
-    column_names = tuple(payload["column_names"])
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise InputFormatError(f"{path}: model lacks keys {', '.join(missing)}")
+    try:
+        spec = ModelSpec(
+            k_max=int(payload["k_max"]),
+            bins=int(payload["bins"]),
+            network_point_symmetric=bool(payload["point_symmetric"]),
+        )
+        column_names = tuple(payload["column_names"])
+        n_samples = int(payload["n_samples"])
+        dof_residual = int(payload["dof_residual"])
+        rank = int(payload["rank"])
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{path}: invalid model: {exc}") from exc
+    if dof_residual < 1:
+        raise InputFormatError(f"{path}: model dof_residual must be >= 1")
     if column_names != spec.column_names:
         raise SpecMismatchError("model column names do not match its spec")
-    gamma = float(payload["gamma"])
-    gamma_se = float(payload["gamma_std_error"])
-    dof_residual = int(payload["dof_residual"])
+    column = {key: _model_numbers(payload, key, (len(column_names),))
+              for key in ("coefficients", "std_errors", "t_values", "p_values")}
+    scalar = {key: float(_model_numbers(payload, key, ()))
+              for key in ("gamma", "gamma_std_error", "r_squared",
+                          "f_statistic", "prob_f")}
+    gamma, gamma_se = scalar["gamma"], scalar["gamma_std_error"]
     gamma_t = gamma / gamma_se if gamma_se > 0.0 else math.inf
     fit = FitResult(
         column_names=column_names,
         gamma=gamma,
-        coefficients=np.asarray(payload["coefficients"], dtype=float),
-        std_errors=np.asarray(payload["std_errors"], dtype=float),
-        t_values=np.asarray(payload["t_values"], dtype=float),
-        p_values=np.asarray(payload["p_values"], dtype=float),
+        coefficients=column["coefficients"],
+        std_errors=column["std_errors"],
+        t_values=column["t_values"],
+        p_values=column["p_values"],
         gamma_std_error=gamma_se,
         gamma_t_value=gamma_t,
         gamma_p_value=t_p_value(abs(gamma_t), dof_residual),
-        r_squared=float(payload["r_squared"]),
-        f_statistic=float(payload["f_statistic"]),
-        prob_f=float(payload["prob_f"]),
-        n_samples=int(payload["n_samples"]),
+        r_squared=scalar["r_squared"],
+        f_statistic=scalar["f_statistic"],
+        prob_f=scalar["prob_f"],
+        n_samples=n_samples,
         dof_residual=dof_residual,
-        rank=int(payload["rank"]),
+        rank=rank,
     )
-    demand_hist = AngularHistogram(spec.bins, payload["demand_hist"])
-    network_hist = AngularHistogram(spec.bins, payload["network_hist"])
+    demand_values = _model_numbers(payload, "demand_hist", (spec.bins,))
+    network_values = _model_numbers(payload, "network_hist", (spec.bins,))
+    try:
+        demand_hist = AngularHistogram(spec.bins, demand_values)
+        network_hist = AngularHistogram(spec.bins, network_values)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: invalid model histogram: {exc}") from exc
     return fit, spec, demand_hist, network_hist

@@ -26,7 +26,7 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from .errors import InputFormatError
-from .features import ModelSpec, _design_block, build_design_matrix
+from .features import ModelSpec, model_features
 from .ingest import TRIP_HEADER_PLANAR
 
 PACE_FLOOR_S_PER_KM = 1.0
@@ -153,13 +153,8 @@ def scenario_design(scenario: SyntheticScenario, directions) -> np.ndarray:
     Unlike build_design_matrix this accepts any number of directions; it is
     for evaluating the generating model, not for fitting.
     """
-    thetas = np.asarray(directions, dtype=float)
-    return np.hstack([
-        _design_block(thetas, scenario.demand_hist,
-                      scenario.spec.demand_harmonics),
-        _design_block(thetas, scenario.network_hist,
-                      scenario.spec.network_harmonics),
-    ])
+    return model_features(directions, scenario.demand_hist,
+                          scenario.network_hist, scenario.spec)
 
 
 def identifiable_coefficients(
@@ -183,10 +178,8 @@ def identifiable_coefficients(
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     thetas = (np.arange(grid_size) + 0.5) * (TWO_PI / grid_size)
-    X, _ = build_design_matrix(
-        np.ones(grid_size), thetas, demand_hist, network_hist, spec
-    )
-    A = np.column_stack([np.ones(grid_size), X])
+    A = np.column_stack([np.ones(grid_size),
+                         model_features(thetas, demand_hist, network_hist, spec)])
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(s > rcond * s[0]))
     basis = vt[:rank]

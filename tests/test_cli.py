@@ -240,6 +240,18 @@ class TestFitCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("extra", [
+        ("--k", "0"),
+        ("--lower-cut", "0.7", "--upper-cut", "0.5"),
+        ("--curve-grid", "4"),
+    ], ids=["k-zero", "cuts-overlap", "curve-grid-4"])
+    def test_invalid_option_exits_2_before_writing(self, tmp_path, simulated,
+                                                   capsys, extra):
+        code, out = self.fit(tmp_path, simulated, *extra)
+        assert code == 2
+        assert "invalid option" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_fit_runs_twice_byte_identical(self, tmp_path, simulated):
         _, out1 = self.fit(tmp_path / "a", simulated)
         _, out2 = self.fit(tmp_path / "b", simulated)
@@ -342,6 +354,34 @@ class TestPredictCommand:
         model = self.make_uniform_model(tmp_path)
         assert main(["predict", "--model", str(model),
                      "--theta", "northish"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_exits_2(self, tmp_path, capsys, value):
+        model = self.make_uniform_model(tmp_path)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model),
+                     "--theta", "1.0", f"--theta={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(value) in captured.err
+
+    def test_bad_theta_after_good_prints_nothing(self, tmp_path, capsys):
+        model = self.make_uniform_model(tmp_path)
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model),
+                     "--theta", "1", "--theta", "bad"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_model_missing_key_exits_2(self, tmp_path, capsys):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        del payload["coefficients"]
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coefficients" in captured.err
 
     def test_missing_model_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_features
-from conftest import standard_demand, standard_network
+from conftest import standard_demand, standard_network, standard_scenario
 from pacerose.angles import TWO_PI, AngularHistogram, bin_center
 from pacerose.errors import InsufficientDataError, SpecMismatchError
+from pacerose.estimator import ols_fit
 from pacerose.features import (
     ModelSpec,
     build_design_matrix,
     demand_features,
     feature_row,
+    moment_features,
     network_features,
 )
+from pacerose.synth import generate_paces, harmonic_histogram, sample_directions
 
 
 def delta_histogram(bins, at_bin):
@@ -207,3 +212,85 @@ class TestDesignMatrix:
         np.testing.assert_allclose(row.regressors, X[3], atol=1e-12)
         assert row.target == 150.0
         assert row.trip_direction == float(thetas[3])
+
+
+@st.composite
+def kernel_cases(draw, point_symmetric):
+    """(k_max, histogram, thetas) with thetas on bin edges and near 2*pi."""
+    k_max = draw(st.integers(1, 16))
+    # with point symmetry the drawn values are the first half of the bins
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0),
+                                 min_size=1 if point_symmetric else 2,
+                                 max_size=36 if point_symmetric else 72)))
+    raw[draw(st.integers(0, raw.size - 1))] += 1.0  # positive total
+    if point_symmetric:
+        raw = np.concatenate([raw, raw])
+    bins = raw.size
+    hist = AngularHistogram(bins, raw / raw.sum())
+    edges = draw(st.lists(st.integers(0, bins), min_size=1, max_size=4))
+    thetas = ([j * TWO_PI / bins for j in edges]
+              + [0.0, TWO_PI - 1e-12, float(np.nextafter(TWO_PI, 0.0))]
+              + draw(st.lists(st.floats(-20.0, 20.0), max_size=3)))
+    return k_max, hist, thetas
+
+
+@pytest.mark.parametrize("point_symmetric", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_brute_force_oracle(point_symmetric, data):
+    k_max, hist, thetas = data.draw(kernel_cases(point_symmetric))
+    harmonics = (range(2, k_max + 1, 2) if point_symmetric
+                 else range(1, k_max + 1))
+    expected = np.array([brute_force_features(t, list(hist.values), harmonics)
+                         for t in thetas])
+    got = moment_features(np.array(thetas), hist, harmonics)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    for t, row in zip(thetas, expected):
+        np.testing.assert_allclose(
+            network_features(t, hist, k_max, point_symmetric), row,
+            rtol=0.0, atol=1e-12,
+        )
+
+
+def brute_force_design(thetas, demand, network, spec):
+    return np.array([
+        np.concatenate([
+            brute_force_features(t, list(demand.values), spec.demand_harmonics),
+            brute_force_features(t, list(network.values),
+                                 spec.network_harmonics),
+        ]) for t in thetas
+    ])
+
+
+ASYMMETRIC_NETWORK = harmonic_histogram(32, [0.04, 0.10, 0.03, 0.08],
+                                        [0.05, 0.07, -0.02, 0.06])
+
+
+@pytest.mark.parametrize("spec, network, exempt", [
+    (ModelSpec(), standard_network(), ()),
+    (ModelSpec(network_point_symmetric=False), ASYMMETRIC_NETWORK, ()),
+    # odd moments of a point-symmetric histogram are rounding noise (~1e-17),
+    # so the fit's values for those columns are noise in any implementation
+    (ModelSpec(network_point_symmetric=False), standard_network(),
+     tuple(f"b_{part}{k}" for k in (1, 3, 5, 7) for part in "cs")),
+])
+def test_fit_on_kernel_design_matches_brute_force_design(spec, network,
+                                                         exempt):
+    scenario = standard_scenario(n_trips=400, noise_std=20.0)
+    thetas = sample_directions(scenario)
+    paces, _ = generate_paces(thetas, scenario)
+    X, y = build_design_matrix(paces, thetas, scenario.demand_hist, network,
+                               spec)
+    fast = ols_fit(X, y, spec.column_names)
+    slow = ols_fit(brute_force_design(thetas, scenario.demand_hist, network,
+                                      spec), y, spec.column_names)
+    assert fast.rank == slow.rank
+    keep = np.array([True] + [name not in exempt
+                              for name in spec.column_names])
+    for got, want in (
+        (fast.params(), slow.params()),
+        (np.concatenate([[fast.gamma_std_error], fast.std_errors]),
+         np.concatenate([[slow.gamma_std_error], slow.std_errors])),
+    ):
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10,
+                                   atol=1e-10 * np.max(np.abs(want[keep])))

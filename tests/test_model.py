@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from conftest import standard_demand, standard_network, standard_scenario
 from fixtures import CASE_A, CASE_A_ALPHA_AT_ZERO, PARAMETER_COUNT
 from pacerose.angles import AngularHistogram
-from pacerose.errors import SpecMismatchError
+from pacerose.errors import InputFormatError, SpecMismatchError
 from pacerose.estimator import ols_fit, significance_mask
 from pacerose.features import ModelSpec, build_design_matrix
 from pacerose.model import (
@@ -150,6 +151,21 @@ class TestPredictPace:
             float(y.mean()), abs=1e-8
         )
 
+    def test_array_of_directions_matches_scalar_calls(self):
+        scenario = standard_scenario(n_trips=500, noise_std=25.0)
+        thetas = sample_directions(scenario)
+        paces, _ = generate_paces(thetas, scenario)
+        X, y = build_design_matrix(paces, thetas, scenario.demand_hist,
+                                   scenario.network_hist, scenario.spec)
+        fit = ols_fit(X, y, scenario.spec.column_names)
+        args = (scenario.demand_hist, scenario.network_hist, fit,
+                scenario.spec)
+        batch = predict_pace(thetas[:40], *args)
+        assert batch.shape == (40,)
+        single = [predict_pace(float(t), *args) for t in thetas[:40]]
+        assert all(type(v) is float for v in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-13)
+
     def test_spec_mismatch_rejected(self):
         scenario = standard_scenario(n_trips=2000)
         thetas = sample_directions(scenario)
@@ -219,6 +235,41 @@ class TestModelPersistence:
                                            scenario.network_hist, fit,
                                            scenario.spec), abs=1e-12)
             )
+
+    @staticmethod
+    def saved_payload(tmp_path):
+        scenario = standard_scenario(n_trips=500, noise_std=10.0)
+        thetas = sample_directions(scenario)
+        paces, _ = generate_paces(thetas, scenario)
+        X, y = build_design_matrix(paces, thetas, scenario.demand_hist,
+                                   scenario.network_hist, scenario.spec)
+        fit = ols_fit(X, y, scenario.spec.column_names)
+        path = tmp_path / "model.json"
+        save_model(path, fit, scenario.spec, scenario.demand_hist,
+                   scenario.network_hist)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda p: {k: v for k, v in p.items() if k != "std_errors"},
+         "std_errors"),
+        (lambda p: dict(p, coefficients=p["coefficients"][:-1]),
+         "coefficients"),
+        (lambda p: dict(p, gamma=math.nan), "gamma"),
+        (lambda p: dict(p, network_hist=p["network_hist"] + [0.0]),
+         "network_hist"),
+    ], ids=["missing-key", "short-coefficients", "nan-gamma",
+            "long-histogram"])
+    def test_schema_violation_is_input_error(self, tmp_path, edit, named):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(edit(self.saved_payload(tmp_path))))
+        with pytest.raises(InputFormatError, match=named):
+            load_model(path)
+
+    def test_non_json_is_input_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("gamma = 133.0\n")
+        with pytest.raises(InputFormatError):
+            load_model(path)
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "model.json"
