@@ -34,15 +34,11 @@ from .features import (
 )
 from .ingest import (
     FilterPolicy,
-    RoadSegment,
-    TripRecord,
+    directions,
     network_orientation_histogram,
-    pace,
     parse_network,
     parse_trips,
     percentile_filter,
-    segment_orientations,
-    trip_direction,
 )
 from .model import (
     InfluenceCurve,

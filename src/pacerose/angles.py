@@ -1,10 +1,11 @@
 """Angle arithmetic and circular histograms.
 
-Angles are plain floats in radians, in the mathematical convention: 0 points
-along +x (east) and angles grow counterclockwise. Canonical storage range is
-[0, 2*pi); signed offsets between two directions live in [-pi, pi). The
-circle is split into ``bin_count`` equal half-open bins
-[i*2*pi/B, (i+1)*2*pi/B), each represented by its center (i+0.5)*2*pi/B.
+Angles are floats or float arrays in radians, in the mathematical
+convention: 0 points along +x (east) and angles grow counterclockwise.
+Canonical storage range is [0, 2*pi); signed offsets between two
+directions live in [-pi, pi). The circle is split into ``bin_count`` equal
+half-open bins [i*2*pi/B, (i+1)*2*pi/B), each represented by its center
+(i+0.5)*2*pi/B.
 
 All functions here are pure; histograms are immutable once built.
 """
@@ -31,25 +32,24 @@ __all__ = [
 ]
 
 
-def wrap_angle(x: float) -> float:
-    """Wrap a finite angle (radians) into [0, 2*pi).
+def wrap_angle(x):
+    """Wrap finite angles (radians) into [0, 2*pi).
 
+    A scalar gives a float, an array an array of the same shape.
     Idempotent: wrapping an already-wrapped angle returns it bit-identically.
 
     Raises
     ------
     ValueError
-        If ``x`` is NaN or infinite.
+        If any angle is NaN or infinite.
     """
-    if not math.isfinite(x):
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"angle must be finite, got {x!r}")
-    r = math.fmod(x, TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
+    r = np.fmod(x, TWO_PI)
+    r = np.where(r < 0.0, r + TWO_PI, r)
     # adding TWO_PI to a tiny negative can round up to exactly TWO_PI
-    if r >= TWO_PI:
-        r = 0.0
-    return r
+    r = np.where(r >= TWO_PI, 0.0, r)
+    return float(r) if r.ndim == 0 else r
 
 
 def angular_difference(a: float, b: float) -> float:
@@ -65,10 +65,11 @@ def angular_difference(a: float, b: float) -> float:
     return d
 
 
-def compass_to_math(bearing: float) -> float:
-    """Convert a compass bearing (0 = north, clockwise) to math convention.
+def compass_to_math(bearing):
+    """Convert compass bearings (0 = north, clockwise) to math convention.
 
-    The transform is its own inverse.
+    Takes a scalar or an array, like ``wrap_angle``. The transform is its
+    own inverse.
     """
     return wrap_angle(0.5 * math.pi - bearing)
 
@@ -80,23 +81,15 @@ def bin_center(i: int, bin_count: int) -> float:
     return (i + 0.5) * TWO_PI / bin_count
 
 
-def bin_index(angle: float, bin_count: int) -> int:
-    """Index of the half-open bin containing ``angle`` (wrapped first)."""
-    idx = int(wrap_angle(angle) * bin_count / TWO_PI)
+def bin_index(angle, bin_count: int):
+    """Index of the half-open bin containing ``angle`` (wrapped first).
+
+    A scalar gives an int, an array an int array of the same shape.
+    """
+    idx = np.trunc(wrap_angle(angle) * bin_count / TWO_PI).astype(np.int64)
     # multiply can round up to bin_count for angles just below 2*pi
-    return min(idx, bin_count - 1)
-
-
-def _wrap_array(angles: np.ndarray) -> np.ndarray:
-    r = np.fmod(angles, TWO_PI)
-    r[r < 0.0] += TWO_PI
-    r[r >= TWO_PI] = 0.0
-    return r
-
-
-def _bin_indices(angles: np.ndarray, bin_count: int) -> np.ndarray:
-    idx = (_wrap_array(angles) * bin_count / TWO_PI).astype(np.int64)
-    return np.minimum(idx, bin_count - 1)
+    idx = np.minimum(idx, bin_count - 1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,8 @@ def build_histogram(angles, weights=None, bin_count: int = 32) -> AngularHistogr
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("total weight must be positive")
-    idx = _bin_indices(angles, bin_count)
-    values = np.bincount(idx, weights=weights, minlength=bin_count) / total
+    values = np.bincount(bin_index(angles, bin_count), weights=weights,
+                         minlength=bin_count) / total
     return AngularHistogram(bin_count, values, normalized=True)
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from .angles import AngularHistogram, bin_index, build_histogram
 from .errors import (
-    DegenerateTripError,
     InputFormatError,
     InsufficientDataError,
     NumericalError,
@@ -36,12 +35,11 @@ from .estimator import ols_fit, report_rows, significance_mask
 from .features import ModelSpec, build_design_matrix
 from .ingest import (
     FilterPolicy,
+    directions,
     network_orientation_histogram,
-    pace,
     parse_network,
     parse_trips,
     percentile_filter,
-    trip_direction,
 )
 from .model import (
     expected_sign_report,
@@ -212,9 +210,15 @@ def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
             if len(parts) != 3:
                 raise InputFormatError(f"{path} row {lineno}: expected 3 fields")
             try:
-                values[int(parts[0])] = float(parts[2])
+                index, value = int(parts[0]), float(parts[2])
             except ValueError as exc:
                 raise InputFormatError(f"{path} row {lineno}: {exc}") from exc
+            if not 0.0 <= value < math.inf:
+                raise InputFormatError(
+                    f"{path} row {lineno}: value must be finite and "
+                    f"nonnegative, got {parts[2].strip()!r}"
+                )
+            values[index] = value
     if header is None:
         raise InputFormatError(f"{path}: empty histogram file")
     if sorted(values) != list(range(bins)):
@@ -222,34 +226,26 @@ def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
             f"{path}: expected bin indices 0..{bins - 1}, got {len(values)} rows"
         )
     arr = np.array([values[i] for i in range(bins)])
-    total = arr.sum()
-    if total <= 0.0:
-        raise InputFormatError(f"{path}: histogram values sum to zero")
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if not 0.0 < total < math.inf:
+        raise InputFormatError(f"{path}: histogram values sum to {total!r}")
     return AngularHistogram(bins, arr / total, normalized=True)
 
 
 def _load_trips(cfg: RunConfig):
+    """Directions and paces of the trips in ``cfg.trips``."""
     if not cfg.trips:
         raise InputFormatError("no trip file given (--trips)")
     with open(cfg.trips, encoding="utf-8") as f:
         trips = parse_trips(f, lonlat=cfg.lonlat)
-    if not trips:
-        raise InputFormatError("no trips")
-    directions = []
-    paces = []
-    skipped = 0
-    for t in trips:
-        try:
-            directions.append(trip_direction(t, compass=cfg.compass))
-        except DegenerateTripError:
-            skipped += 1
-            continue
-        paces.append(pace(t))
+    theta, moving = directions(trips, lonlat=cfg.lonlat, compass=cfg.compass)
+    skipped = len(trips) - theta.size
     if skipped:
         log.warning("skipped %d degenerate trip(s)", skipped)
-    if not directions:
+    if not theta.size:
         raise InputFormatError("no trips")
-    return np.array(directions), np.array(paces)
+    return theta, trips[moving, 4] / trips[moving, 5]
 
 
 def _load_network_histogram(cfg: RunConfig) -> AngularHistogram:
@@ -267,6 +263,7 @@ def _load_network_histogram(cfg: RunConfig) -> AngularHistogram:
         bins=cfg.bins,
         length_weighted=cfg.length_weighted,
         compass=cfg.compass,
+        lonlat=cfg.lonlat,
     )
 
 
@@ -288,16 +285,13 @@ def _validated(build, *args, **kwargs):
 def cmd_hist(cfg: RunConfig) -> int:
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
     directions, paces = _load_trips(cfg)
-    kept = percentile_filter(list(paces), policy)
+    kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, directions, kept)
     network = _load_network_histogram(cfg)
 
-    sums = np.zeros(cfg.bins)
-    counts = np.zeros(cfg.bins, dtype=int)
-    for i in kept:
-        j = bin_index(float(directions[i]), cfg.bins)
-        sums[j] += paces[i]
-        counts[j] += 1
+    idx = bin_index(directions[kept], cfg.bins)
+    sums = np.bincount(idx, weights=paces[kept], minlength=cfg.bins)
+    counts = np.bincount(idx, minlength=cfg.bins)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
 
     out = cfg.output_dir
@@ -361,7 +355,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             f"invalid option: curve grid must be >= 8, got {cfg.curve_grid}"
         )
     directions, paces = _load_trips(cfg)
-    kept = percentile_filter(list(paces), policy)
+    kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, directions, kept)
     network = _load_network_histogram(cfg)
     X, y = build_design_matrix(paces[kept], directions[kept], demand,
@@ -566,7 +560,8 @@ def main(argv=None) -> int:
                 raise InputFormatError("predict needs at least one --theta")
             return cmd_predict(cfg, thetas, args.degrees, explicit)
         raise InputFormatError(f"unknown command {args.command!r}")
-    except (InputFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (InputFormatError, FileNotFoundError, IsADirectoryError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InsufficientDataError as exc:

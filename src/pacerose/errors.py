@@ -31,11 +31,3 @@ class RankDeficiencyError(NumericalError):
 
 class SpecMismatchError(NumericalError):
     """A fitted model and a model specification disagree in shape."""
-
-
-class DegenerateTripError(PaceroseError):
-    """Trip origin and destination coincide; no direction is defined."""
-
-
-class ZeroLengthSegmentError(PaceroseError):
-    """Road segment endpoints coincide; no orientation is defined."""

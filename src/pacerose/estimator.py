@@ -1,8 +1,10 @@
 """Ordinary least squares with inference statistics.
 
-The solver augments the design with an intercept column, detects the
-numerical rank, and then either solves by Householder QR (full rank) or by
-the SVD pseudoinverse (rank deficient), depending on the rank policy.
+The solver augments the design with an intercept column, takes its SVD,
+detects the numerical rank from the singular values, and solves by the SVD
+pseudoinverse. That is the minimum-norm least-squares solution; on a design
+of full rank it is the unique one. A column that is exactly zero gets
+coefficient and standard error 0 (t 0, p 1).
 
 The minimum-norm path exists because the Fourier histogram features of this
 model family are structurally collinear: demand and network features that
@@ -148,16 +150,15 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
                 + ", ".join(dependent),
                 columns=dependent,
             )
-        # minimum-norm solution and pseudoinverse covariance factor
-        uty = u[:, :rank].T @ y
-        params = vt[:rank].T @ (uty / s[:rank])
-        cov_unscaled = (vt[:rank].T / s[:rank] ** 2) @ vt[:rank]
-    else:
-        # Householder QR; avoids squaring the condition number
-        q, r = np.linalg.qr(A)
-        params = np.linalg.solve(r, q.T @ y)
-        r_inv = np.linalg.solve(r, np.eye(p))
-        cov_unscaled = r_inv @ r_inv.T
+
+    # minimum-norm solution and pseudoinverse covariance factor
+    uty = u[:, :rank].T @ y
+    params = vt[:rank].T @ (uty / s[:rank])
+    cov_unscaled = (vt[:rank].T / s[:rank] ** 2) @ vt[:rank]
+    # an exactly zero column carries no information: its coefficient and
+    # standard error are 0 by definition, not the rounding noise of the SVD
+    zero = ~A.any(axis=0)
+    params[zero] = 0.0
 
     fitted = A @ params
     residuals = y - fitted
@@ -187,6 +188,7 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
 
     sigma2 = rss / dof_residual
     se = np.sqrt(np.maximum(sigma2 * np.diag(cov_unscaled), 0.0))
+    se[zero] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t_all = np.where(se > 0.0, params / np.where(se > 0.0, se, 1.0),
                          np.where(params == 0.0, 0.0, np.inf * np.sign(params)))

@@ -13,6 +13,9 @@ Rotating data and histograms together leaves every feature unchanged, and
 demand and network columns sharing a k both lie in the span of cos(k theta)
 and sin(k theta): the design is collinear whenever both carry mass at k.
 
+Moments within rounding of zero are set to exactly zero, so a harmonic a
+histogram lacks gives exactly zero columns rather than rounding noise.
+
 Column layout is fixed: demand columns a_c1, a_s1, ..., a_cK, a_sK, then
 network columns in ascending harmonic, cos before sin. When the network
 histogram is point symmetric, odd network harmonics vanish identically and
@@ -29,6 +32,10 @@ from .angles import TWO_PI, AngularHistogram
 from .errors import InsufficientDataError, SpecMismatchError
 
 POINT_SYMMETRY_TOL = 1e-9
+# C_k or S_k within ZERO_MOMENT_ULPS * eps * (B + 2*pi*k) of zero is the
+# rounding noise of a moment that vanishes exactly, such as an odd moment of
+# a point-symmetric histogram, and is set to 0
+ZERO_MOMENT_ULPS = 4.0
 
 __all__ = [
     "FeatureRow",
@@ -111,6 +118,10 @@ def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
     kc = np.outer(k, hist.bin_centers())
     c = np.cos(kc) @ hist.values
     s = np.sin(kc) @ hist.values
+    noise = (ZERO_MOMENT_ULPS * np.finfo(float).eps
+             * (hist.bin_count + TWO_PI * k))
+    c[np.abs(c) <= noise] = 0.0
+    s[np.abs(s) <= noise] = 0.0
     # one period keeps k * theta small, so cos/sin keep their accuracy
     kt = np.multiply.outer(np.mod(thetas, TWO_PI), k)
     cos_kt = np.cos(kt)

@@ -1,4 +1,4 @@
-"""Trip-log and road-network ingestion plus derived per-record quantities.
+"""Trip-log and road-network ingestion into float arrays.
 
 File formats (UTF-8, comma separated, '.' decimal, blank lines and
 '#'-prefixed lines ignored):
@@ -9,8 +9,16 @@ File formats (UTF-8, comma separated, '.' decimal, blank lines and
 * network: header ``ax,ay,bx,by,class[,length_m]``; class is one of
            motorway, trunk, primary, secondary, other (case-insensitive)
 
-Rows with non-positive duration or distance are skipped with a row-numbered
-warning; rows that do not parse at all raise InputFormatError.
+``parse_trips`` returns an ``(n, 6)`` float array in header order and
+``parse_network`` an ``(n, 5)`` array ``ax, ay, bx, by, length_m`` of the
+segments in the kept classes; each row is converted as it is read, so no
+string fields outlive their row. ``directions`` turns the endpoint columns
+of either array into bearings, and a trip's pace is
+``duration_s / distance_km``.
+
+Trip rows with non-positive duration or distance are skipped, with one
+warning per reason giving the count and the first row numbers; rows that do
+not parse at all raise InputFormatError naming the first such row.
 """
 
 from __future__ import annotations
@@ -18,21 +26,18 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .angles import (
     AngularHistogram,
     bin_index,
-    build_histogram,
     compass_to_math,
     wrap_angle,
 )
-from .errors import (
-    DegenerateTripError,
-    InputFormatError,
-    InsufficientDataError,
-    ZeroLengthSegmentError,
-)
+from .errors import InputFormatError, InsufficientDataError
 
 log = logging.getLogger(__name__)
 
@@ -46,68 +51,18 @@ NETWORK_HEADER = ("ax", "ay", "bx", "by", "class")
 
 EARTH_RADIUS_M = 6371000.0
 
+# row numbers named in a skipped-row warning
+WARN_ROWS = 5
+
 __all__ = [
     "ROAD_CLASSES",
     "FilterPolicy",
-    "RoadSegment",
-    "TripRecord",
+    "directions",
     "network_orientation_histogram",
-    "pace",
     "parse_network",
     "parse_trips",
     "percentile_filter",
-    "segment_orientations",
-    "trip_direction",
 ]
-
-
-@dataclass(frozen=True)
-class TripRecord:
-    """One trip: endpoints, duration in seconds, distance in kilometers."""
-
-    origin_x: float
-    origin_y: float
-    dest_x: float
-    dest_y: float
-    duration_s: float
-    distance_km: float
-    lonlat: bool = False
-
-    def __post_init__(self):
-        for name in ("origin_x", "origin_y", "dest_x", "dest_y",
-                     "duration_s", "distance_km"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
-        if self.distance_km <= 0.0:
-            raise ValueError("distance_km must be positive")
-
-
-@dataclass(frozen=True)
-class RoadSegment:
-    """One network edge with its class label and length in meters."""
-
-    ax: float
-    ay: float
-    bx: float
-    by: float
-    road_class: str
-    length_m: float
-    lonlat: bool = False
-
-    def __post_init__(self):
-        for name in ("ax", "ay", "bx", "by", "length_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.road_class not in ROAD_CLASSES:
-            raise ValueError(f"unknown road class {self.road_class!r}")
-        if self.length_m < 0.0:
-            raise ValueError("length_m must be nonnegative")
-
-    @property
-    def zero_length(self) -> bool:
-        return self.ax == self.bx and self.ay == self.by
 
 
 @dataclass(frozen=True)
@@ -127,13 +82,27 @@ class FilterPolicy:
 
 
 def _content_rows(source):
-    """Yield (line_number, fields) for non-blank, non-comment lines."""
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        yield lineno, [f.strip() for f in fields]
+    """Yield (line_number, fields) for non-blank, non-comment lines.
+
+    One CSV reader parses all lines; a quoted field may not span lines.
+    """
+    linenos = []
+
+    def content_lines():
+        for lineno, raw in enumerate(source, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                linenos.append(lineno)
+                yield line
+
+    try:
+        for fields in csv.reader(content_lines()):
+            if len(linenos) > 1:
+                raise InputFormatError(
+                    f"row {linenos[0]}: unterminated quoted field")
+            yield linenos.pop(), fields
+    except csv.Error as exc:
+        raise InputFormatError(f"row {linenos[0]}: {exc}") from None
 
 
 def _parse_float(value: str, lineno: int, name: str) -> float:
@@ -150,23 +119,48 @@ def _parse_float(value: str, lineno: int, name: str) -> float:
     return x
 
 
-def parse_trips(source, lonlat: bool = False) -> list:
-    """Parse a trip CSV into TripRecords.
+def _floats(fields, names, lineno: int) -> list:
+    """``fields`` as finite floats; the first bad one raises InputFormatError."""
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        values = [_parse_float(f.strip(), lineno, name)
+                  for f, name in zip(fields, names)]
+    return values
+
+
+def _header(fields) -> tuple:
+    return tuple(f.strip().lower() for f in fields)
+
+
+def _warn_skipped(rows: list, what: str):
+    shown = ", ".join(str(r) for r in rows[:WARN_ROWS])
+    more = ", ..." if len(rows) > WARN_ROWS else ""
+    log.warning("skipped %d trip(s) with non-positive %s: row %s%s",
+                len(rows), what, shown, more)
+
+
+def parse_trips(source, lonlat: bool = False) -> np.ndarray:
+    """Parse a trip CSV into an ``(n, 6)`` float array in header order.
 
     ``source`` is any iterable of lines (an open file works). Rows with
-    non-positive duration or distance are skipped with a warning naming the
-    row; anything else malformed raises InputFormatError.
+    non-positive duration or distance are skipped; one warning per reason
+    names the count and the first row numbers. A row whose pace
+    ``duration_s / distance_km`` overflows, and anything else malformed,
+    raises InputFormatError naming the row.
     """
     expected = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
-    trips = []
+    data = array("d")
+    skipped = {"duration_s": [], "distance_km": []}
     header_seen = False
     for lineno, fields in _content_rows(source):
         if not header_seen:
-            got = tuple(f.lower() for f in fields)
-            if got != expected:
+            if _header(fields) != expected:
                 raise InputFormatError(
                     f"row {lineno}: expected header {','.join(expected)}, "
-                    f"got {','.join(fields)}"
+                    f"got {','.join(f.strip() for f in fields)}"
                 )
             header_seen = True
             continue
@@ -174,32 +168,35 @@ def parse_trips(source, lonlat: bool = False) -> list:
             raise InputFormatError(
                 f"row {lineno}: expected 6 fields, got {len(fields)}"
             )
-        values = [
-            _parse_float(field, lineno, name)
-            for field, name in zip(fields, expected)
-        ]
+        values = _floats(fields, expected, lineno)
         duration, distance = values[4], values[5]
         if duration <= 0.0:
-            log.warning("row %d: non-positive duration_s (%s); trip skipped",
-                        lineno, fields[4])
+            skipped["duration_s"].append(lineno)
             continue
         if distance <= 0.0:
-            log.warning("row %d: non-positive distance_km (%s); trip skipped",
-                        lineno, fields[5])
+            skipped["distance_km"].append(lineno)
             continue
-        trips.append(TripRecord(*values, lonlat=lonlat))
+        if not math.isfinite(duration / distance):
+            raise InputFormatError(
+                f"row {lineno}: pace duration_s / distance_km is not finite "
+                f"({fields[4].strip()} / {fields[5].strip()})"
+            )
+        data.extend(values)
     if not header_seen:
         raise InputFormatError("trip file has no header row")
-    return trips
+    for what, rows in skipped.items():
+        if rows:
+            _warn_skipped(rows, what)
+    return np.frombuffer(data, dtype=float).reshape(-1, 6)
 
 
-def parse_network(source, class_filter=None, lonlat: bool = False) -> list:
-    """Parse a network edge CSV into RoadSegments.
+def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray:
+    """Parse a network edge CSV into an ``(n, 5)`` float array.
 
-    Only segments whose class is in ``class_filter`` (default: all classes)
-    are returned. Length comes from the optional ``length_m`` column and is
-    otherwise computed from the endpoints. Zero-length segments are kept,
-    flagged via ``RoadSegment.zero_length``; orientation code skips them.
+    The columns are ``ax, ay, bx, by, length_m``. Only segments whose class
+    is in ``class_filter`` (default: all classes) are returned. Length comes
+    from the optional ``length_m`` column and is otherwise computed from the
+    endpoints. Zero-length segments are kept; orientation code skips them.
     """
     if class_filter is None:
         class_filter = set(ROAD_CLASSES)
@@ -208,21 +205,18 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> list:
         unknown = class_filter - set(ROAD_CLASSES)
         if unknown:
             raise ValueError(f"unknown road classes in filter: {sorted(unknown)}")
-    segments = []
+    data = array("d")
     header_seen = False
     has_length_col = False
     for lineno, fields in _content_rows(source):
         if not header_seen:
-            got = tuple(f.lower() for f in fields)
-            if got == NETWORK_HEADER:
-                has_length_col = False
-            elif got == NETWORK_HEADER + ("length_m",):
-                has_length_col = True
-            else:
+            got = _header(fields)
+            if got not in (NETWORK_HEADER, NETWORK_HEADER + ("length_m",)):
                 raise InputFormatError(
                     f"row {lineno}: expected header ax,ay,bx,by,class[,length_m], "
-                    f"got {','.join(fields)}"
+                    f"got {','.join(f.strip() for f in fields)}"
                 )
+            has_length_col = len(got) == 6
             header_seen = True
             continue
         expected_n = 6 if has_length_col else 5
@@ -230,112 +224,92 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> list:
             raise InputFormatError(
                 f"row {lineno}: expected {expected_n} fields, got {len(fields)}"
             )
-        ax = _parse_float(fields[0], lineno, "ax")
-        ay = _parse_float(fields[1], lineno, "ay")
-        bx = _parse_float(fields[2], lineno, "bx")
-        by = _parse_float(fields[3], lineno, "by")
-        road_class = fields[4].lower()
+        ends = _floats(fields[:4], NETWORK_HEADER, lineno)
+        road_class = fields[4].strip().lower()
         if road_class not in ROAD_CLASSES:
             raise InputFormatError(
-                f"row {lineno}: unknown road class {fields[4]!r}"
+                f"row {lineno}: unknown road class {fields[4].strip()!r}"
             )
         if has_length_col:
-            length = _parse_float(fields[5], lineno, "length_m")
+            length = _parse_float(fields[5].strip(), lineno, "length_m")
             if length < 0.0:
                 raise InputFormatError(f"row {lineno}: negative length_m")
-            if length == 0.0 and (ax, ay) != (bx, by):
+            if length == 0.0 and ends[:2] != ends[2:]:
                 raise InputFormatError(
                     f"row {lineno}: zero length_m but distinct endpoints"
                 )
         else:
-            length = _segment_length(ax, ay, bx, by, lonlat)
-        if road_class not in class_filter:
-            continue
-        segments.append(
-            RoadSegment(ax, ay, bx, by, road_class, length, lonlat=lonlat)
-        )
+            length = math.nan
+        if road_class in class_filter:
+            data.extend(ends)
+            data.append(length)
     if not header_seen:
         raise InputFormatError("network file has no header row")
+    segments = np.frombuffer(data, dtype=float).reshape(-1, 5)
+    if not has_length_col:
+        segments[:, 4] = _lengths(segments, lonlat)
     return segments
 
 
-def _segment_length(ax, ay, bx, by, lonlat):
-    if not lonlat:
-        return math.hypot(bx - ax, by - ay)
-    mean_lat = math.radians(0.5 * (ay + by))
-    dx = math.radians(bx - ax) * math.cos(mean_lat) * EARTH_RADIUS_M
-    dy = math.radians(by - ay) * EARTH_RADIUS_M
-    return math.hypot(dx, dy)
+def _cos_mean_lat(rows: np.ndarray) -> np.ndarray:
+    return np.cos(np.radians(0.5 * (rows[:, 1] + rows[:, 3])))
 
 
-def _bearing(dx: float, dy: float, compass: bool) -> float:
-    raw = math.atan2(dy, dx)
-    if compass:
-        # raw is a compass bearing (0 = north, clockwise): convert
-        return compass_to_math(raw)
-    return wrap_angle(raw)
+def _deltas(rows: np.ndarray, lonlat: bool):
+    """Per-row (dx, dy) of the lines (x0, y0) -> (x1, y1) in the first four
+    columns, dx scaled by cos(mean latitude) for lon/lat input."""
+    dx = rows[:, 2] - rows[:, 0]
+    dy = rows[:, 3] - rows[:, 1]
+    if lonlat:
+        dx = dx * _cos_mean_lat(rows)
+    return dx, dy
 
 
-def trip_direction(trip: TripRecord, compass: bool = False) -> float:
-    """Bearing of the straight line origin -> destination, in [0, 2*pi).
+def _lengths(segments: np.ndarray, lonlat: bool) -> np.ndarray:
+    dx, dy = _deltas(segments, lonlat=False)
+    if lonlat:
+        # degrees to meters on the sphere, east-west scaled by cos(mean lat)
+        dx = np.radians(dx) * _cos_mean_lat(segments) * EARTH_RADIUS_M
+        dy = np.radians(dy) * EARTH_RADIUS_M
+    return np.hypot(dx, dy)
 
-    Planar input uses atan2 directly; lon/lat input is projected with a
-    local equirectangular scaling before the atan2. ``compass`` reinterprets
-    the raw bearing as a compass bearing (0 = north, clockwise) and converts
-    it to the math convention, for inputs whose axes are swapped that way.
+
+def directions(rows: np.ndarray, lonlat: bool = False, compass: bool = False):
+    """Bearings of the lines (x0, y0) -> (x1, y1) in the first four columns.
+
+    Trip and segment arrays both qualify. Returns ``(theta, moving)``:
+    ``moving`` marks the rows whose endpoints differ, and ``theta`` holds
+    their bearings in [0, 2*pi), in row order. Lon/lat input is projected
+    with a local equirectangular scaling, cos(mean latitude), before the
+    arctan2. ``compass`` reinterprets the raw bearing as a compass bearing
+    (0 = north, clockwise) and converts it to the math convention, for
+    inputs whose axes are swapped that way.
     """
-    dx = trip.dest_x - trip.origin_x
-    dy = trip.dest_y - trip.origin_y
-    if trip.lonlat:
-        mean_lat = math.radians(0.5 * (trip.origin_y + trip.dest_y))
-        dx = dx * math.cos(mean_lat)
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateTripError("degenerate trip: origin equals destination")
-    return _bearing(dx, dy, compass)
+    dx, dy = _deltas(rows, lonlat)
+    moving = (dx != 0.0) | (dy != 0.0)
+    raw = np.arctan2(dy[moving], dx[moving])
+    return (compass_to_math(raw) if compass else wrap_angle(raw)), moving
 
 
-def pace(trip: TripRecord) -> float:
-    """Pace in seconds per kilometer: duration / distance."""
-    if trip.distance_km <= 0.0:
-        raise ValueError("pace needs a positive distance")
-    return trip.duration_s / trip.distance_km
-
-
-def percentile_filter(paces, policy: FilterPolicy) -> list:
+def percentile_filter(paces, policy: FilterPolicy) -> np.ndarray:
     """Indices retained after dropping the extreme pace fractions.
 
-    Sorts by pace ascending (ties broken by original index, so the cut is
-    deterministic), drops the lowest floor(lower*N) and highest
-    floor(upper*N) entries, and returns the retained original indices in
-    ascending order.
+    Sorts by pace ascending (a stable sort, so ties keep the original index
+    order and the cut is deterministic), drops the lowest floor(lower*N) and
+    highest floor(upper*N) entries, and returns the retained original
+    indices in ascending order as an int array.
     """
-    n = len(paces)
+    paces = np.asarray(paces, dtype=float)
+    n = paces.size
     if n == 0:
         raise InsufficientDataError("no samples to filter")
-    order = sorted(range(n), key=lambda i: (paces[i], i))
+    order = np.argsort(paces, kind="stable")
     n_low = math.floor(policy.lower_fraction * n)
     n_high = math.floor(policy.upper_fraction * n)
-    kept = order[n_low:n - n_high]
-    if not kept:
+    kept = np.sort(order[n_low:n - n_high])
+    if not kept.size:
         raise InsufficientDataError("filter removed all samples")
-    return sorted(kept)
-
-
-def segment_orientations(segment: RoadSegment, compass: bool = False) -> tuple:
-    """Both orientations {theta, theta + pi} of a segment, equal weight.
-
-    Aggregating both directions makes the network histogram point symmetric
-    by construction.
-    """
-    if segment.zero_length or segment.length_m == 0.0:
-        raise ZeroLengthSegmentError("zero-length segment has no orientation")
-    dx = segment.bx - segment.ax
-    dy = segment.by - segment.ay
-    if segment.lonlat:
-        mean_lat = math.radians(0.5 * (segment.ay + segment.by))
-        dx = dx * math.cos(mean_lat)
-    theta = _bearing(dx, dy, compass)
-    return theta, wrap_angle(theta + math.pi)
+    return kept
 
 
 def network_orientation_histogram(
@@ -343,42 +317,32 @@ def network_orientation_histogram(
     bins: int = 32,
     length_weighted: bool = False,
     compass: bool = False,
+    lonlat: bool = False,
 ) -> AngularHistogram:
     """Histogram of road orientations, aggregated in both directions.
 
-    Weights are segment counts by default, or lengths in meters with
-    ``length_weighted``. Zero-length segments are skipped with a warning.
-    For even bin counts each segment's two opposite orientations are placed
-    exactly half a cycle apart, so the result is point symmetric to the
-    last bit.
+    ``segments`` is the array ``parse_network`` returns, read with the same
+    ``lonlat``. Weights are segment counts by default, or lengths in meters
+    with ``length_weighted``. Zero-length segments are skipped with one
+    warning. For even bin counts each segment's primary orientation is
+    binned once and mirrored half a cycle on, so the result is point
+    symmetric to the last bit.
     """
-    angles = []
-    weights = []
-    skipped = 0
-    for seg in segments:
-        try:
-            theta, opposite = segment_orientations(seg, compass=compass)
-        except ZeroLengthSegmentError:
-            skipped += 1
-            continue
-        w = seg.length_m if length_weighted else 1.0
-        angles.extend((theta, opposite))
-        weights.extend((w, w))
+    theta, moving = directions(segments, lonlat=lonlat, compass=compass)
+    skipped = len(segments) - theta.size
     if skipped:
         log.warning("skipped %d zero-length segment(s)", skipped)
-    if not angles:
+    if not theta.size:
         raise InsufficientDataError("no usable segments for the network histogram")
+    weights = segments[moving, 4] if length_weighted else np.ones(theta.size)
+    primary = bin_index(theta, bins)
     if bins % 2 == 0:
         # bin the primary orientation once and mirror it, so point symmetry
         # holds exactly even when theta + pi falls on a bin boundary
-        half = bins // 2
-        values = [0.0] * bins
-        for theta, w in zip(angles[0::2], weights[0::2]):
-            j = bin_index(theta, bins)
-            values[j] += w
-            values[(j + half) % bins] += w
-        total = sum(weights)
-        return AngularHistogram(
-            bins, [v / total for v in values], normalized=True
-        )
-    return build_histogram(angles, weights=weights, bin_count=bins)
+        opposite = (primary + bins // 2) % bins
+    else:
+        opposite = bin_index(theta + math.pi, bins)
+    both = np.column_stack([primary, opposite]).ravel()
+    weights = np.repeat(weights, 2)
+    values = np.bincount(both, weights=weights, minlength=bins)
+    return AngularHistogram(bins, values / weights.sum(), normalized=True)

@@ -85,6 +85,27 @@ class TestCompassConversion:
         assert compass_to_math(compass_to_math(w)) == pytest.approx(w, abs=1e-9)
 
 
+class TestArrayArguments:
+    @given(st.lists(finite_angles, max_size=30), st.integers(1, 72))
+    def test_array_matches_scalar_calls(self, angles, bins):
+        array = np.array(angles)
+        assert wrap_angle(array).tolist() == [wrap_angle(a) for a in angles]
+        assert compass_to_math(array).tolist() == [
+            compass_to_math(a) for a in angles]
+        indices = bin_index(array, bins)
+        assert indices.dtype == np.int64
+        assert indices.tolist() == [bin_index(a, bins) for a in angles]
+
+    def test_scalar_gives_python_scalar(self):
+        assert type(wrap_angle(1.0)) is float
+        assert type(compass_to_math(1.0)) is float
+        assert type(bin_index(1.0, 4)) is int
+
+    def test_nonfinite_element_rejected(self):
+        with pytest.raises(ValueError):
+            wrap_angle(np.array([0.0, math.nan]))
+
+
 class TestBinCenter:
     def test_first_of_four(self):
         assert bin_center(0, 4) == pytest.approx(math.pi / 4)

@@ -284,6 +284,48 @@ class TestFitCommand:
             outs[mode] = (out / "demand_hist.csv").read_text()
         assert outs["all"] != outs["filtered"]
 
+    def test_no_point_symmetric_odd_network_rows_are_exact_zeros(
+            self, tmp_path, simulated):
+        # the simulated network is point symmetric: its odd moments vanish
+        code, out = self.fit(tmp_path, simulated, "--no-point-symmetric")
+        assert code == 0
+        rows = {line.split(",", 1)[0]: line.split(",", 1)[1] for line in
+                (out / "fit_report.csv").read_text().splitlines()[1:]}
+        for k in (1, 3, 5, 7):
+            for part in ("c", "s"):
+                assert rows[f"b_{part}{k}"] == "0.0,0.0,0.0,1.0,false"
+        assert rows["b_c2"] != "0.0,0.0,0.0,1.0,false"
+
+    def test_overflowing_pace_exits_2(self, tmp_path, capsys):
+        trips = trips_csv(tmp_path, n=60)
+        with open(trips, "a", encoding="utf-8") as f:
+            f.write("0,0,1,1,1e300,1e-300\n")
+        uniform = uniform_hist_csv(tmp_path)
+        code = main(["fit", "--trips", str(trips),
+                     "--demand-hist", str(uniform),
+                     "--network-hist", str(uniform),
+                     "--upper-cut", "0", "--output-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "row 62" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["-0.25", "nan", "inf"])
+    def test_bad_histogram_value_exits_2(self, tmp_path, capsys, bad):
+        trips = trips_csv(tmp_path, n=60)
+        uniform = uniform_hist_csv(tmp_path, bins=4)
+        lines = uniform.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+        hist = tmp_path / "bad_hist.csv"
+        hist.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--trips", str(trips), "--bins", "4", "--k", "1",
+                     "--demand-hist", str(hist), "--network-hist", str(uniform),
+                     "--output-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{hist} row 4" in err
+        assert "Traceback" not in err
+
 
 class TestPredictCommand:
     def make_uniform_model(self, tmp_path):
@@ -422,3 +464,70 @@ class TestConfigFile:
         config.write_text("briins\n")
         assert main(["hist", "--trips", str(trips), "--config", str(config),
                      "--output-dir", str(tmp_path / "o")]) == 2
+
+
+GOOD_TRIPS = TRIP_HEADER + "\n" + "".join(
+    f"0,0,{math.cos(i)!r},{math.sin(i)!r},{100 + i},1\n" for i in range(60))
+GOOD_NETWORK = NET_HEADER + "\n0,0,1,0,primary\n0,0,0,1,trunk\n"
+MALFORMED = {
+    "trips": [
+        "", "# only a comment\n", TRIP_HEADER + "\n", "x,y\n1,2\n",
+        TRIP_HEADER + "\n0,0,1,1,60\n",
+        TRIP_HEADER + "\n0,0,1,oops,60,1\n",
+        TRIP_HEADER + "\n0,nan,1,1,60,1\n",
+        TRIP_HEADER + "\n0,0,1,1,1e300,1e-300\n",
+        TRIP_HEADER + "\n" + "3,4,3,4,60,1\n" * 30,
+        TRIP_HEADER + "\n" + "0,0,1,1,0,1\n" * 30,
+        TRIP_HEADER + '\n0,0,"1,1,60,1\n',
+        TRIP_HEADER + "\n0,0,1,1,60,1\x00\n",
+        b"\xff\xfe\x00garbage\n",
+    ],
+    "network": [
+        "", "ax,ay\n", NET_HEADER + "\n0,0,1,1,footpath\n",
+        NET_HEADER + ",length_m\n0,0,1,1,primary,-1\n",
+        NET_HEADER + ",length_m\n0,0,1,1,primary,0\n",
+        NET_HEADER + "\n0,0,0,0,primary\n",
+        NET_HEADER + "\n0,0,inf,1,primary\n",
+        NET_HEADER + "\n0,0,1,1,other\n",
+        NET_HEADER + "\n0,0,1\n",
+        b"\xc3\x28\n",
+    ],
+    "histogram": [
+        "", "bin,value\n", "bin,center_rad,value\n0,0.1,1\n",
+        "bin,center_rad,value\n" + "".join(f"{i},0,{v}\n" for i, v in
+                                            enumerate(["1", "-1", "1", "1"])),
+        "bin,center_rad,value\n" + "".join(f"{i},0,nan\n" for i in range(4)),
+        "bin,center_rad,value\n" + "".join(f"{i},0,0\n" for i in range(4)),
+        "bin,center_rad,value\n" + "".join(f"{i},0,1e308\n" for i in range(4)),
+        "bin,center_rad,value\n" + "".join(f"{i},0,x\n" for i in range(4)),
+        b"\xff\n",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind,content", [
+    pytest.param(kind, content, id=f"{kind}-{i}")
+    for kind, contents in MALFORMED.items()
+    for i, content in enumerate(contents)
+])
+def test_malformed_input_files_exit_cleanly(tmp_path, capsys, kind, content):
+    files = {"trips": GOOD_TRIPS, "network": GOOD_NETWORK,
+             "histogram": uniform_hist_csv(tmp_path, bins=4).read_text()}
+    files[kind] = content
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        if isinstance(text, bytes):
+            paths[name].write_bytes(text)
+        else:
+            paths[name].write_text(text)
+    for argv in (
+        ["hist", "--trips", str(paths["trips"]),
+         "--network", str(paths["network"])],
+        ["fit", "--trips", str(paths["trips"]), "--k", "1",
+         "--network", str(paths["network"]),
+         "--demand-hist", str(paths["histogram"])],
+    ):
+        code = main(argv + ["--bins", "4", "--output-dir", str(tmp_path / "o")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err

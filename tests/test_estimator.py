@@ -154,6 +154,20 @@ class TestRankDeficiency:
         np.testing.assert_allclose(fit.coefficients, 0.0, atol=1e-12)
         assert fit.rank == 1
 
+    def test_zero_columns_get_zero_coefficient_and_p_one(self):
+        # SVD rounding once gave such columns |coef| ~1e-16, p = 0
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(5000, 6))
+        X[:, [2, 4]] = 0.0
+        y = (3.0 + X @ np.array([1.0, -2.0, 0.0, 0.5, 0.0, 1.5])
+             + rng.normal(size=5000))
+        fit = ols_fit(X, y)
+        for j in (2, 4):
+            assert (fit.coefficients[j], fit.std_errors[j], fit.t_values[j],
+                    fit.p_values[j]) == (0.0, 0.0, 0.0, 1.0)
+        assert fit.rank == 5
+        assert not significance_mask(fit)[[2, 4]].any()
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             ols_fit(np.ones((10, 1)), np.ones(10), rank_policy="whatever")

@@ -1,30 +1,25 @@
+import csv
 import io
 import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacerose.angles import TWO_PI, wrap_angle
-from pacerose.errors import (
-    DegenerateTripError,
-    InputFormatError,
-    InsufficientDataError,
-    ZeroLengthSegmentError,
-)
+from pacerose.cli import RunConfig, _load_trips
+from pacerose.errors import InputFormatError, InsufficientDataError
 from pacerose.ingest import (
+    TRIP_HEADER_LONLAT,
+    TRIP_HEADER_PLANAR,
     FilterPolicy,
-    RoadSegment,
-    TripRecord,
+    directions,
     network_orientation_histogram,
-    pace,
     parse_network,
     parse_trips,
     percentile_filter,
-    segment_orientations,
-    trip_direction,
 )
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
@@ -35,12 +30,29 @@ def trips_from(text):
     return parse_trips(io.StringIO(text))
 
 
+def trip_row(ox, oy, dx, dy, duration=60.0, distance=1.0):
+    return np.array([[ox, oy, dx, dy, duration, distance]], dtype=float)
+
+
+def trip_direction(ox, oy, dx, dy, lonlat=False, compass=False):
+    theta, moving = directions(trip_row(ox, oy, dx, dy), lonlat=lonlat,
+                               compass=compass)
+    assert moving.tolist() == [True]
+    return float(theta[0])
+
+
+def segment(ax, ay, bx, by, length=None):
+    if length is None:
+        length = math.hypot(bx - ax, by - ay)
+    return [ax, ay, bx, by, length]
+
+
 class TestParseTrips:
     def test_single_row(self):
         trips = trips_from(f"{TRIP_HEADER}\n0,0,1000,1000,600,1.5\n")
         assert len(trips) == 1
-        assert trips[0].duration_s == 600.0
-        assert trips[0].distance_km == 1.5
+        assert trips[0, 4] == 600.0
+        assert trips[0, 5] == 1.5
 
     def test_zero_duration_skipped_with_diagnostic(self, caplog):
         with caplog.at_level(logging.WARNING):
@@ -49,7 +61,7 @@ class TestParseTrips:
         assert any("row 2" in r.message for r in caplog.records)
 
     def test_header_only_gives_empty_list(self):
-        assert trips_from(f"{TRIP_HEADER}\n") == []
+        assert trips_from(f"{TRIP_HEADER}\n").shape == (0, 6)
 
     def test_malformed_header(self):
         with pytest.raises(InputFormatError):
@@ -69,11 +81,48 @@ class TestParseTrips:
         text = ("origin_lon,origin_lat,dest_lon,dest_lat,duration_s,"
                 "distance_km\n139.7,35.7,139.8,35.8,600,12\n")
         trips = parse_trips(io.StringIO(text), lonlat=True)
-        assert trips[0].lonlat
+        assert trips.tolist() == [[139.7, 35.7, 139.8, 35.8, 600.0, 12.0]]
 
     def test_empty_file_rejected(self):
         with pytest.raises(InputFormatError):
             trips_from("")
+
+    def test_skip_warning_per_reason_names_count_and_first_rows(self, caplog):
+        rows = ["0,0,1,1,60,1.0"] * 10
+        for i in (1, 3, 4, 5, 6, 7, 8):
+            rows[i] = "0,0,1,1,0,1.0"
+        rows[9] = "0,0,1,1,-5,0"
+        rows[2] = "0,0,1,1,60,-1e-3"
+        with caplog.at_level(logging.WARNING):
+            trips = trips_from(TRIP_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert len(trips) == 1
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            "skipped 8 trip(s) with non-positive duration_s: "
+            "row 3, 5, 6, 7, 8, ...",
+            "skipped 1 trip(s) with non-positive distance_km: row 4",
+        ]
+
+    def test_first_bad_row_in_file_order_is_named(self):
+        good = "0,0,1,1,60,1.0"
+        text = f"{TRIP_HEADER}\n{good}\n0,0,1,oops,60,1.0\n{good}\n0,inf,1,1,60,1\n"
+        with pytest.raises(InputFormatError) as err:
+            trips_from(text)
+        assert str(err.value) == "row 3: field 'dest_y' is not a number: 'oops'"
+        text = f"{TRIP_HEADER}\n{good}\n 0, inf ,1,1,60,1\n0,0,1,oops,60,1.0\n"
+        with pytest.raises(InputFormatError) as err:
+            trips_from(text)
+        assert str(err.value) == "row 3: field 'origin_y' must be finite, got 'inf'"
+
+    def test_unterminated_quote_names_its_row(self):
+        with pytest.raises(InputFormatError) as err:
+            trips_from(f'{TRIP_HEADER}\n0,0,1,1,60,"1\n0,0,1,1,60,1\n')
+        assert str(err.value) == "row 2: unterminated quoted field"
+
+    def test_overflowing_pace_rejected(self):
+        with pytest.raises(InputFormatError) as err:
+            trips_from(f"{TRIP_HEADER}\n0,0,1,1,60,1\n0,0,1,1,1e300,1e-300\n")
+        assert "row 3" in str(err.value)
 
 
 class TestParseNetwork:
@@ -81,32 +130,33 @@ class TestParseNetwork:
         text = f"{NET_HEADER}\n0,0,100,0,primary\n0,0,0,50,other\n"
         segments = parse_network(io.StringIO(text), class_filter={"primary"})
         assert len(segments) == 1
-        assert segments[0].length_m == pytest.approx(100.0)
+        assert segments[0, 4] == pytest.approx(100.0)
 
     def test_class_filter_excludes(self):
         text = f"{NET_HEADER}\n0,0,100,0,primary\n"
-        assert parse_network(io.StringIO(text), class_filter={"motorway"}) == []
+        assert len(parse_network(io.StringIO(text),
+                                 class_filter={"motorway"})) == 0
 
     def test_class_case_insensitive(self):
         text = f"{NET_HEADER}\n0,0,100,0,PRIMARY\n"
-        segments = parse_network(io.StringIO(text))
-        assert segments[0].road_class == "primary"
+        segments = parse_network(io.StringIO(text), class_filter={"primary"})
+        assert len(segments) == 1
 
     def test_zero_length_flagged(self):
         text = f"{NET_HEADER}\n5,5,5,5,trunk\n"
         segments = parse_network(io.StringIO(text))
-        assert segments[0].zero_length
-        assert segments[0].length_m == 0.0
+        assert directions(segments)[1].tolist() == [False]
+        assert segments[0, 4] == 0.0
 
     def test_length_column_used(self):
         text = f"{NET_HEADER},length_m\n0,0,3,4,primary,7.5\n"
         segments = parse_network(io.StringIO(text))
-        assert segments[0].length_m == 7.5
+        assert segments[0, 4] == 7.5
 
     def test_length_computed_when_absent(self):
         text = f"{NET_HEADER}\n0,0,3,4,primary\n"
         segments = parse_network(io.StringIO(text))
-        assert segments[0].length_m == pytest.approx(5.0)
+        assert segments[0, 4] == pytest.approx(5.0)
 
     def test_unknown_class_rejected(self):
         text = f"{NET_HEADER}\n0,0,1,1,footpath\n"
@@ -123,41 +173,37 @@ class TestParseNetwork:
         # one degree of latitude is ~111.2 km on a 6371 km sphere
         text = f"{NET_HEADER}\n139.7,35.7,139.7,36.7,primary\n"
         segments = parse_network(io.StringIO(text), lonlat=True)
-        assert segments[0].length_m == pytest.approx(111195, rel=1e-3)
+        assert segments[0, 4] == pytest.approx(111195, rel=1e-3)
 
 
 class TestTripDirection:
-    def trip(self, ox, oy, dx, dy, lonlat=False):
-        return TripRecord(ox, oy, dx, dy, 60.0, 1.0, lonlat=lonlat)
-
     def test_due_east(self):
-        assert trip_direction(self.trip(0, 0, 1, 0)) == 0.0
+        assert trip_direction(0, 0, 1, 0) == 0.0
 
     def test_due_north(self):
-        assert trip_direction(self.trip(0, 0, 0, 1)) == pytest.approx(math.pi / 2)
+        assert trip_direction(0, 0, 0, 1) == pytest.approx(math.pi / 2)
 
     def test_southwest(self):
-        assert trip_direction(self.trip(0, 0, -1, -1)) == pytest.approx(
-            5 * math.pi / 4
-        )
+        assert trip_direction(0, 0, -1, -1) == pytest.approx(5 * math.pi / 4)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateTripError):
-            trip_direction(self.trip(3, 4, 3, 4))
+        theta, moving = directions(trip_row(3, 4, 3, 4))
+        assert theta.size == 0
+        assert moving.tolist() == [False]
 
     def test_compass_convention(self):
         # +x reinterpreted as north: due-"east" input becomes pi/2
-        assert trip_direction(self.trip(0, 0, 1, 0), compass=True) == (
+        assert trip_direction(0, 0, 1, 0, compass=True) == (
             pytest.approx(math.pi / 2)
         )
 
     def test_lonlat_eastward(self):
-        t = self.trip(139.70, 35.70, 139.71, 35.70, lonlat=True)
-        assert trip_direction(t) == pytest.approx(0.0, abs=1e-12)
+        theta = trip_direction(139.70, 35.70, 139.71, 35.70, lonlat=True)
+        assert theta == pytest.approx(0.0, abs=1e-12)
 
     def test_lonlat_northward(self):
-        t = self.trip(139.70, 35.70, 139.70, 35.71, lonlat=True)
-        assert trip_direction(t) == pytest.approx(math.pi / 2, abs=1e-12)
+        theta = trip_direction(139.70, 35.70, 139.70, 35.71, lonlat=True)
+        assert theta == pytest.approx(math.pi / 2, abs=1e-12)
 
     @given(st.floats(min_value=-1e3, max_value=1e3),
            st.floats(min_value=-1e3, max_value=1e3),
@@ -166,28 +212,32 @@ class TestTripDirection:
     def test_reverse_is_opposite(self, ox, oy, dx, dy):
         if ox == dx and oy == dy:
             return
-        forward = trip_direction(self.trip(ox, oy, dx, dy))
-        backward = trip_direction(self.trip(dx, dy, ox, oy))
+        forward = trip_direction(ox, oy, dx, dy)
+        backward = trip_direction(dx, dy, ox, oy)
         assert backward == pytest.approx(wrap_angle(forward + math.pi),
                                          abs=2e-15)
 
 
 class TestPace:
+    def paces(self, *rows):
+        text = TRIP_HEADER + "\n" + "\n".join(
+            f"0,0,1,1,{duration!r},{distance!r}" for duration, distance in rows
+        ) + "\n"
+        trips = trips_from(text)
+        return trips[:, 4] / trips[:, 5]
+
     def test_examples(self):
-        assert pace(TripRecord(0, 0, 1, 1, 600.0, 5.0)) == 120.0
-        assert pace(TripRecord(0, 0, 1, 1, 120.0, 1.0)) == 120.0
+        assert self.paces((600.0, 5.0), (120.0, 1.0)).tolist() == [120.0, 120.0]
 
     def test_zero_distance_unconstructible(self):
-        with pytest.raises(ValueError):
-            TripRecord(0, 0, 1, 1, 3600.0, 0.0)
+        assert self.paces((3600.0, 0.0)).size == 0
 
     @given(st.floats(min_value=1.0, max_value=1e5),
            st.floats(min_value=0.1, max_value=1e3),
            st.floats(min_value=0.5, max_value=8.0))
     def test_scale_consistent(self, duration, distance, factor):
-        base = pace(TripRecord(0, 0, 1, 1, duration, distance))
-        scaled = pace(TripRecord(0, 0, 1, 1, duration * factor,
-                                 distance * factor))
+        base, scaled = self.paces((duration, distance),
+                                  (duration * factor, distance * factor))
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -200,14 +250,14 @@ class TestPercentileFilter:
 
     def test_zero_policy_is_identity(self):
         paces = [5.0, 1.0, 3.0]
-        assert percentile_filter(paces, FilterPolicy(0.0, 0.0)) == [0, 1, 2]
+        assert percentile_filter(paces, FilterPolicy(0.0, 0.0)).tolist() == [0, 1, 2]
 
     def test_ties_broken_by_original_index(self):
         paces = [7.0] * 20
         kept = percentile_filter(paces, FilterPolicy(0.05, 0.10))
         # lowest original index dropped at the bottom, highest two at the top
         assert len(kept) == 17
-        assert kept == list(range(1, 18))
+        assert kept.tolist() == list(range(1, 18))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e4,
                               allow_nan=False), min_size=1, max_size=200),
@@ -217,6 +267,18 @@ class TestPercentileFilter:
         kept = percentile_filter(paces, FilterPolicy(lower, upper))
         n = len(paces)
         assert len(kept) == n - math.floor(lower * n) - math.floor(upper * n)
+
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+                    max_size=60),
+           st.floats(min_value=0.0, max_value=0.45),
+           st.floats(min_value=0.0, max_value=0.45))
+    def test_matches_sort_with_index_tiebreak(self, paces, lower, upper):
+        n = len(paces)
+        order = sorted(range(n), key=lambda i: (paces[i], i))
+        expected = sorted(order[math.floor(lower * n):n - math.floor(upper * n)])
+        kept = percentile_filter([float(p) for p in paces],
+                                 FilterPolicy(lower, upper))
+        assert kept.tolist() == expected
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -232,28 +294,29 @@ class TestPercentileFilter:
 
 
 class TestSegmentOrientations:
-    def seg(self, ax, ay, bx, by, length=None):
-        if length is None:
-            length = math.hypot(bx - ax, by - ay)
-        return RoadSegment(ax, ay, bx, by, "primary", length)
+    def orientations(self, ax, ay, bx, by):
+        theta, moving = directions(np.array([segment(ax, ay, bx, by)]))
+        assert moving.tolist() == [True]
+        return float(theta[0]), float(wrap_angle(theta[0] + math.pi))
 
     def test_diagonal(self):
-        both = segment_orientations(self.seg(0, 0, 1, 1))
+        both = self.orientations(0, 0, 1, 1)
         assert both[0] == pytest.approx(math.pi / 4)
         assert both[1] == pytest.approx(5 * math.pi / 4)
 
     def test_horizontal(self):
-        both = segment_orientations(self.seg(0, 0, 1, 0))
+        both = self.orientations(0, 0, 1, 0)
         assert both == (0.0, pytest.approx(math.pi))
 
     def test_downward(self):
-        both = segment_orientations(self.seg(0, 0, 0, -2))
+        both = self.orientations(0, 0, 0, -2)
         assert both[0] == pytest.approx(3 * math.pi / 2)
         assert both[1] == pytest.approx(math.pi / 2)
 
     def test_zero_length_rejected(self):
-        with pytest.raises(ZeroLengthSegmentError):
-            segment_orientations(self.seg(1, 1, 1, 1))
+        theta, moving = directions(np.array([segment(1, 1, 1, 1)]))
+        assert theta.size == 0
+        assert moving.tolist() == [False]
 
 
 class TestNetworkHistogram:
@@ -264,9 +327,8 @@ class TestNetworkHistogram:
             bx, by = rng.uniform(-100, 100, 2)
             if (ax, ay) == (bx, by):
                 continue
-            segs.append(RoadSegment(ax, ay, bx, by, "primary",
-                                    math.hypot(bx - ax, by - ay)))
-        return segs
+            segs.append(segment(ax, ay, bx, by))
+        return np.array(segs)
 
     def test_point_symmetric_by_construction(self):
         rng = np.random.default_rng(0)
@@ -275,10 +337,10 @@ class TestNetworkHistogram:
         assert hist.point_symmetry_defect() <= 1e-12
 
     def test_length_weighting_changes_weights(self):
-        segs = [
-            RoadSegment(0, 0, 10, 0, "primary", 10.0),
-            RoadSegment(0, 0, 0, 1, "primary", 1.0),
-        ]
+        segs = np.array([
+            segment(0, 0, 10, 0, 10.0),
+            segment(0, 0, 0, 1, 1.0),
+        ])
         by_count = network_orientation_histogram(segs, bins=4)
         by_length = network_orientation_histogram(segs, bins=4,
                                                   length_weighted=True)
@@ -287,16 +349,150 @@ class TestNetworkHistogram:
                                    [10 / 22, 1 / 22, 10 / 22, 1 / 22])
 
     def test_zero_length_segments_skipped(self, caplog):
-        segs = [
-            RoadSegment(0, 0, 1, 0, "primary", 1.0),
-            RoadSegment(2, 2, 2, 2, "primary", 0.0),
-        ]
+        segs = np.array([
+            segment(0, 0, 1, 0, 1.0),
+            segment(2, 2, 2, 2, 0.0),
+        ])
         with caplog.at_level(logging.WARNING):
             hist = network_orientation_histogram(segs, bins=4)
         assert hist.values.sum() == pytest.approx(1.0)
         assert any("zero-length" in r.message for r in caplog.records)
 
     def test_all_zero_length_rejected(self):
-        segs = [RoadSegment(0, 0, 0, 0, "primary", 0.0)]
+        segs = np.array([segment(0, 0, 0, 0, 0.0)])
         with pytest.raises(InsufficientDataError):
             network_orientation_histogram(segs, bins=4)
+
+    def test_mirrored_bin_when_opposite_rounds_onto_a_boundary(self):
+        # theta = 7*pi/4 wraps from -pi/4; theta + pi rounds to just below
+        # the 3*pi/4 boundary of bin 3, yet the segment counts in bins 7 and 3
+        hist = network_orientation_histogram(
+            np.array([segment(0, 0, 1, -1)]), bins=8)
+        assert hist.values.tolist() == [0, 0, 0, 0.5, 0, 0, 0, 0.5]
+
+    @pytest.mark.parametrize("bins", [5, 7, 32])
+    def test_matches_per_segment_binning(self, bins):
+        # each segment adds its weight to the bins of theta and theta + pi
+        rng = np.random.default_rng(bins)
+        segs = self.random_segments(rng, 300)
+        hist = network_orientation_histogram(segs, bins=bins,
+                                             length_weighted=True)
+        expected = np.zeros(bins)
+        for ax, ay, bx, by, length in segs:
+            theta = wrap_angle(math.atan2(by - ay, bx - ax))
+            for angle in (theta, wrap_angle(theta + math.pi)):
+                expected[int(angle * bins / TWO_PI) % bins] += length
+        np.testing.assert_allclose(hist.values, expected / expected.sum(),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def reference_load(text, lonlat, compass):
+    """Per-line reference of the trip ingest: kept rows, directions, paces.
+
+    Returns the 1-based line number and field name of the first bad field
+    instead when a row does not parse.
+    """
+    names = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
+    rows, thetas, paces = [], [], []
+    header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in next(csv.reader([line]))]
+        if not header:
+            header = True
+            continue
+        values = []
+        for field, name in zip(fields, names):
+            try:
+                values.append(float(field))
+            except ValueError:
+                return lineno, name
+        if values[4] <= 0.0 or values[5] <= 0.0:
+            continue
+        rows.append(values)
+        dx = values[2] - values[0]
+        dy = values[3] - values[1]
+        if lonlat:
+            dx *= math.cos(math.radians(0.5 * (values[1] + values[3])))
+        if dx == 0.0 and dy == 0.0:
+            continue
+        raw_bearing = math.atan2(dy, dx)
+        thetas.append(wrap_angle(0.5 * math.pi - raw_bearing) if compass
+                      else wrap_angle(raw_bearing))
+        paces.append(values[4] / values[5])
+    return rows, thetas, paces
+
+
+coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+lats = st.floats(min_value=-80.0, max_value=80.0, allow_nan=False)
+
+
+@st.composite
+def trip_files(draw):
+    lonlat = draw(st.booleans())
+    header = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
+    lines = ["# trip log", "", ",".join(header)]
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        kind = draw(st.sampled_from(["trip", "trip", "trip", "comment",
+                                     "blank", "degenerate"]))
+        if kind == "comment":
+            lines.append("  # " + draw(st.text("abc, ", max_size=8)))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        y = lats if lonlat else coords
+        ox, oy = draw(coords), draw(y)
+        dx, dy = (ox, oy) if kind == "degenerate" else (draw(coords), draw(y))
+        duration = draw(st.sampled_from([0.0, -1.0, 60.0]) | st.floats(1.0, 1e5))
+        distance = draw(st.sampled_from([0.0, 2.5]) | st.floats(0.01, 1e3))
+        fields = [repr(v) for v in (ox, oy, dx, dy, duration, distance)]
+        quoted = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+        fields = [f'" {f}"' if q else f" {f}" for f, q in zip(fields, quoted)]
+        lines.append(",".join(fields))
+    return lonlat, lines
+
+
+class TestColumnarIngest:
+    @staticmethod
+    def load(tmp_dir, lines, lonlat, compass):
+        path = tmp_dir / "trips.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return _load_trips(RunConfig(trips=str(path), lonlat=lonlat,
+                                     compass=compass))
+
+    @settings(max_examples=60, deadline=None)
+    @given(trip_files(), st.booleans(), st.data())
+    def test_matches_per_line_reference(self, tmp_path_factory, file,
+                                        compass, data):
+        lonlat, lines = file
+        tmp_dir = tmp_path_factory.mktemp("trips")
+        text = "\n".join(lines) + "\n"
+        rows, thetas, paces = reference_load(text, lonlat, compass)
+        kept = parse_trips(io.StringIO(text), lonlat=lonlat)
+        assert kept.tolist() == rows
+        if thetas:
+            theta, pace = self.load(tmp_dir, lines, lonlat, compass)
+            gap = np.abs(theta - np.array(thetas))
+            assert np.all(np.minimum(gap, TWO_PI - gap) <= 1e-15)
+            assert pace.tolist() == paces
+        else:
+            with pytest.raises(InputFormatError):
+                self.load(tmp_dir, lines, lonlat, compass)
+
+        data_lines = [i for i, line in enumerate(lines)
+                      if line.strip() and not line.strip().startswith("#")][1:]
+        if data_lines:
+            target = data.draw(st.sampled_from(data_lines))
+            column = data.draw(st.integers(min_value=0, max_value=5))
+            fields = next(csv.reader([lines[target].strip()]))
+            fields[column] = "x1"
+            bad = lines[:target] + [",".join(fields)] + lines[target + 1:]
+            expected = reference_load("\n".join(bad), lonlat, compass)
+            assert expected[0] == target + 1
+            with pytest.raises(InputFormatError) as err:
+                parse_trips(io.StringIO("\n".join(bad)), lonlat=lonlat)
+            assert str(err.value).startswith(
+                f"row {target + 1}: field '{expected[1]}'")

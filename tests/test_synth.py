@@ -17,7 +17,7 @@ from pacerose.angles import TWO_PI, AngularHistogram, bin_index
 from pacerose.errors import InputFormatError
 from pacerose.estimator import ols_fit
 from pacerose.features import ModelSpec, build_design_matrix
-from pacerose.ingest import pace, parse_trips, trip_direction
+from pacerose.ingest import directions, parse_trips
 from pacerose.synth import (
     SyntheticScenario,
     canonicalized,
@@ -174,8 +174,9 @@ class TestTripCsvRoundTrip:
         text = "\n".join(trip_csv_lines(thetas, paces)) + "\n"
         trips = parse_trips(io.StringIO(text))
         assert len(trips) == scenario.n_trips
-        re_thetas = np.array([trip_direction(t) for t in trips])
-        re_paces = np.array([pace(t) for t in trips])
+        re_thetas, moving = directions(trips)
+        assert moving.all()
+        re_paces = trips[:, 4] / trips[:, 5]
         X, y = build_design_matrix(re_paces, re_thetas, scenario.demand_hist,
                                    scenario.network_hist, scenario.spec)
         fit = ols_fit(X, y, scenario.spec.column_names)
