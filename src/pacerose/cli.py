@@ -267,10 +267,10 @@ def _load_network_histogram(cfg: RunConfig) -> AngularHistogram:
     )
 
 
-def _demand_histogram(cfg: RunConfig, directions, kept) -> AngularHistogram:
+def _demand_histogram(cfg: RunConfig, theta, kept) -> AngularHistogram:
     if cfg.demand_hist:
         return _read_histogram_csv(cfg.demand_hist, cfg.bins)
-    source = directions if cfg.demand_from == "all" else directions[kept]
+    source = theta if cfg.demand_from == "all" else theta[kept]
     return build_histogram(source, bin_count=cfg.bins)
 
 
@@ -284,12 +284,12 @@ def _validated(build, *args, **kwargs):
 
 def cmd_hist(cfg: RunConfig) -> int:
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
-    directions, paces = _load_trips(cfg)
+    theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)
-    demand = _demand_histogram(cfg, directions, kept)
+    demand = _demand_histogram(cfg, theta, kept)
     network = _load_network_histogram(cfg)
 
-    idx = bin_index(directions[kept], cfg.bins)
+    idx = bin_index(theta[kept], cfg.bins)
     sums = np.bincount(idx, weights=paces[kept], minlength=cfg.bins)
     counts = np.bincount(idx, minlength=cfg.bins)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
@@ -354,11 +354,11 @@ def cmd_fit(cfg: RunConfig) -> int:
         raise InputFormatError(
             f"invalid option: curve grid must be >= 8, got {cfg.curve_grid}"
         )
-    directions, paces = _load_trips(cfg)
+    theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)
-    demand = _demand_histogram(cfg, directions, kept)
+    demand = _demand_histogram(cfg, theta, kept)
     network = _load_network_histogram(cfg)
-    X, y = build_design_matrix(paces[kept], directions[kept], demand,
+    X, y = build_design_matrix(paces[kept], theta[kept], demand,
                                network, spec)
     fit = ols_fit(
         X, y,
@@ -421,12 +421,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.seed is not None:
         scenario = replace(scenario, seed=cfg.seed)
 
-    directions = sample_directions(scenario)
-    paces, n_clamped = generate_paces(directions, scenario)
+    theta = sample_directions(scenario)
+    paces, n_clamped = generate_paces(theta, scenario)
 
     out = cfg.output_dir
     _write_atomic(os.path.join(out, "trips.csv"),
-                  "\n".join(trip_csv_lines(directions, paces)) + "\n")
+                  "\n".join(trip_csv_lines(theta, paces)) + "\n")
     manifest = scenario_manifest(scenario, n_clamped)
     _write_atomic(os.path.join(out, "manifest.json"),
                   json.dumps(manifest, indent=1) + "\n")
@@ -457,7 +457,7 @@ def cmd_predict(cfg: RunConfig, thetas, degrees: bool,
                 explicit: set) -> int:
     if not cfg.model:
         raise InputFormatError("predict needs --model")
-    directions = _parse_directions(thetas, degrees)
+    theta = _parse_directions(thetas, degrees)
     fit, spec, demand, network = load_model(cfg.model)
     for key, value in (("k_max", spec.k_max), ("bins", spec.bins),
                        ("point_symmetric", spec.network_point_symmetric)):
@@ -466,7 +466,7 @@ def cmd_predict(cfg: RunConfig, thetas, degrees: bool,
                 f"--{key.replace('_', '-')} {getattr(cfg, key)} does not "
                 f"match the model ({value})"
             )
-    paces = predict_pace(directions, demand, network, fit, spec)
+    paces = predict_pace(theta, demand, network, fit, spec)
     sys.stdout.write("".join(_format_float(p) + "\n" for p in paces))
     return EXIT_OK
 

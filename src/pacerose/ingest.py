@@ -82,11 +82,13 @@ class FilterPolicy:
 
 
 def _content_rows(source):
-    """Yield (line_number, fields) for non-blank, non-comment lines.
+    """Yield (line_number, stripped fields) for non-blank, non-comment lines.
 
-    One CSV reader parses all lines; a quoted field may not span lines.
+    One strict CSV reader parses all lines; a quoted field may not span
+    lines, and one left open is reported at the row that opened it.
     """
     linenos = []
+    ended = []
 
     def content_lines():
         for lineno, raw in enumerate(source, start=1):
@@ -94,15 +96,18 @@ def _content_rows(source):
             if line and not line.startswith("#"):
                 linenos.append(lineno)
                 yield line
+        ended.append(True)
 
     try:
-        for fields in csv.reader(content_lines()):
+        for fields in csv.reader(content_lines(), strict=True):
             if len(linenos) > 1:
                 raise InputFormatError(
                     f"row {linenos[0]}: unterminated quoted field")
-            yield linenos.pop(), fields
+            yield linenos.pop(), [f.strip() for f in fields]
     except csv.Error as exc:
-        raise InputFormatError(f"row {linenos[0]}: {exc}") from None
+        # at the end of input a strict reader fails only on an open quote
+        reason = "unterminated quoted field" if ended else exc
+        raise InputFormatError(f"row {linenos[0]}: {reason}") from None
 
 
 def _parse_float(value: str, lineno: int, name: str) -> float:
@@ -119,20 +124,8 @@ def _parse_float(value: str, lineno: int, name: str) -> float:
     return x
 
 
-def _floats(fields, names, lineno: int) -> list:
-    """``fields`` as finite floats; the first bad one raises InputFormatError."""
-    try:
-        values = [float(f) for f in fields]
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        values = [_parse_float(f.strip(), lineno, name)
-                  for f, name in zip(fields, names)]
-    return values
-
-
 def _header(fields) -> tuple:
-    return tuple(f.strip().lower() for f in fields)
+    return tuple(f.lower() for f in fields)
 
 
 def _warn_skipped(rows: list, what: str):
@@ -160,7 +153,7 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
             if _header(fields) != expected:
                 raise InputFormatError(
                     f"row {lineno}: expected header {','.join(expected)}, "
-                    f"got {','.join(f.strip() for f in fields)}"
+                    f"got {','.join(fields)}"
                 )
             header_seen = True
             continue
@@ -168,7 +161,8 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
             raise InputFormatError(
                 f"row {lineno}: expected 6 fields, got {len(fields)}"
             )
-        values = _floats(fields, expected, lineno)
+        values = [_parse_float(f, lineno, name)
+                  for f, name in zip(fields, expected)]
         duration, distance = values[4], values[5]
         if duration <= 0.0:
             skipped["duration_s"].append(lineno)
@@ -179,7 +173,7 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
         if not math.isfinite(duration / distance):
             raise InputFormatError(
                 f"row {lineno}: pace duration_s / distance_km is not finite "
-                f"({fields[4].strip()} / {fields[5].strip()})"
+                f"({fields[4]} / {fields[5]})"
             )
         data.extend(values)
     if not header_seen:
@@ -214,7 +208,7 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
             if got not in (NETWORK_HEADER, NETWORK_HEADER + ("length_m",)):
                 raise InputFormatError(
                     f"row {lineno}: expected header ax,ay,bx,by,class[,length_m], "
-                    f"got {','.join(f.strip() for f in fields)}"
+                    f"got {','.join(fields)}"
                 )
             has_length_col = len(got) == 6
             header_seen = True
@@ -224,14 +218,15 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
             raise InputFormatError(
                 f"row {lineno}: expected {expected_n} fields, got {len(fields)}"
             )
-        ends = _floats(fields[:4], NETWORK_HEADER, lineno)
-        road_class = fields[4].strip().lower()
+        ends = [_parse_float(f, lineno, name)
+                for f, name in zip(fields[:4], NETWORK_HEADER)]
+        road_class = fields[4].lower()
         if road_class not in ROAD_CLASSES:
             raise InputFormatError(
-                f"row {lineno}: unknown road class {fields[4].strip()!r}"
+                f"row {lineno}: unknown road class {fields[4]!r}"
             )
         if has_length_col:
-            length = _parse_float(fields[5].strip(), lineno, "length_m")
+            length = _parse_float(fields[5], lineno, "length_m")
             if length < 0.0:
                 raise InputFormatError(f"row {lineno}: negative length_m")
             if length == 0.0 and ends[:2] != ends[2:]:
@@ -274,16 +269,17 @@ def _lengths(segments: np.ndarray, lonlat: bool) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def directions(rows: np.ndarray, lonlat: bool = False, compass: bool = False):
+def directions(rows: np.ndarray, *, lonlat: bool, compass: bool = False):
     """Bearings of the lines (x0, y0) -> (x1, y1) in the first four columns.
 
     Trip and segment arrays both qualify. Returns ``(theta, moving)``:
     ``moving`` marks the rows whose endpoints differ, and ``theta`` holds
     their bearings in [0, 2*pi), in row order. Lon/lat input is projected
     with a local equirectangular scaling, cos(mean latitude), before the
-    arctan2. ``compass`` reinterprets the raw bearing as a compass bearing
-    (0 = north, clockwise) and converts it to the math convention, for
-    inputs whose axes are swapped that way.
+    arctan2; ``lonlat`` has no default, so it cannot silently differ from
+    the one the rows were parsed with. ``compass`` reinterprets the raw
+    bearing as a compass bearing (0 = north, clockwise) and converts it to
+    the math convention, for inputs whose axes are swapped that way.
     """
     dx, dy = _deltas(rows, lonlat)
     moving = (dx != 0.0) | (dy != 0.0)
@@ -317,16 +313,17 @@ def network_orientation_histogram(
     bins: int = 32,
     length_weighted: bool = False,
     compass: bool = False,
-    lonlat: bool = False,
+    *,
+    lonlat: bool,
 ) -> AngularHistogram:
     """Histogram of road orientations, aggregated in both directions.
 
-    ``segments`` is the array ``parse_network`` returns, read with the same
-    ``lonlat``. Weights are segment counts by default, or lengths in meters
-    with ``length_weighted``. Zero-length segments are skipped with one
-    warning. For even bin counts each segment's primary orientation is
-    binned once and mirrored half a cycle on, so the result is point
-    symmetric to the last bit.
+    ``segments`` is the array ``parse_network`` returns; ``lonlat`` must be
+    the value it was parsed with and has no default. Weights are segment
+    counts by default, or lengths in meters with ``length_weighted``.
+    Zero-length segments are skipped with one warning. For even bin counts
+    each segment's primary orientation is binned once and mirrored half a
+    cycle on, so the result is point symmetric to the last bit.
     """
     theta, moving = directions(segments, lonlat=lonlat, compass=compass)
     skipped = len(segments) - theta.size

@@ -125,6 +125,35 @@ class TestHistCommand:
         assert ((out_all / "network_hist.csv").read_text()
                 != (out_primary / "network_hist.csv").read_text())
 
+    def test_lonlat_network_histogram_scales_longitude(self, tmp_path):
+        # diagonal lon/lat segments near 60 N: a degree east is half as long
+        # as a degree north, so each orientation is read after cos(lat)
+        rng = np.random.default_rng(3)
+        ends = rng.uniform([10.0, 59.5], [11.0, 60.5],
+                           size=(50, 2, 2)).tolist()
+        network = tmp_path / "net_lonlat.csv"
+        network.write_text(NET_HEADER + "\n" + "\n".join(
+            f"{ax!r},{ay!r},{bx!r},{by!r},primary"
+            for (ax, ay), (bx, by) in ends) + "\n")
+        trips = tmp_path / "trips_lonlat.csv"
+        trips.write_text(
+            "origin_lon,origin_lat,dest_lon,dest_lat,duration_s,distance_km\n"
+            + "".join(f"10,60,{10 + d},{60 + d},60,1\n"
+                      for d in (0.1, -0.1, 0.2)))
+        out = tmp_path / "out"
+        assert main(["hist", "--lonlat", "--trips", str(trips),
+                     "--network", str(network), "--bins", "12",
+                     "--output-dir", str(out)]) == 0
+        rows = (out / "network_hist.csv").read_text().splitlines()[1:]
+        got = [float(row.split(",")[2]) for row in rows]
+        expected = np.zeros(12)
+        for (ax, ay), (bx, by) in ends:
+            dx = (bx - ax) * math.cos(math.radians((ay + by) / 2))
+            theta = math.atan2(by - ay, dx) % (2 * math.pi)
+            for angle in (theta, (theta + math.pi) % (2 * math.pi)):
+                expected[int(angle * 12 / (2 * math.pi)) % 12] += 1
+        np.testing.assert_allclose(got, expected / expected.sum(), rtol=1e-12)
+
     def test_missing_network_input_exits_2(self, tmp_path):
         trips = trips_csv(tmp_path)
         assert main(["hist", "--trips", str(trips),

@@ -12,6 +12,7 @@ from pacerose.angles import TWO_PI, wrap_angle
 from pacerose.cli import RunConfig, _load_trips
 from pacerose.errors import InputFormatError, InsufficientDataError
 from pacerose.ingest import (
+    EARTH_RADIUS_M,
     TRIP_HEADER_LONLAT,
     TRIP_HEADER_PLANAR,
     FilterPolicy,
@@ -114,10 +115,16 @@ class TestParseTrips:
             trips_from(text)
         assert str(err.value) == "row 3: field 'origin_y' must be finite, got 'inf'"
 
-    def test_unterminated_quote_names_its_row(self):
+    @pytest.mark.parametrize("body, row", [
+        ('0,0,1,1,60,"1\n0,0,1,1,60,1\n', 2),
+        ('0,0,1,1,60,"1\n0,0,1,1,60,1"\n0,0,1,1,60,1\n', 2),
+        ('0,0,1,1,60,1\n0,0,1,1,60,"1\n', 3),
+        ('0,0,1,1,60,1\n0,0,1,1,60,"1\n# comment\n\n', 3),
+    ])
+    def test_unterminated_quote_names_its_row(self, body, row):
         with pytest.raises(InputFormatError) as err:
-            trips_from(f'{TRIP_HEADER}\n0,0,1,1,60,"1\n0,0,1,1,60,1\n')
-        assert str(err.value) == "row 2: unterminated quoted field"
+            trips_from(f"{TRIP_HEADER}\n{body}")
+        assert str(err.value) == f"row {row}: unterminated quoted field"
 
     def test_overflowing_pace_rejected(self):
         with pytest.raises(InputFormatError) as err:
@@ -145,7 +152,7 @@ class TestParseNetwork:
     def test_zero_length_flagged(self):
         text = f"{NET_HEADER}\n5,5,5,5,trunk\n"
         segments = parse_network(io.StringIO(text))
-        assert directions(segments)[1].tolist() == [False]
+        assert directions(segments, lonlat=False)[1].tolist() == [False]
         assert segments[0, 4] == 0.0
 
     def test_length_column_used(self):
@@ -187,7 +194,7 @@ class TestTripDirection:
         assert trip_direction(0, 0, -1, -1) == pytest.approx(5 * math.pi / 4)
 
     def test_degenerate_rejected(self):
-        theta, moving = directions(trip_row(3, 4, 3, 4))
+        theta, moving = directions(trip_row(3, 4, 3, 4), lonlat=False)
         assert theta.size == 0
         assert moving.tolist() == [False]
 
@@ -295,7 +302,8 @@ class TestPercentileFilter:
 
 class TestSegmentOrientations:
     def orientations(self, ax, ay, bx, by):
-        theta, moving = directions(np.array([segment(ax, ay, bx, by)]))
+        theta, moving = directions(np.array([segment(ax, ay, bx, by)]),
+                                   lonlat=False)
         assert moving.tolist() == [True]
         return float(theta[0]), float(wrap_angle(theta[0] + math.pi))
 
@@ -314,7 +322,8 @@ class TestSegmentOrientations:
         assert both[1] == pytest.approx(math.pi / 2)
 
     def test_zero_length_rejected(self):
-        theta, moving = directions(np.array([segment(1, 1, 1, 1)]))
+        theta, moving = directions(np.array([segment(1, 1, 1, 1)]),
+                                   lonlat=False)
         assert theta.size == 0
         assert moving.tolist() == [False]
 
@@ -333,7 +342,7 @@ class TestNetworkHistogram:
     def test_point_symmetric_by_construction(self):
         rng = np.random.default_rng(0)
         hist = network_orientation_histogram(self.random_segments(rng),
-                                             bins=32)
+                                             bins=32, lonlat=False)
         assert hist.point_symmetry_defect() <= 1e-12
 
     def test_length_weighting_changes_weights(self):
@@ -341,9 +350,10 @@ class TestNetworkHistogram:
             segment(0, 0, 10, 0, 10.0),
             segment(0, 0, 0, 1, 1.0),
         ])
-        by_count = network_orientation_histogram(segs, bins=4)
+        by_count = network_orientation_histogram(segs, bins=4, lonlat=False)
         by_length = network_orientation_histogram(segs, bins=4,
-                                                  length_weighted=True)
+                                                  length_weighted=True,
+                                                  lonlat=False)
         np.testing.assert_allclose(by_count.values, [0.25, 0.25, 0.25, 0.25])
         np.testing.assert_allclose(by_length.values,
                                    [10 / 22, 1 / 22, 10 / 22, 1 / 22])
@@ -354,20 +364,20 @@ class TestNetworkHistogram:
             segment(2, 2, 2, 2, 0.0),
         ])
         with caplog.at_level(logging.WARNING):
-            hist = network_orientation_histogram(segs, bins=4)
+            hist = network_orientation_histogram(segs, bins=4, lonlat=False)
         assert hist.values.sum() == pytest.approx(1.0)
         assert any("zero-length" in r.message for r in caplog.records)
 
     def test_all_zero_length_rejected(self):
         segs = np.array([segment(0, 0, 0, 0, 0.0)])
         with pytest.raises(InsufficientDataError):
-            network_orientation_histogram(segs, bins=4)
+            network_orientation_histogram(segs, bins=4, lonlat=False)
 
     def test_mirrored_bin_when_opposite_rounds_onto_a_boundary(self):
         # theta = 7*pi/4 wraps from -pi/4; theta + pi rounds to just below
         # the 3*pi/4 boundary of bin 3, yet the segment counts in bins 7 and 3
         hist = network_orientation_histogram(
-            np.array([segment(0, 0, 1, -1)]), bins=8)
+            np.array([segment(0, 0, 1, -1)]), bins=8, lonlat=False)
         assert hist.values.tolist() == [0, 0, 0, 0.5, 0, 0, 0, 0.5]
 
     @pytest.mark.parametrize("bins", [5, 7, 32])
@@ -376,7 +386,8 @@ class TestNetworkHistogram:
         rng = np.random.default_rng(bins)
         segs = self.random_segments(rng, 300)
         hist = network_orientation_histogram(segs, bins=bins,
-                                             length_weighted=True)
+                                             length_weighted=True,
+                                             lonlat=False)
         expected = np.zeros(bins)
         for ax, ay, bx, by, length in segs:
             theta = wrap_angle(math.atan2(by - ay, bx - ax))
@@ -384,6 +395,36 @@ class TestNetworkHistogram:
                 expected[int(angle * bins / TWO_PI) % bins] += length
         np.testing.assert_allclose(hist.values, expected / expected.sum(),
                                    rtol=1e-12, atol=1e-15)
+
+
+    @pytest.mark.parametrize("bins", [7, 32])
+    def test_lonlat_matches_per_segment_reference(self, bins):
+        # east-west spans shrink by cos(mean latitude) before the arctan2;
+        # at latitudes 55-60 that turns most orientations by degrees
+        rng = np.random.default_rng(bins)
+        ends = rng.uniform([139.0, 55.0], [140.0, 60.0],
+                           size=(300, 2, 2)).tolist()
+        text = NET_HEADER + "\n" + "\n".join(
+            f"{ax!r},{ay!r},{bx!r},{by!r},primary"
+            for (ax, ay), (bx, by) in ends) + "\n"
+        segs = parse_network(io.StringIO(text), lonlat=True)
+        hist = network_orientation_histogram(segs, bins=bins,
+                                             length_weighted=True, lonlat=True)
+        expected = np.zeros(bins)
+        for (ax, ay), (bx, by) in ends:
+            dx = (bx - ax) * math.cos(math.radians((ay + by) / 2))
+            dy = by - ay
+            length = EARTH_RADIUS_M * math.radians(math.hypot(dx, dy))
+            theta = wrap_angle(math.atan2(dy, dx))
+            for angle in (theta, wrap_angle(theta + math.pi)):
+                expected[int(angle * bins / TWO_PI) % bins] += length
+        np.testing.assert_allclose(hist.values, expected / expected.sum(),
+                                   rtol=1e-12, atol=1e-15)
+        unscaled = network_orientation_histogram(
+            segs, bins=bins, length_weighted=True, lonlat=False)
+        assert np.abs(unscaled.values - hist.values).max() > 1e-3
+        with pytest.raises(TypeError):
+            network_orientation_histogram(segs, bins=bins)
 
 
 def reference_load(text, lonlat, compass):

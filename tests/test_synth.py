@@ -174,7 +174,7 @@ class TestTripCsvRoundTrip:
         text = "\n".join(trip_csv_lines(thetas, paces)) + "\n"
         trips = parse_trips(io.StringIO(text))
         assert len(trips) == scenario.n_trips
-        re_thetas, moving = directions(trips)
+        re_thetas, moving = directions(trips, lonlat=False)
         assert moving.all()
         re_paces = trips[:, 4] / trips[:, 5]
         X, y = build_design_matrix(re_paces, re_thetas, scenario.demand_hist,
