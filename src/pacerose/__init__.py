@@ -8,11 +8,8 @@ inference statistics, and reconstructs the angular influence curves.
 
 from .angles import (
     AngularHistogram,
-    angular_difference,
-    bin_center,
     bin_index,
     build_histogram,
-    histogram_lookup,
     wrap_angle,
 )
 from .errors import (
@@ -25,11 +22,9 @@ from .errors import (
 )
 from .estimator import FitResult, ols_fit, report_rows, significance_mask
 from .features import (
-    FeatureRow,
     ModelSpec,
     build_design_matrix,
     demand_features,
-    feature_row,
     network_features,
 )
 from .ingest import (
@@ -57,7 +52,6 @@ from .synth import (
     identifiable_coefficients,
     make_rotated_grid_network,
     sample_directions,
-    scenario_design,
     scenario_from_dict,
 )
 

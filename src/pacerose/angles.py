@@ -2,10 +2,9 @@
 
 Angles are floats or float arrays in radians, in the mathematical
 convention: 0 points along +x (east) and angles grow counterclockwise.
-Canonical storage range is [0, 2*pi); signed offsets between two
-directions live in [-pi, pi). The circle is split into ``bin_count`` equal
-half-open bins [i*2*pi/B, (i+1)*2*pi/B), each represented by its center
-(i+0.5)*2*pi/B.
+Canonical storage range is [0, 2*pi). The circle is split into
+``bin_count`` equal half-open bins [i*2*pi/B, (i+1)*2*pi/B), each
+represented by its center (i+0.5)*2*pi/B.
 
 All functions here are pure; histograms are immutable once built.
 """
@@ -22,12 +21,9 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "TWO_PI",
     "AngularHistogram",
-    "angular_difference",
-    "bin_center",
     "bin_index",
     "build_histogram",
     "compass_to_math",
-    "histogram_lookup",
     "wrap_angle",
 ]
 
@@ -52,19 +48,6 @@ def wrap_angle(x):
     return float(r) if r.ndim == 0 else r
 
 
-def angular_difference(a: float, b: float) -> float:
-    """Signed difference a - b (radians), wrapped into [-pi, pi).
-
-    The boundary maps to -pi: angular_difference(0, pi) == -pi.
-    """
-    d = math.fmod(a - b, TWO_PI)
-    if d < -math.pi:
-        d += TWO_PI
-    elif d >= math.pi:
-        d -= TWO_PI
-    return d
-
-
 def compass_to_math(bearing):
     """Convert compass bearings (0 = north, clockwise) to math convention.
 
@@ -72,13 +55,6 @@ def compass_to_math(bearing):
     own inverse.
     """
     return wrap_angle(0.5 * math.pi - bearing)
-
-
-def bin_center(i: int, bin_count: int) -> float:
-    """Center angle of bin ``i`` out of ``bin_count`` equal bins."""
-    if not 0 <= i < bin_count:
-        raise IndexError(f"bin index {i} out of range for {bin_count} bins")
-    return (i + 0.5) * TWO_PI / bin_count
 
 
 def bin_index(angle, bin_count: int):
@@ -97,12 +73,11 @@ class AngularHistogram:
     """Frequencies over ``bin_count`` equal circular bins.
 
     ``values[i]`` belongs to the half-open interval starting at i*2*pi/B.
-    If ``normalized``, the values sum to 1 within 1e-12.
+    The values sum to 1 within 1e-12.
     """
 
     bin_count: int
     values: np.ndarray = field(repr=False)
-    normalized: bool = True
 
     def __post_init__(self):
         if self.bin_count < 1:
@@ -116,10 +91,8 @@ class AngularHistogram:
             raise ValueError("histogram values must be finite")
         if np.any(values < 0.0):
             raise ValueError("histogram values must be nonnegative")
-        if self.normalized and abs(values.sum() - 1.0) > 1e-12:
-            raise ValueError(
-                f"normalized histogram must sum to 1, got {values.sum()!r}"
-            )
+        if abs(values.sum() - 1.0) > 1e-12:
+            raise ValueError(f"histogram must sum to 1, got {values.sum()!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -132,11 +105,8 @@ class AngularHistogram:
 
     def rotated(self, shift_bins: int) -> "AngularHistogram":
         """Histogram after rotating all underlying angles by shift_bins bins."""
-        return AngularHistogram(
-            self.bin_count,
-            np.roll(self.values, shift_bins),
-            normalized=self.normalized,
-        )
+        return AngularHistogram(self.bin_count,
+                                np.roll(self.values, shift_bins))
 
     def point_symmetry_defect(self) -> float:
         """Max |values[i] - values[i + B/2]| over all bin pairs (B even)."""
@@ -178,11 +148,4 @@ def build_histogram(angles, weights=None, bin_count: int = 32) -> AngularHistogr
         raise ValueError("total weight must be positive")
     values = np.bincount(bin_index(angles, bin_count), weights=weights,
                          minlength=bin_count) / total
-    return AngularHistogram(bin_count, values, normalized=True)
-
-
-def histogram_lookup(hist: AngularHistogram, angle: float) -> float:
-    """Value of the bin whose interval contains ``angle``."""
-    if not hist.normalized:
-        raise ValueError("histogram_lookup expects a normalized histogram")
-    return float(hist.values[bin_index(angle, hist.bin_count)])
+    return AngularHistogram(bin_count, values)

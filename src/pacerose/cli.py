@@ -40,6 +40,7 @@ from .ingest import (
     parse_network,
     parse_trips,
     percentile_filter,
+    road_class_filter,
 )
 from .model import (
     expected_sign_report,
@@ -213,6 +214,10 @@ def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
                 index, value = int(parts[0]), float(parts[2])
             except ValueError as exc:
                 raise InputFormatError(f"{path} row {lineno}: {exc}") from exc
+            if index in values:
+                raise InputFormatError(
+                    f"{path} row {lineno}: repeated bin {index}"
+                )
             if not 0.0 <= value < math.inf:
                 raise InputFormatError(
                     f"{path} row {lineno}: value must be finite and "
@@ -230,7 +235,7 @@ def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
         total = arr.sum()
     if not 0.0 < total < math.inf:
         raise InputFormatError(f"{path}: histogram values sum to {total!r}")
-    return AngularHistogram(bins, arr / total, normalized=True)
+    return AngularHistogram(bins, arr / total)
 
 
 def _load_trips(cfg: RunConfig):
@@ -248,16 +253,20 @@ def _load_trips(cfg: RunConfig):
     return theta, trips[moving, 4] / trips[moving, 5]
 
 
-def _load_network_histogram(cfg: RunConfig) -> AngularHistogram:
+def _class_filter(cfg: RunConfig) -> set:
+    names = [c.strip() for c in cfg.class_filter.split(",") if c.strip()]
+    return _validated(road_class_filter, names)
+
+
+def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
     if cfg.network_hist:
         return _read_histogram_csv(cfg.network_hist, cfg.bins)
     if not cfg.network:
         raise InputFormatError(
             "need a network input (--network or --network-hist)"
         )
-    class_filter = {c.strip() for c in cfg.class_filter.split(",") if c.strip()}
     with open(cfg.network, encoding="utf-8") as f:
-        segments = parse_network(f, class_filter=class_filter, lonlat=cfg.lonlat)
+        segments = parse_network(f, class_filter=classes, lonlat=cfg.lonlat)
     return network_orientation_histogram(
         segments,
         bins=cfg.bins,
@@ -284,10 +293,15 @@ def _validated(build, *args, **kwargs):
 
 def cmd_hist(cfg: RunConfig) -> int:
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
+    classes = _class_filter(cfg)
+    if cfg.bins < 1:
+        raise InputFormatError(
+            f"invalid option: bins must be >= 1, got {cfg.bins}"
+        )
     theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, theta, kept)
-    network = _load_network_histogram(cfg)
+    network = _load_network_histogram(cfg, classes)
 
     idx = bin_index(theta[kept], cfg.bins)
     sums = np.bincount(idx, weights=paces[kept], minlength=cfg.bins)
@@ -350,6 +364,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
                       network_point_symmetric=cfg.point_symmetric)
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
+    classes = _class_filter(cfg)
     if cfg.curve_grid < 8:
         raise InputFormatError(
             f"invalid option: curve grid must be >= 8, got {cfg.curve_grid}"
@@ -357,7 +372,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, theta, kept)
-    network = _load_network_histogram(cfg)
+    network = _load_network_histogram(cfg, classes)
     X, y = build_design_matrix(paces[kept], theta[kept], demand,
                                network, spec)
     fit = ols_fit(

@@ -19,12 +19,13 @@ histogram lacks gives exactly zero columns rather than rounding noise.
 Column layout is fixed: demand columns a_c1, a_s1, ..., a_cK, a_sK, then
 network columns in ascending harmonic, cos before sin. When the network
 histogram is point symmetric, odd network harmonics vanish identically and
-only even-k columns are emitted.
+only even-k columns are emitted. Every model has an intercept; it is not a
+column here, the estimator adds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +39,9 @@ POINT_SYMMETRY_TOL = 1e-9
 ZERO_MOMENT_ULPS = 4.0
 
 __all__ = [
-    "FeatureRow",
     "ModelSpec",
     "build_design_matrix",
     "demand_features",
-    "feature_row",
     "model_features",
     "moment_features",
     "network_features",
@@ -56,7 +55,6 @@ class ModelSpec:
     k_max: int = 8
     bins: int = 32
     network_point_symmetric: bool = True
-    include_intercept: bool = True
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -65,8 +63,6 @@ class ModelSpec:
             raise ValueError("bins must be >= 2")
         if self.network_point_symmetric and self.bins % 2 != 0:
             raise ValueError("point-symmetric network requires an even bin count")
-        if not self.include_intercept:
-            raise ValueError("the model always includes an intercept")
 
     @property
     def demand_harmonics(self) -> tuple:
@@ -100,15 +96,6 @@ class ModelSpec:
         return len(self.column_names) + 1
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One regression row: target pace, regressors, and the trip direction."""
-
-    target: float
-    regressors: np.ndarray = field(repr=False)
-    trip_direction: float = 0.0
-
-
 def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
     """Cos/sin feature pair of ``hist`` per harmonic at directions ``thetas``.
 
@@ -132,14 +119,8 @@ def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
     return out
 
 
-def _require_normalized(hist: AngularHistogram, what: str):
-    if not hist.normalized:
-        raise ValueError(f"{what} histogram must be normalized")
-
-
 def demand_features(theta: float, hist: AngularHistogram, k_max: int) -> np.ndarray:
     """Demand feature vector of length 2*k_max for one direction."""
-    _require_normalized(hist, "demand")
     return moment_features(theta, hist, range(1, k_max + 1))
 
 
@@ -155,7 +136,6 @@ def network_features(
     value[i] == value[i + B/2] and only even harmonics are emitted (odd ones
     are identically zero for such histograms).
     """
-    _require_normalized(hist, "network")
     if point_symmetric:
         _check_point_symmetry(hist)
     harmonics = range(2, k_max + 1, 2) if point_symmetric else range(1, k_max + 1)
@@ -186,12 +166,11 @@ def model_features(
 ) -> np.ndarray:
     """All regressor columns of ``spec`` at ``thetas``, in column order.
 
-    Validates both histograms against the spec (normalized, bin count,
-    point symmetry when the spec asks for it). Any number of directions is
+    Validates both histograms against the spec (bin count, point symmetry
+    when the spec asks for it). Any number of directions is
     accepted; the last axis of the result indexes the columns.
     """
     for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
-        _require_normalized(hist, what)
         if hist.bin_count != spec.bins:
             raise SpecMismatchError(
                 f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
@@ -229,15 +208,3 @@ def build_design_matrix(
         )
     return X, y.copy()
 
-
-def feature_row(
-    pace: float,
-    theta: float,
-    demand_hist: AngularHistogram,
-    network_hist: AngularHistogram,
-    spec: ModelSpec,
-) -> FeatureRow:
-    """Single regression row, mostly for diagnostics and debug dumps."""
-    regressors = model_features(float(theta), demand_hist, network_hist, spec)
-    return FeatureRow(target=float(pace), regressors=regressors,
-                      trip_direction=float(theta))

@@ -62,6 +62,7 @@ __all__ = [
     "parse_network",
     "parse_trips",
     "percentile_filter",
+    "road_class_filter",
 ]
 
 
@@ -184,6 +185,15 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
     return np.frombuffer(data, dtype=float).reshape(-1, 6)
 
 
+def road_class_filter(names) -> set:
+    """Lower-cased ``names``; raises ValueError unless all are road classes."""
+    classes = {c.lower() for c in names}
+    unknown = classes - set(ROAD_CLASSES)
+    if unknown:
+        raise ValueError(f"unknown road classes in filter: {sorted(unknown)}")
+    return classes
+
+
 def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray:
     """Parse a network edge CSV into an ``(n, 5)`` float array.
 
@@ -192,13 +202,8 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     from the optional ``length_m`` column and is otherwise computed from the
     endpoints. Zero-length segments are kept; orientation code skips them.
     """
-    if class_filter is None:
-        class_filter = set(ROAD_CLASSES)
-    else:
-        class_filter = {c.lower() for c in class_filter}
-        unknown = class_filter - set(ROAD_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown road classes in filter: {sorted(unknown)}")
+    class_filter = (set(ROAD_CLASSES) if class_filter is None
+                    else road_class_filter(class_filter))
     data = array("d")
     header_seen = False
     has_length_col = False
@@ -342,4 +347,4 @@ def network_orientation_histogram(
     both = np.column_stack([primary, opposite]).ravel()
     weights = np.repeat(weights, 2)
     values = np.bincount(both, weights=weights, minlength=bins)
-    return AngularHistogram(bins, values / weights.sum(), normalized=True)
+    return AngularHistogram(bins, values / weights.sum())

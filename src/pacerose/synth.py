@@ -9,9 +9,10 @@ bin; paces are the model signal plus Gaussian noise, clamped below at
 Ground-truth coefficients should be canonicalized first: demand and network
 features sharing a harmonic are exactly collinear, so only the projection
 of the coefficient vector onto the design's row space is recoverable by any
-least-squares fit. ``identifiable_coefficients`` computes that projection;
-scenarios built from it are recovered exactly by the minimum-norm fit on
-noiseless data.
+least-squares fit. ``identifiable_coefficients`` computes that projection as
+the estimator's own minimum-norm fit of the noiseless signal, so scenarios
+built from it are recovered exactly by ``fit`` on noiseless data and the
+estimator's rank rule is the only one.
 
 Randomness uses counter-based Philox streams split per purpose, so the same
 seed reproduces the same trips regardless of how generation is batched.
@@ -26,6 +27,7 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from .errors import InputFormatError
+from .estimator import ols_fit
 from .features import ModelSpec, model_features
 from .ingest import TRIP_HEADER_PLANAR
 
@@ -40,7 +42,6 @@ __all__ = [
     "identifiable_coefficients",
     "make_rotated_grid_network",
     "sample_directions",
-    "scenario_design",
     "scenario_from_dict",
     "scenario_manifest",
     "trip_csv_lines",
@@ -66,15 +67,20 @@ class SyntheticScenario:
         beta = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
+        finite = (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))
+                  and math.isfinite(self.gamma)
+                  and math.isfinite(self.noise_std))
+        if not finite:
+            raise ValueError("gamma, alpha, beta and noise_std must be finite")
         if alpha.shape != (2 * self.spec.k_max,):
             raise ValueError("alpha must have 2*k_max entries")
         if beta.shape != (len(self.spec.network_column_names),):
             raise ValueError("beta length must match the network columns")
         for hist, what in ((self.demand_hist, "demand"),
                            (self.network_hist, "network")):
-            if not hist.normalized or hist.bin_count != self.spec.bins:
-                raise ValueError(f"{what} histogram must be normalized "
-                                 f"with {self.spec.bins} bins")
+            if hist.bin_count != self.spec.bins:
+                raise ValueError(f"{what} histogram must have "
+                                 f"{self.spec.bins} bins")
         if self.spec.network_point_symmetric:
             if self.network_hist.point_symmetry_defect() > 1e-12:
                 raise ValueError("network histogram must be point symmetric")
@@ -127,7 +133,7 @@ def harmonic_histogram(
             raise ValueError(f"point symmetry forbids odd harmonics {odd}")
         values = 0.5 * (values + np.roll(values, bins // 2))
     values = values / values.sum()
-    return AngularHistogram(bins, values, normalized=True)
+    return AngularHistogram(bins, values)
 
 
 def make_rotated_grid_network(rotation: float, bins: int) -> AngularHistogram:
@@ -144,17 +150,7 @@ def make_rotated_grid_network(rotation: float, bins: int) -> AngularHistogram:
         j = bin_index(wrap_angle(base), bins)
         values[j] += 0.25
         values[(j + half) % bins] += 0.25
-    return AngularHistogram(bins, values, normalized=True)
-
-
-def scenario_design(scenario: SyntheticScenario, directions) -> np.ndarray:
-    """Design matrix of the scenario's model at the given directions.
-
-    Unlike build_design_matrix this accepts any number of directions; it is
-    for evaluating the generating model, not for fitting.
-    """
-    return model_features(directions, scenario.demand_hist,
-                          scenario.network_hist, scenario.spec)
+    return AngularHistogram(bins, values)
 
 
 def identifiable_coefficients(
@@ -164,27 +160,23 @@ def identifiable_coefficients(
     gamma: float,
     alpha,
     beta,
-    grid_size: int = 512,
-    rcond: float = 1e-10,
 ):
     """Project (gamma, alpha, beta) onto the recoverable coefficient subspace.
 
-    The projection uses a dense direction grid, whose design row space
-    equals that of any direction sample rich enough to span the model's
-    harmonic function space. The intercept direction is orthogonal to the
-    feature columns on a full uniform grid, so gamma passes through
-    unchanged up to rounding.
+    The projection is ``ols_fit``'s minimum-norm fit of the noiseless signal
+    on a uniform direction grid, whose design row space equals that of any
+    direction sample rich enough to span the model's harmonic function
+    space. The grid has 512 directions, or twice the parameter count when
+    that is more, since the fit needs more rows than parameters. The
+    intercept direction is orthogonal to the feature columns on a full
+    uniform grid, so gamma passes through unchanged up to rounding.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    grid_size = max(512, 2 * spec.parameter_count)
     thetas = (np.arange(grid_size) + 0.5) * (TWO_PI / grid_size)
-    A = np.column_stack([np.ones(grid_size),
-                         model_features(thetas, demand_hist, network_hist, spec)])
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > rcond * s[0]))
-    basis = vt[:rank]
-    full = np.concatenate([[gamma], alpha, beta])
-    projected = basis.T @ (basis @ full)
+    X = model_features(thetas, demand_hist, network_hist, spec)
+    projected = ols_fit(X, gamma + X @ np.concatenate([alpha, beta])).params()
     n_alpha = alpha.size
     return (
         float(projected[0]),
@@ -228,7 +220,8 @@ def generate_paces(directions, scenario: SyntheticScenario):
     directions = np.asarray(directions, dtype=float)
     if directions.size == 0:
         raise ValueError("directions must be nonempty")
-    X = scenario_design(scenario, directions)
+    X = model_features(directions, scenario.demand_hist,
+                       scenario.network_hist, scenario.spec)
     signal = scenario.gamma + X @ scenario.coefficient_vector()
     if scenario.noise_std > 0.0:
         _, noise_rng = _rng_streams(scenario.seed, 2)
@@ -286,7 +279,7 @@ def _histogram_from_spec(entry, bins: int, point_symmetric: bool):
         total = values.sum()
         if total <= 0.0:
             raise InputFormatError("histogram values must have positive total")
-        return AngularHistogram(bins, values / total, normalized=True)
+        return AngularHistogram(bins, values / total)
     if kind == "uniform":
         return AngularHistogram(bins, np.full(bins, 1.0 / bins))
     if kind == "harmonic":
@@ -332,8 +325,8 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
             noise_std=float(payload.get("noise_std", 0.0)),
             seed=int(payload.get("seed", 0)),
         )
+        if payload.get("canonicalize_coefficients", True):
+            scenario = canonicalized(scenario)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"invalid scenario: {exc}") from exc
-    if payload.get("canonicalize_coefficients", True):
-        scenario = canonicalized(scenario)
     return scenario

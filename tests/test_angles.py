@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from pacerose.angles import (
     TWO_PI,
     AngularHistogram,
-    angular_difference,
-    bin_center,
     bin_index,
     build_histogram,
     compass_to_math,
-    histogram_lookup,
     wrap_angle,
 )
 
@@ -50,28 +47,6 @@ class TestWrapAngle:
         assert wrap_angle(-1e-18) < TWO_PI
 
 
-class TestAngularDifference:
-    def test_identity(self):
-        assert angular_difference(math.pi / 4, math.pi / 4) == 0.0
-
-    def test_wraparound_small_arc(self):
-        assert angular_difference(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-12)
-
-    def test_boundary_maps_to_minus_pi(self):
-        assert angular_difference(0.0, math.pi) == -math.pi
-
-    @given(finite_angles, finite_angles)
-    def test_range(self, a, b):
-        d = angular_difference(a, b)
-        assert -math.pi <= d < math.pi
-
-    @given(finite_angles, finite_angles)
-    def test_antisymmetry(self, a, b):
-        d = angular_difference(a, b)
-        if d != -math.pi:
-            assert angular_difference(b, a) == pytest.approx(-d, abs=1e-12)
-
-
 class TestCompassConversion:
     def test_north_is_pi_half(self):
         assert compass_to_math(0.0) == pytest.approx(math.pi / 2)
@@ -106,20 +81,20 @@ class TestArrayArguments:
             wrap_angle(np.array([0.0, math.nan]))
 
 
+def uniform_centers(bin_count):
+    uniform = AngularHistogram(bin_count, np.full(bin_count, 1.0 / bin_count))
+    return uniform.bin_centers()
+
+
 class TestBinCenter:
     def test_first_of_four(self):
-        assert bin_center(0, 4) == pytest.approx(math.pi / 4)
+        assert uniform_centers(4)[0] == pytest.approx(math.pi / 4)
 
     def test_last_of_32(self):
-        assert bin_center(31, 32) == pytest.approx(TWO_PI * 31.5 / 32)
+        assert uniform_centers(32)[31] == pytest.approx(TWO_PI * 31.5 / 32)
 
     def test_third_of_four(self):
-        assert bin_center(2, 4) == pytest.approx(5 * math.pi / 4)
-
-    @pytest.mark.parametrize("i", [-1, 4, 100])
-    def test_out_of_range(self, i):
-        with pytest.raises(IndexError):
-            bin_center(i, 4)
+        assert uniform_centers(4)[2] == pytest.approx(5 * math.pi / 4)
 
 
 class TestBuildHistogram:
@@ -170,26 +145,27 @@ class TestBuildHistogram:
 
 
 class TestHistogramLookup:
+    """A histogram's value at an angle is ``values[bin_index(angle, B)]``."""
+
     def test_uniform(self):
         h = AngularHistogram(32, np.full(32, 1.0 / 32))
-        assert histogram_lookup(h, 1.234) == pytest.approx(1.0 / 32)
+        assert h.values[bin_index(1.234, 32)] == pytest.approx(1.0 / 32)
 
     def test_delta(self):
         values = np.zeros(32)
         values[0] = 1.0
         h = AngularHistogram(32, values)
-        assert histogram_lookup(h, 0.01) == 1.0
+        assert h.values[bin_index(0.01, 32)] == 1.0
 
     def test_just_over_boundary(self):
         values = np.zeros(32)
         values[0] = 1.0
         h = AngularHistogram(32, values)
-        assert histogram_lookup(h, TWO_PI / 32 + 1e-9) == 0.0
+        assert h.values[bin_index(TWO_PI / 32 + 1e-9, 32)] == 0.0
 
     def test_unnormalized_rejected(self):
-        h = AngularHistogram(4, [1.0, 2.0, 3.0, 4.0], normalized=False)
         with pytest.raises(ValueError):
-            histogram_lookup(h, 0.0)
+            AngularHistogram(4, [1.0, 2.0, 3.0, 4.0])
 
 
 class TestAngularHistogramType:
@@ -203,7 +179,7 @@ class TestAngularHistogramType:
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            AngularHistogram(2, [0.6, 0.6], normalized=True)
+            AngularHistogram(2, [0.6, 0.6])
 
     def test_values_read_only(self):
         h = AngularHistogram(2, [0.5, 0.5])
@@ -211,8 +187,9 @@ class TestAngularHistogramType:
             h.values[0] = 1.0
 
     def test_bin_index_covers_circle(self):
+        centers = uniform_centers(32)
         for i in range(32):
-            assert bin_index(bin_center(i, 32), 32) == i
+            assert bin_index(centers[i], 32) == i
 
     def test_point_symmetry_defect(self):
         h = AngularHistogram(4, [0.3, 0.2, 0.3, 0.2])

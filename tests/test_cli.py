@@ -159,6 +159,23 @@ class TestHistCommand:
         assert main(["hist", "--trips", str(trips),
                      "--output-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ("--bins", "0"),
+        ("--bins", "-3"),
+        ("--class-filter", "footpath"),
+    ], ids=["bins-zero", "bins-negative", "class-filter-footpath"])
+    def test_invalid_option_exits_2_before_writing(self, tmp_path, capsys,
+                                                   extra):
+        trips = trips_csv(tmp_path)
+        network = grid_network_csv(tmp_path)
+        out = tmp_path / "out"
+        code = main(["hist", "--trips", str(trips), "--network", str(network),
+                     "--output-dir", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invalid option" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_outputs_and_row_count(self, simulated):
@@ -201,6 +218,22 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(payload))
         assert main(["simulate", "--scenario", str(bad),
                      "--output-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"alpha": [math.nan] + list(RAW_ALPHA[1:])},
+        {"noise_std": math.inf},
+    ], ids=["nan-alpha", "infinite-noise"])
+    def test_non_finite_scenario_value_exits_2(self, tmp_path, capsys,
+                                               overrides):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario_payload(**overrides)))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "alpha, beta and noise_std must be finite" in err
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -273,7 +306,8 @@ class TestFitCommand:
         ("--k", "0"),
         ("--lower-cut", "0.7", "--upper-cut", "0.5"),
         ("--curve-grid", "4"),
-    ], ids=["k-zero", "cuts-overlap", "curve-grid-4"])
+        ("--class-filter", "footpath"),
+    ], ids=["k-zero", "cuts-overlap", "curve-grid-4", "class-filter-footpath"])
     def test_invalid_option_exits_2_before_writing(self, tmp_path, simulated,
                                                    capsys, extra):
         code, out = self.fit(tmp_path, simulated, *extra)
@@ -339,12 +373,15 @@ class TestFitCommand:
         assert "row 62" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("bad", ["-0.25", "nan", "inf"])
+    @pytest.mark.parametrize("bad", ["-0.25", "nan", "inf", "repeated"])
     def test_bad_histogram_value_exits_2(self, tmp_path, capsys, bad):
         trips = trips_csv(tmp_path, n=60)
         uniform = uniform_hist_csv(tmp_path, bins=4)
         lines = uniform.read_text().splitlines()
-        lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+        if bad == "repeated":
+            lines[3] = lines[2]  # bin 1's row again in place of bin 2's
+        else:
+            lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
         hist = tmp_path / "bad_hist.csv"
         hist.write_text("\n".join(lines) + "\n")
         code = main(["fit", "--trips", str(trips), "--bins", "4", "--k", "1",

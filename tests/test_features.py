@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_features
 from conftest import standard_demand, standard_network, standard_scenario
-from pacerose.angles import TWO_PI, AngularHistogram, bin_center
+from pacerose.angles import TWO_PI, AngularHistogram
 from pacerose.errors import InsufficientDataError, SpecMismatchError
 from pacerose.estimator import ols_fit
 from pacerose.features import (
     ModelSpec,
     build_design_matrix,
     demand_features,
-    feature_row,
     moment_features,
     network_features,
 )
@@ -48,10 +47,6 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(k_max=2, bins=9, network_point_symmetric=True)
 
-    def test_intercept_required(self):
-        with pytest.raises(ValueError):
-            ModelSpec(include_intercept=False)
-
     def test_k_and_bins_validated(self):
         with pytest.raises(ValueError):
             ModelSpec(k_max=0)
@@ -67,7 +62,7 @@ class TestDemandFeatures:
 
     def test_delta_at_own_direction(self):
         d = delta_histogram(32, 5)
-        f = demand_features(bin_center(5, 32), d, 2)
+        f = demand_features(d.bin_centers()[5], d, 2)
         np.testing.assert_allclose(f, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
     def test_two_mass_hand_value(self):
@@ -75,7 +70,7 @@ class TestDemandFeatures:
         values[0] = 0.5
         values[8] = 0.5
         d = AngularHistogram(32, values)
-        f = demand_features(bin_center(0, 32), d, 1)
+        f = demand_features(d.bin_centers()[0], d, 1)
         np.testing.assert_allclose(f, [0.5, 0.5], atol=1e-12)
 
     def test_matches_brute_force(self):
@@ -90,17 +85,16 @@ class TestDemandFeatures:
 
     def test_delta_offset_gives_cos_k_delta(self):
         d = delta_histogram(32, 9)
-        theta = bin_center(4, 32)
-        delta = bin_center(9, 32) - theta
+        theta = d.bin_centers()[4]
+        delta = d.bin_centers()[9] - theta
         f = demand_features(theta, d, 6)
         for k in range(1, 7):
             assert f[2 * k - 2] == pytest.approx(math.cos(k * delta), abs=1e-12)
             assert f[2 * k - 1] == pytest.approx(math.sin(k * delta), abs=1e-12)
 
     def test_unnormalized_rejected(self):
-        h = AngularHistogram(8, np.ones(8), normalized=False)
         with pytest.raises(ValueError):
-            demand_features(0.0, h, 2)
+            AngularHistogram(8, np.ones(8))
 
 
 class TestNetworkFeatures:
@@ -200,18 +194,6 @@ class TestDesignMatrix:
         X2, _ = build_design_matrix(paces, (thetas + delta) % TWO_PI,
                                     d.rotated(shift), n.rotated(shift), spec)
         assert np.max(np.abs(X1 - X2)) < 1e-10
-
-    def test_feature_row_matches_design_row(self):
-        spec = ModelSpec()
-        thetas = np.linspace(0.05, 6.2, 30)
-        paces = np.full(30, 150.0)
-        X, _ = build_design_matrix(paces, thetas, standard_demand(),
-                                   standard_network(), spec)
-        row = feature_row(150.0, float(thetas[3]), standard_demand(),
-                          standard_network(), spec)
-        np.testing.assert_allclose(row.regressors, X[3], atol=1e-12)
-        assert row.target == 150.0
-        assert row.trip_direction == float(thetas[3])
 
 
 @st.composite

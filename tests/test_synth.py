@@ -16,7 +16,7 @@ from conftest import (
 from pacerose.angles import TWO_PI, AngularHistogram, bin_index
 from pacerose.errors import InputFormatError
 from pacerose.estimator import ols_fit
-from pacerose.features import ModelSpec, build_design_matrix
+from pacerose.features import ModelSpec, build_design_matrix, model_features
 from pacerose.ingest import directions, parse_trips
 from pacerose.synth import (
     SyntheticScenario,
@@ -26,11 +26,24 @@ from pacerose.synth import (
     identifiable_coefficients,
     make_rotated_grid_network,
     sample_directions,
-    scenario_design,
     scenario_from_dict,
     scenario_manifest,
     trip_csv_lines,
 )
+
+
+def svd_projection(spec, demand, network, gamma, alpha, beta):
+    """Reference: the row-space projection Vr Vr^T of [gamma, alpha, beta].
+
+    Vr spans the right singular vectors of the design with intercept on 512
+    uniform directions whose singular values exceed 1e-10 of the largest.
+    """
+    thetas = (np.arange(512) + 0.5) * (TWO_PI / 512)
+    A = np.column_stack([np.ones(512),
+                         model_features(thetas, demand, network, spec)])
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    basis = vt[s > 1e-10 * s[0]]
+    return basis.T @ (basis @ np.concatenate([[gamma], alpha, beta]))
 
 
 def delta_scenario(at_bin=3, n_trips=200):
@@ -142,10 +155,48 @@ class TestIdentifiableCoefficients:
         raw = standard_scenario(canonical=False)
         canon = canonicalized(raw)
         thetas = np.linspace(0.0, TWO_PI, 123, endpoint=False)
-        X = scenario_design(raw, thetas)
+        X = model_features(thetas, raw.demand_hist, raw.network_hist, raw.spec)
         raw_signal = raw.gamma + X @ raw.coefficient_vector()
         canon_signal = canon.gamma + X @ canon.coefficient_vector()
         np.testing.assert_allclose(canon_signal, raw_signal, atol=1e-9)
+
+    @pytest.mark.parametrize("point_symmetric", [True, False])
+    @pytest.mark.parametrize("k_max", [1, 8, 16])
+    def test_matches_svd_row_space_projection(self, k_max, point_symmetric):
+        rng = np.random.default_rng(k_max)
+        spec = ModelSpec(k_max=k_max, bins=48,
+                         network_point_symmetric=point_symmetric)
+        demand = harmonic_histogram(48, rng.uniform(-0.02, 0.02, k_max),
+                                    rng.uniform(-0.02, 0.02, k_max))
+        network_amplitudes = rng.uniform(-0.02, 0.02, (2, k_max))
+        if point_symmetric:
+            network_amplitudes[:, 0::2] = 0.0  # odd harmonics
+        network = harmonic_histogram(48, *network_amplitudes,
+                                     point_symmetric=point_symmetric)
+        alpha = rng.normal(0.0, 10.0, 2 * k_max)
+        beta = rng.normal(0.0, 10.0, len(spec.network_column_names))
+        g, a, b = identifiable_coefficients(spec, demand, network,
+                                            200.0, alpha, beta)
+        expected = svd_projection(spec, demand, network, 200.0, alpha, beta)
+        got = np.concatenate([[g], a, b])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+    def test_more_parameters_than_default_grid_directions(self):
+        # 1 + 4 * 128 = 513 parameters: the grid must grow past 512
+        spec = ModelSpec(k_max=128, bins=8, network_point_symmetric=False)
+        demand = harmonic_histogram(8, [0.1, 0.05], [0.0, 0.1])
+        network = harmonic_histogram(8, [0.05, 0.1], [0.1, 0.0])
+        rng = np.random.default_rng(3)
+        alpha = rng.normal(0.0, 10.0, 256)
+        beta = rng.normal(0.0, 10.0, 256)
+        g, a, b = identifiable_coefficients(spec, demand, network,
+                                            200.0, alpha, beta)
+        thetas = rng.uniform(0.0, TWO_PI, 50)
+        X = model_features(thetas, demand, network, spec)
+        np.testing.assert_allclose(
+            g + X @ np.concatenate([a, b]),
+            200.0 + X @ np.concatenate([alpha, beta]), rtol=1e-9)
 
 
 class TestRotatedGridNetwork:
@@ -304,6 +355,18 @@ class TestScenarioValidation:
                 beta=np.zeros(8), demand_hist=standard_demand(),
                 network_hist=standard_network(), n_trips=100,
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", math.nan), ("alpha", np.full(16, math.nan)),
+        ("beta", np.full(8, math.inf)), ("noise_std", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(spec=STANDARD_SPEC, gamma=1.0, alpha=np.zeros(16),
+                      beta=np.zeros(8), demand_hist=standard_demand(),
+                      network_hist=standard_network(), n_trips=100)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticScenario(**kwargs)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
