@@ -69,6 +69,13 @@ SIGNIFICANCE_LEVEL = 0.05
 
 HIST_HEADER = "bin,center_rad,value"
 
+# allowed values of the options that take one of a few names, for flags and
+# config-file keys alike
+CHOICES = {
+    "demand_from": ("all", "filtered"),
+    "baseline": ("none", "min"),
+}
+
 __all__ = ["RunConfig", "main"]
 
 
@@ -108,6 +115,9 @@ _BOOL_VALUES = {
 
 
 def _coerce(name: str, value: str):
+    choices = CHOICES.get(name)
+    if choices and value not in choices:
+        raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
     for f in fields(RunConfig):
         if f.name != name:
             continue
@@ -434,7 +444,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise InputFormatError(f"invalid scenario JSON: {exc}") from exc
     scenario = scenario_from_dict(payload)
     if cfg.seed is not None:
-        scenario = replace(scenario, seed=cfg.seed)
+        scenario = _validated(replace, scenario, seed=cfg.seed)
 
     theta = sample_directions(scenario)
     paces, n_clamped = generate_paces(theta, scenario)
@@ -512,7 +522,7 @@ def _add_common_options(p: argparse.ArgumentParser):
     p.add_argument("--lonlat", action=argparse.BooleanOptionalAction,
                    default=None, help="coordinates are lon/lat degrees")
     p.add_argument("--demand-from", dest="demand_from",
-                   choices=("all", "filtered"),
+                   choices=CHOICES["demand_from"],
                    help="build d() from all trips or post-filter trips")
     p.add_argument("--output-dir", dest="output_dir", help="output directory")
     p.add_argument("--seed", type=int, help="seed override for simulate")
@@ -522,7 +532,7 @@ def _add_common_options(p: argparse.ArgumentParser):
     p.add_argument("--mask", dest="mask_curves",
                    action=argparse.BooleanOptionalAction, default=None,
                    help="restrict curves to 5%%-significant terms")
-    p.add_argument("--baseline", choices=("none", "min"),
+    p.add_argument("--baseline", choices=CHOICES["baseline"],
                    help="curve plot baseline")
     p.add_argument("--curve-grid", dest="curve_grid", type=int,
                    help="points per reconstructed curve")
@@ -576,7 +586,7 @@ def main(argv=None) -> int:
             return cmd_predict(cfg, thetas, args.degrees, explicit)
         raise InputFormatError(f"unknown command {args.command!r}")
     except (InputFormatError, FileNotFoundError, IsADirectoryError,
-            UnicodeDecodeError) as exc:
+            FileExistsError, NotADirectoryError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InsufficientDataError as exc:

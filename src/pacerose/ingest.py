@@ -11,10 +11,13 @@ File formats (UTF-8, comma separated, '.' decimal, blank lines and
 
 ``parse_trips`` returns an ``(n, 6)`` float array in header order and
 ``parse_network`` an ``(n, 5)`` array ``ax, ay, bx, by, length_m`` of the
-segments in the kept classes; each row is converted as it is read, so no
-string fields outlive their row. ``directions`` turns the endpoint columns
-of either array into bearings, and a trip's pace is
-``duration_s / distance_km``.
+segments in the kept classes. Both read ``BLOCK_ROWS`` source lines at a
+time: one strict CSV reader splits a block's content lines and one numpy
+conversion turns its fields into floats, so no string fields outlive their
+block. A block that fails a check is walked row by row to name the first
+bad row, with the same message a row-at-a-time reader would give.
+``directions`` turns the endpoint columns of either array into bearings, and
+a trip's pace is ``duration_s / distance_km``.
 
 Trip rows with non-positive duration or distance are skipped, with one
 warning per reason giving the count and the first row numbers; rows that do
@@ -28,6 +31,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -53,6 +57,9 @@ EARTH_RADIUS_M = 6371000.0
 
 # row numbers named in a skipped-row warning
 WARN_ROWS = 5
+
+# source lines split by one CSV reader call and converted by one numpy call
+BLOCK_ROWS = 4096
 
 __all__ = [
     "ROAD_CLASSES",
@@ -82,33 +89,95 @@ class FilterPolicy:
             raise ValueError("lower and upper fractions must sum below 1")
 
 
-def _content_rows(source):
-    """Yield (line_number, stripped fields) for non-blank, non-comment lines.
+def _chunks(numbered):
+    """Per block of ``BLOCK_ROWS`` numbered source lines, the list of
+    (line number, stripped line) of its non-blank, non-comment lines."""
+    while chunk := list(islice(numbered, BLOCK_ROWS)):
+        yield [(n, line) for n, raw in chunk
+               if (line := raw.strip()) and not line.startswith("#")]
 
-    One strict CSV reader parses all lines; a quoted field may not span
-    lines, and one left open is reported at the row that opened it.
+
+def _frames_alone(line: str) -> bool:
+    try:
+        return len(list(csv.reader([line], strict=True))) == 1
+    except csv.Error:
+        return False
+
+
+def _framing_error(lineno: int, lines) -> InputFormatError:
+    """The error of the row at ``lineno``, which does not end on its line.
+
+    ``lines`` are the content lines from that row to the end of input. A
+    quoted field may not span lines; one left open is reported at the row
+    that opened it.
     """
-    linenos = []
     ended = []
 
-    def content_lines():
-        for lineno, raw in enumerate(source, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                linenos.append(lineno)
-                yield line
+    def feed():
+        yield from lines
         ended.append(True)
 
     try:
-        for fields in csv.reader(content_lines(), strict=True):
-            if len(linenos) > 1:
-                raise InputFormatError(
-                    f"row {linenos[0]}: unterminated quoted field")
-            yield linenos.pop(), [f.strip() for f in fields]
+        next(csv.reader(feed(), strict=True))
     except csv.Error as exc:
         # at the end of input a strict reader fails only on an open quote
-        reason = "unterminated quoted field" if ended else exc
-        raise InputFormatError(f"row {linenos[0]}: {reason}") from None
+        if not ended:
+            return InputFormatError(f"row {lineno}: {exc}")
+    return InputFormatError(f"row {lineno}: unterminated quoted field")
+
+
+def _blocks(source):
+    """Yield ``(line numbers, rows)`` for the content lines of ``source``.
+
+    The header row comes first on its own, then the rest of each block of
+    ``BLOCK_ROWS`` source lines, split by one strict CSV reader into
+    unstripped fields. When a row does not end on its own line, the rows
+    before it are yielded and then its InputFormatError is raised.
+    """
+    numbered = enumerate(source, start=1)
+    header = True
+    for content in _chunks(numbered):
+        if not content:
+            continue
+        linenos, lines = zip(*content)
+        try:
+            rows = list(csv.reader(lines, strict=True))
+            framed = len(rows) == len(lines)
+        except csv.Error:
+            framed = False
+        if not framed:
+            bad = next(i for i, line in enumerate(lines)
+                       if not _frames_alone(line))
+            rows = list(csv.reader(lines[:bad], strict=True))
+        numbers = np.array(linenos[:len(rows)])
+        if header and rows:
+            yield numbers[:1], rows[:1]
+            numbers, rows, header = numbers[1:], rows[1:], False
+        if rows:
+            yield numbers, rows
+        if not framed:
+            rest = (line for content in _chunks(numbered)
+                    for _, line in content)
+            raise _framing_error(linenos[bad], chain(lines[bad:], rest))
+
+
+def _header(blocks, what: str):
+    """Line number and stripped fields of the header row from ``_blocks``."""
+    first = next(blocks, None)
+    if first is None:
+        raise InputFormatError(f"{what} file has no header row")
+    (lineno,), (fields,) = first
+    return lineno, [f.strip() for f in fields]
+
+
+def _raise_first_bad_row(check, linenos, rows, *args):
+    """Raise the error of the first row of a block that ``check`` rejects.
+
+    Called on a block that failed a bulk check, so some row fails.
+    """
+    for lineno, fields in zip(linenos, rows):
+        check(lineno, [f.strip() for f in fields], *args)
+    raise AssertionError("a block failed its bulk checks but no row did")
 
 
 def _parse_float(value: str, lineno: int, name: str) -> float:
@@ -125,15 +194,34 @@ def _parse_float(value: str, lineno: int, name: str) -> float:
     return x
 
 
-def _header(fields) -> tuple:
-    return tuple(f.lower() for f in fields)
-
-
 def _warn_skipped(rows: list, what: str):
     shown = ", ".join(str(r) for r in rows[:WARN_ROWS])
     more = ", ..." if len(rows) > WARN_ROWS else ""
     log.warning("skipped %d trip(s) with non-positive %s: row %s%s",
                 len(rows), what, shown, more)
+
+
+def _check_trip_row(lineno: int, fields: list, names: tuple):
+    if len(fields) != 6:
+        raise InputFormatError(
+            f"row {lineno}: expected 6 fields, got {len(fields)}"
+        )
+    duration, distance = [_parse_float(f, lineno, name)
+                           for f, name in zip(fields, names)][4:]
+    if duration > 0.0 and distance > 0.0 and not math.isfinite(
+            duration / distance):
+        raise InputFormatError(
+            f"row {lineno}: pace duration_s / distance_km is not finite "
+            f"({fields[4]} / {fields[5]})"
+        )
+
+
+def _floats(fields) -> np.ndarray | None:
+    """``fields`` as a float array, or None if one is not a number."""
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        return None
 
 
 def parse_trips(source, lonlat: bool = False) -> np.ndarray:
@@ -146,39 +234,32 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
     raises InputFormatError naming the row.
     """
     expected = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
+    blocks = _blocks(source)
+    lineno, fields = _header(blocks, "trip")
+    if tuple(f.lower() for f in fields) != expected:
+        raise InputFormatError(
+            f"row {lineno}: expected header {','.join(expected)}, "
+            f"got {','.join(fields)}"
+        )
     data = array("d")
     skipped = {"duration_s": [], "distance_km": []}
-    header_seen = False
-    for lineno, fields in _content_rows(source):
-        if not header_seen:
-            if _header(fields) != expected:
-                raise InputFormatError(
-                    f"row {lineno}: expected header {','.join(expected)}, "
-                    f"got {','.join(fields)}"
-                )
-            header_seen = True
-            continue
-        if len(fields) != 6:
-            raise InputFormatError(
-                f"row {lineno}: expected 6 fields, got {len(fields)}"
-            )
-        values = [_parse_float(f, lineno, name)
-                  for f, name in zip(fields, expected)]
-        duration, distance = values[4], values[5]
-        if duration <= 0.0:
-            skipped["duration_s"].append(lineno)
-            continue
-        if distance <= 0.0:
-            skipped["distance_km"].append(lineno)
-            continue
-        if not math.isfinite(duration / distance):
-            raise InputFormatError(
-                f"row {lineno}: pace duration_s / distance_km is not finite "
-                f"({fields[4]} / {fields[5]})"
-            )
-        data.extend(values)
-    if not header_seen:
-        raise InputFormatError("trip file has no header row")
+    for linenos, rows in blocks:
+        # one flat conversion; a nested list would cost numpy a shape search
+        block = (_floats(list(chain.from_iterable(rows)))
+                 if set(map(len, rows)) == {6} else None)
+        if block is None or not np.isfinite(block).all():
+            _raise_first_bad_row(_check_trip_row, linenos, rows, expected)
+        block = block.reshape(-1, 6)
+        bad_duration = block[:, 4] <= 0.0
+        bad_distance = ~bad_duration & (block[:, 5] <= 0.0)
+        block = block[~(bad_duration | bad_distance)]
+        with np.errstate(over="ignore"):
+            paces = block[:, 4] / block[:, 5]
+        if not np.isfinite(paces).all():
+            _raise_first_bad_row(_check_trip_row, linenos, rows, expected)
+        skipped["duration_s"].extend(linenos[bad_duration].tolist())
+        skipped["distance_km"].extend(linenos[bad_distance].tolist())
+        data.frombytes(block.tobytes())
     for what, rows in skipped.items():
         if rows:
             _warn_skipped(rows, what)
@@ -194,6 +275,50 @@ def road_class_filter(names) -> set:
     return classes
 
 
+def _check_segment_row(lineno: int, fields: list, width: int):
+    if len(fields) != width:
+        raise InputFormatError(
+            f"row {lineno}: expected {width} fields, got {len(fields)}"
+        )
+    ends = [_parse_float(f, lineno, name)
+            for f, name in zip(fields[:4], NETWORK_HEADER)]
+    if fields[4].lower() not in ROAD_CLASSES:
+        raise InputFormatError(
+            f"row {lineno}: unknown road class {fields[4]!r}"
+        )
+    if width == 6:
+        length = _parse_float(fields[5], lineno, "length_m")
+        if length < 0.0:
+            raise InputFormatError(f"row {lineno}: negative length_m")
+        if length == 0.0 and ends[:2] != ends[2:]:
+            raise InputFormatError(
+                f"row {lineno}: zero length_m but distinct endpoints"
+            )
+
+
+def _segment_block(rows, width: int):
+    """``(values, classes)`` of a block, or None if a row fails a check.
+
+    ``values`` holds the numeric columns ``ax, ay, bx, by[, length_m]`` as
+    floats and ``classes`` the lower-cased class names.
+    """
+    cells = np.array(rows, dtype=object)
+    if cells.shape != (len(rows), width):
+        return None
+    values = _floats(np.delete(cells, 4, axis=1))
+    classes = [c.strip().lower() for c in cells[:, 4]]
+    if (values is None or not np.isfinite(values).all()
+            or not set(classes).issubset(ROAD_CLASSES)):
+        return None
+    if width == 6:
+        length = values[:, 4]
+        moving = ((values[:, 0] != values[:, 2])
+                  | (values[:, 1] != values[:, 3]))
+        if ((length < 0.0) | ((length == 0.0) & moving)).any():
+            return None
+    return values, classes
+
+
 def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray:
     """Parse a network edge CSV into an ``(n, 5)`` float array.
 
@@ -204,50 +329,25 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     """
     class_filter = (set(ROAD_CLASSES) if class_filter is None
                     else road_class_filter(class_filter))
+    blocks = _blocks(source)
+    lineno, fields = _header(blocks, "network")
+    got = tuple(f.lower() for f in fields)
+    if got not in (NETWORK_HEADER, NETWORK_HEADER + ("length_m",)):
+        raise InputFormatError(
+            f"row {lineno}: expected header ax,ay,bx,by,class[,length_m], "
+            f"got {','.join(fields)}"
+        )
+    width = len(got)
     data = array("d")
-    header_seen = False
-    has_length_col = False
-    for lineno, fields in _content_rows(source):
-        if not header_seen:
-            got = _header(fields)
-            if got not in (NETWORK_HEADER, NETWORK_HEADER + ("length_m",)):
-                raise InputFormatError(
-                    f"row {lineno}: expected header ax,ay,bx,by,class[,length_m], "
-                    f"got {','.join(fields)}"
-                )
-            has_length_col = len(got) == 6
-            header_seen = True
-            continue
-        expected_n = 6 if has_length_col else 5
-        if len(fields) != expected_n:
-            raise InputFormatError(
-                f"row {lineno}: expected {expected_n} fields, got {len(fields)}"
-            )
-        ends = [_parse_float(f, lineno, name)
-                for f, name in zip(fields[:4], NETWORK_HEADER)]
-        road_class = fields[4].lower()
-        if road_class not in ROAD_CLASSES:
-            raise InputFormatError(
-                f"row {lineno}: unknown road class {fields[4]!r}"
-            )
-        if has_length_col:
-            length = _parse_float(fields[5], lineno, "length_m")
-            if length < 0.0:
-                raise InputFormatError(f"row {lineno}: negative length_m")
-            if length == 0.0 and ends[:2] != ends[2:]:
-                raise InputFormatError(
-                    f"row {lineno}: zero length_m but distinct endpoints"
-                )
-        else:
-            length = math.nan
-        if road_class in class_filter:
-            data.extend(ends)
-            data.append(length)
-    if not header_seen:
-        raise InputFormatError("network file has no header row")
-    segments = np.frombuffer(data, dtype=float).reshape(-1, 5)
-    if not has_length_col:
-        segments[:, 4] = _lengths(segments, lonlat)
+    for linenos, rows in blocks:
+        checked = _segment_block(rows, width)
+        if checked is None:
+            _raise_first_bad_row(_check_segment_row, linenos, rows, width)
+        values, classes = checked
+        data.frombytes(values[np.isin(classes, list(class_filter))].tobytes())
+    segments = np.frombuffer(data, dtype=float).reshape(-1, width - 1)
+    if width == 5:
+        segments = np.column_stack([segments, _lengths(segments, lonlat)])
     return segments
 
 
@@ -325,7 +425,8 @@ def network_orientation_histogram(
 
     ``segments`` is the array ``parse_network`` returns; ``lonlat`` must be
     the value it was parsed with and has no default. Weights are segment
-    counts by default, or lengths in meters with ``length_weighted``.
+    counts by default, or lengths in meters with ``length_weighted``; a
+    weight total that is not positive and finite raises InputFormatError.
     Zero-length segments are skipped with one warning. For even bin counts
     each segment's primary orientation is binned once and mirrored half a
     cycle on, so the result is point symmetric to the last bit.
@@ -346,5 +447,12 @@ def network_orientation_histogram(
         opposite = bin_index(theta + math.pi, bins)
     both = np.column_stack([primary, opposite]).ravel()
     weights = np.repeat(weights, 2)
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if not 0.0 < total < math.inf:
+        raise InputFormatError(
+            f"segment weights sum to {total!r}; lengths must sum to a "
+            "positive finite number"
+        )
     values = np.bincount(both, weights=weights, minlength=bins)
-    return AngularHistogram(bins, values / weights.sum())
+    return AngularHistogram(bins, values / total)

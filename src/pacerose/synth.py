@@ -88,6 +88,8 @@ class SyntheticScenario:
             raise ValueError("n_trips must exceed the parameter count")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def coefficient_vector(self) -> np.ndarray:
         return np.concatenate([self.alpha, self.beta])
@@ -303,6 +305,11 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
     coefficients are projected onto the identifiable subspace; the manifest
     then records the projected ground truth.
     """
+    if not isinstance(payload, dict):
+        raise InputFormatError(
+            f"invalid scenario: expected a JSON object, got "
+            f"{type(payload).__name__}"
+        )
     try:
         spec = ModelSpec(
             k_max=int(payload.get("k_max", 8)),

@@ -235,6 +235,29 @@ class TestSimulateCommand:
         assert "alpha, beta and noise_std must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, extra, config, message", [
+        (scenario_payload(), ["--seed", "-1"], None,
+         "seed must be nonnegative"),
+        (scenario_payload(), [], "seed=-3\n", "seed must be nonnegative"),
+        (scenario_payload(seed=-1), [], None, "seed must be nonnegative"),
+        ([], [], None, "expected a JSON object, got list"),
+    ], ids=["seed-flag", "seed-config", "seed-scenario", "list-scenario"])
+    def test_bad_seed_or_scenario_exits_2(self, tmp_path, capsys, payload,
+                                          extra, config, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            extra = extra + ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def fit(self, tmp_path, simulated, *extra):
@@ -531,6 +554,43 @@ class TestConfigFile:
         assert main(["hist", "--trips", str(trips), "--config", str(config),
                      "--output-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, line", [
+        ("hist", "demand_from=bogus"),
+        ("fit", "baseline=weird"),
+    ])
+    def test_value_outside_choices_exits_2(self, tmp_path, capsys, simulated,
+                                           command, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "o"
+        code = main([command, "--trips", str(simulated / "trips.csv"),
+                     "--network-hist", str(simulated / "network_hist.csv"),
+                     "--network", str(grid_network_csv(tmp_path)),
+                     "--config", str(config), "--output-dir", str(out)])
+        key, value = line.split("=")
+        assert code == 2
+        assert (f"config line 1: bad value for {key}: expected one of"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{key.replace('_', '-')}", value])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("output_dir", ["a_file", "a_file/sub"],
+                         ids=["existing-file", "under-a-file"])
+def test_output_dir_naming_a_file_exits_2(tmp_path, capsys, output_dir):
+    trips = trips_csv(tmp_path)
+    network = grid_network_csv(tmp_path)
+    (tmp_path / "a_file").write_text("keep me\n")
+    code = main(["hist", "--trips", str(trips), "--network", str(network),
+                 "--output-dir", str(tmp_path / output_dir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert (tmp_path / "a_file").read_text() == "keep me\n"
+
 
 GOOD_TRIPS = TRIP_HEADER + "\n" + "".join(
     f"0,0,{math.cos(i)!r},{math.sin(i)!r},{100 + i},1\n" for i in range(60))
@@ -556,6 +616,7 @@ MALFORMED = {
         NET_HEADER + "\n0,0,inf,1,primary\n",
         NET_HEADER + "\n0,0,1,1,other\n",
         NET_HEADER + "\n0,0,1\n",
+        NET_HEADER + ",length_m\n0,0,1,0,primary,1e308\n0,0,0,1,primary,1e308\n",
         b"\xc3\x28\n",
     ],
     "histogram": [
@@ -593,6 +654,8 @@ def test_malformed_input_files_exit_cleanly(tmp_path, capsys, kind, content):
         ["fit", "--trips", str(paths["trips"]), "--k", "1",
          "--network", str(paths["network"]),
          "--demand-hist", str(paths["histogram"])],
+        ["hist", "--trips", str(paths["trips"]),
+         "--network", str(paths["network"]), "--length-weighted"],
     ):
         code = main(argv + ["--bins", "4", "--output-dir", str(tmp_path / "o")])
         assert code in (0, 2, 3, 4)

@@ -2,17 +2,20 @@ import csv
 import io
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pacerose import ingest
 from pacerose.angles import TWO_PI, wrap_angle
 from pacerose.cli import RunConfig, _load_trips
 from pacerose.errors import InputFormatError, InsufficientDataError
 from pacerose.ingest import (
     EARTH_RADIUS_M,
+    ROAD_CLASSES,
     TRIP_HEADER_LONLAT,
     TRIP_HEADER_PLANAR,
     FilterPolicy,
@@ -125,6 +128,19 @@ class TestParseTrips:
         with pytest.raises(InputFormatError) as err:
             trips_from(f"{TRIP_HEADER}\n{body}")
         assert str(err.value) == f"row {row}: unterminated quoted field"
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+    def test_first_error_precedes_a_later_open_quote(self, block_rows):
+        text = (f"{TRIP_HEADER}\n0,0,1,1,60,1\n0,0,1,oops,60,1\n"
+                '0,0,1,1,60,1\n0,0,"1,1,60,1\n')
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            with pytest.raises(InputFormatError) as err:
+                trips_from(text)
+            assert str(err.value) == (
+                "row 3: field 'dest_y' is not a number: 'oops'")
+            with pytest.raises(InputFormatError) as err:
+                trips_from("x,y\n" + text)
+            assert str(err.value).startswith("row 1: expected header")
 
     def test_overflowing_pace_rejected(self):
         with pytest.raises(InputFormatError) as err:
@@ -373,6 +389,21 @@ class TestNetworkHistogram:
         with pytest.raises(InsufficientDataError):
             network_orientation_histogram(segs, bins=4, lonlat=False)
 
+    @pytest.mark.parametrize("segs, lonlat, total", [
+        ([segment(0, 0, 1, 0, 1e308), segment(0, 0, 0, 1, 1e308)], False,
+         "inf"),
+        # a moving lon/lat segment too short for its length to be nonzero
+        ([segment(0, 0, 5e-324, 0, 0.0)], True, "0.0"),
+    ], ids=["overflow", "underflow"])
+    def test_weight_total_must_be_positive_and_finite(self, segs, lonlat,
+                                                      total):
+        segs = np.array(segs)
+        network_orientation_histogram(segs, bins=4, lonlat=lonlat)
+        with pytest.raises(InputFormatError) as err:
+            network_orientation_histogram(segs, bins=4, length_weighted=True,
+                                          lonlat=lonlat)
+        assert str(err.value).startswith(f"segment weights sum to {total};")
+
     def test_mirrored_bin_when_opposite_rounds_onto_a_boundary(self):
         # theta = 7*pi/4 wraps from -pi/4; theta + pi rounds to just below
         # the 3*pi/4 boundary of bin 3, yet the segment counts in bins 7 and 3
@@ -435,6 +466,7 @@ def reference_load(text, lonlat, compass):
     """
     names = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
     rows, thetas, paces = [], [], []
+    skipped = {"duration_s": [], "distance_km": []}
     header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -450,7 +482,11 @@ def reference_load(text, lonlat, compass):
                 values.append(float(field))
             except ValueError:
                 return lineno, name
-        if values[4] <= 0.0 or values[5] <= 0.0:
+        if values[4] <= 0.0:
+            skipped["duration_s"].append(lineno)
+            continue
+        if values[5] <= 0.0:
+            skipped["distance_km"].append(lineno)
             continue
         rows.append(values)
         dx = values[2] - values[0]
@@ -463,7 +499,43 @@ def reference_load(text, lonlat, compass):
         thetas.append(wrap_angle(0.5 * math.pi - raw_bearing) if compass
                       else wrap_angle(raw_bearing))
         paces.append(values[4] / values[5])
-    return rows, thetas, paces
+    return rows, thetas, paces, skipped
+
+
+def single_reader_error(text):
+    """(row, reason) of the first row that one strict CSV reader over all
+    content lines frames across lines, or None when none does."""
+    numbered = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+                if line.strip() and not line.strip().startswith("#")]
+    current, ended = [], []
+
+    def feed():
+        for n, line in numbered:
+            current.append(n)
+            yield line
+        ended.append(True)
+
+    try:
+        for _ in csv.reader(feed(), strict=True):
+            if len(current) > 1:
+                return current[0], "unterminated quoted field"
+            current.clear()
+    except csv.Error as exc:
+        return current[0], "unterminated quoted field" if ended else str(exc)
+    return None
+
+
+def expected_warnings(skipped):
+    return [f"skipped {len(rows)} trip(s) with non-positive {what}: row "
+            + ", ".join(map(str, rows[:5])) + (", ..." if len(rows) > 5 else "")
+            for what, rows in skipped.items() if rows]
+
+
+def logged_warnings(parse, *args, **kwargs):
+    """``parse(*args, **kwargs)`` and the warnings it logged."""
+    with mock.patch.object(ingest.log, "warning") as warning:
+        result = parse(*args, **kwargs)
+    return result, [c.args[0] % c.args[1:] for c in warning.call_args_list]
 
 
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -508,12 +580,22 @@ class TestColumnarIngest:
     @given(trip_files(), st.booleans(), st.data())
     def test_matches_per_line_reference(self, tmp_path_factory, file,
                                         compass, data):
+        # block sizes 1-3 put headers, skips, bad fields and open quotes on
+        # block boundaries
+        for block_rows in (1, 2, 3, ingest.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+                self.check_against_reference(tmp_path_factory, file, compass,
+                                             data)
+
+    def check_against_reference(self, tmp_path_factory, file, compass, data):
         lonlat, lines = file
         tmp_dir = tmp_path_factory.mktemp("trips")
         text = "\n".join(lines) + "\n"
-        rows, thetas, paces = reference_load(text, lonlat, compass)
-        kept = parse_trips(io.StringIO(text), lonlat=lonlat)
+        rows, thetas, paces, skipped = reference_load(text, lonlat, compass)
+        kept, warnings = logged_warnings(parse_trips, io.StringIO(text),
+                                         lonlat=lonlat)
         assert kept.tolist() == rows
+        assert warnings == expected_warnings(skipped)
         if thetas:
             theta, pace = self.load(tmp_dir, lines, lonlat, compass)
             gap = np.abs(theta - np.array(thetas))
@@ -537,3 +619,120 @@ class TestColumnarIngest:
                 parse_trips(io.StringIO("\n".join(bad)), lonlat=lonlat)
             assert str(err.value).startswith(
                 f"row {target + 1}: field '{expected[1]}'")
+
+            # a quote opened in one field runs on until a later quote or
+            # the end of input
+            fields[column] = '"1'
+            bad = lines[:target] + [",".join(fields)] + lines[target + 1:]
+            row, reason = single_reader_error("\n".join(bad))
+            assert row == target + 1
+            with pytest.raises(InputFormatError) as err:
+                parse_trips(io.StringIO("\n".join(bad)), lonlat=lonlat)
+            assert str(err.value) == f"row {row}: {reason}"
+
+
+def float_field(field, name):
+    try:
+        return float(field)
+    except ValueError:
+        raise ValueError(f"field '{name}' is not a number: {field!r}") from None
+
+
+def reference_network(text, class_filter):
+    """Per-line reference of ``parse_network`` on planar input.
+
+    Returns the kept ``[ax, ay, bx, by, length_m]`` rows, or the line
+    number and message of the first bad row.
+    """
+    rows, width = [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in next(csv.reader([line]))]
+        if width is None:
+            width = len(fields)
+            continue
+        try:
+            ax, ay, bx, by = [float_field(f, name) for f, name in
+                              zip(fields, ("ax", "ay", "bx", "by"))]
+            if fields[4].lower() not in ROAD_CLASSES:
+                raise ValueError(f"unknown road class {fields[4]!r}")
+            if width == 5:
+                length = float(np.hypot(bx - ax, by - ay))
+            else:
+                length = float_field(fields[5], "length_m")
+                if length < 0.0:
+                    raise ValueError("negative length_m")
+                if length == 0.0 and (ax, ay) != (bx, by):
+                    raise ValueError("zero length_m but distinct endpoints")
+        except ValueError as exc:
+            return lineno, str(exc)
+        if fields[4].lower() in class_filter:
+            rows.append([ax, ay, bx, by, length])
+    return rows
+
+
+def mixed_case(draw, word):
+    flips = draw(st.lists(st.booleans(), min_size=len(word),
+                          max_size=len(word)))
+    return "".join(c.upper() if f else c for c, f in zip(word, flips))
+
+
+@st.composite
+def network_files(draw):
+    has_length = draw(st.booleans())
+    names = ["ax", "ay", "bx", "by", "class"] + ["length_m"] * has_length
+    lines = ["# edges", "", ",".join(mixed_case(draw, n) for n in names)]
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment",
+                                     "blank", "degenerate"]))
+        if kind == "comment":
+            lines.append("  # " + draw(st.text("abc, ", max_size=8)))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        ax, ay = draw(coords), draw(coords)
+        bx, by = (ax, ay) if kind == "degenerate" else (draw(coords),
+                                                        draw(coords))
+        fields = [repr(v) for v in (ax, ay, bx, by)]
+        fields.append(mixed_case(draw, draw(st.sampled_from(ROAD_CLASSES))))
+        if has_length:
+            fields.append(repr(draw(st.sampled_from([0.0, -1.0])
+                                    | st.floats(0.01, 1e4))))
+        quoted = draw(st.lists(st.booleans(), min_size=len(fields),
+                               max_size=len(fields)))
+        fields = [f'" {f}"' if q else f" {f}" for f, q in zip(fields, quoted)]
+        lines.append(",".join(fields))
+    return lines
+
+
+class TestNetworkIngest:
+    @settings(max_examples=60, deadline=None)
+    @given(network_files(), st.sets(st.sampled_from(ROAD_CLASSES)), st.data())
+    def test_matches_per_line_reference(self, lines, class_filter, data):
+        data_lines = [i for i, line in enumerate(lines)
+                      if line.strip() and not line.strip().startswith("#")][1:]
+        files = [lines]
+        if data_lines:
+            target = data.draw(st.sampled_from(data_lines))
+            fields = next(csv.reader([lines[target].strip()]))
+            column = data.draw(st.integers(0, len(fields) - 1))
+            fields[column] = "x1"
+            files.append(lines[:target] + [",".join(fields)]
+                         + lines[target + 1:])
+        for block_rows in (1, 2, 3, ingest.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+                for file in files:
+                    text = "\n".join(file) + "\n"
+                    expected = reference_network(text, class_filter)
+                    if isinstance(expected, list):
+                        segments = parse_network(io.StringIO(text),
+                                                 class_filter=class_filter)
+                        assert segments.tolist() == expected
+                        continue
+                    with pytest.raises(InputFormatError) as err:
+                        parse_network(io.StringIO(text),
+                                      class_filter=class_filter)
+                    assert str(err.value) == "row {}: {}".format(*expected)
