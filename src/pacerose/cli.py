@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .estimator import ols_fit, report_rows, significance_mask
 from .features import ModelSpec, build_design_matrix
+from .files import write_atomic
 from .ingest import (
     FilterPolicy,
     directions,
@@ -180,26 +180,12 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_histogram_csv(path: str, hist: AngularHistogram):
     centers = hist.bin_centers()
     lines = [HIST_HEADER]
     for i, (c, v) in enumerate(zip(centers, hist.values)):
         lines.append(f"{i},{_format_float(c)},{_format_float(v)}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
@@ -265,6 +251,10 @@ def _load_trips(cfg: RunConfig):
 
 def _class_filter(cfg: RunConfig) -> set:
     names = [c.strip() for c in cfg.class_filter.split(",") if c.strip()]
+    if not names:
+        raise InputFormatError(
+            "invalid option: class filter names no road class"
+        )
     return _validated(road_class_filter, names)
 
 
@@ -328,16 +318,16 @@ def cmd_hist(cfg: RunConfig) -> int:
             f"{i},{_format_float(centers[i])},{_format_float(means[i])},"
             f"{counts[i]}"
         )
-    _write_atomic(os.path.join(out, "pace_by_direction.csv"),
-                  "\n".join(lines) + "\n")
+    write_atomic(os.path.join(out, "pace_by_direction.csv"),
+                 "\n".join(lines) + "\n")
 
-    _write_atomic(os.path.join(out, "demand_rose.svg"),
-                  rose_svg(demand.values, "trip-direction frequencies"))
-    _write_atomic(os.path.join(out, "network_rose.svg"),
-                  rose_svg(network.values, "road-orientation frequencies"))
+    write_atomic(os.path.join(out, "demand_rose.svg"),
+                 rose_svg(demand.values, "trip-direction frequencies"))
+    write_atomic(os.path.join(out, "network_rose.svg"),
+                 rose_svg(network.values, "road-orientation frequencies"))
     pace_values = np.where(counts > 0, means, 0.0)
-    _write_atomic(os.path.join(out, "pace_rose.svg"),
-                  rose_svg(pace_values, "mean pace by direction (s/km)"))
+    write_atomic(os.path.join(out, "pace_rose.svg"),
+                 rose_svg(pace_values, "mean pace by direction (s/km)"))
     print(f"histograms written to {out}")
     return EXIT_OK
 
@@ -392,8 +382,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     )
 
     out = cfg.output_dir
-    _write_atomic(os.path.join(out, "fit_report.csv"), _report_csv(fit))
-    _write_atomic(os.path.join(out, "summary.txt"), _summary_text(fit))
+    write_atomic(os.path.join(out, "fit_report.csv"), _report_csv(fit))
+    write_atomic(os.path.join(out, "summary.txt"), _summary_text(fit))
 
     mask = significance_mask(fit, SIGNIFICANCE_LEVEL) if cfg.mask_curves else None
     curves = {}
@@ -403,17 +393,17 @@ def cmd_fit(cfg: RunConfig) -> int:
             grid_size=cfg.curve_grid,
         )
         curves[kind] = curve
-        _write_atomic(os.path.join(out, f"{kind}_curve.csv"), _curve_csv(curve))
+        write_atomic(os.path.join(out, f"{kind}_curve.csv"), _curve_csv(curve))
         plot_values = curve.values
         title = f"{kind} influence curve"
         if cfg.baseline == "min":
             plot_values = curve.values - curve.values.min()
             title += " (baseline: minimum)"
-        _write_atomic(os.path.join(out, f"{kind}_curve.svg"),
-                      curve_svg(curve.offsets, plot_values, title))
+        write_atomic(os.path.join(out, f"{kind}_curve.svg"),
+                     curve_svg(curve.offsets, plot_values, title))
 
     sign_text = expected_sign_report(curves["alpha"], curves["beta"])
-    _write_atomic(os.path.join(out, "sign_report.txt"), sign_text + "\n")
+    write_atomic(os.path.join(out, "sign_report.txt"), sign_text + "\n")
     save_model(os.path.join(out, "model.json"), fit, spec, demand, network)
 
     if cfg.dump_design:
@@ -421,8 +411,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         for row, target in zip(X, y):
             lines.append(",".join(_format_float(v) for v in row)
                          + f",{_format_float(target)}")
-        _write_atomic(os.path.join(out, "design_matrix.csv"),
-                      "\n".join(lines) + "\n")
+        write_atomic(os.path.join(out, "design_matrix.csv"),
+                     "\n".join(lines) + "\n")
 
     sys.stdout.write(_summary_text(fit))
     print(sign_text)
@@ -450,11 +440,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     paces, n_clamped = generate_paces(theta, scenario)
 
     out = cfg.output_dir
-    _write_atomic(os.path.join(out, "trips.csv"),
-                  "\n".join(trip_csv_lines(theta, paces)) + "\n")
+    write_atomic(os.path.join(out, "trips.csv"),
+                 "\n".join(trip_csv_lines(theta, paces)) + "\n")
     manifest = scenario_manifest(scenario, n_clamped)
-    _write_atomic(os.path.join(out, "manifest.json"),
-                  json.dumps(manifest, indent=1) + "\n")
+    write_atomic(os.path.join(out, "manifest.json"),
+                 json.dumps(manifest, indent=1) + "\n")
     _write_histogram_csv(os.path.join(out, "demand_hist.csv"),
                          scenario.demand_hist)
     _write_histogram_csv(os.path.join(out, "network_hist.csv"),

@@ -34,6 +34,7 @@ __all__ = [
     "ols_fit",
     "report_rows",
     "significance_mask",
+    "t_statistics",
 ]
 
 
@@ -77,6 +78,19 @@ class FitResult:
     def params(self) -> np.ndarray:
         """Intercept followed by the slope coefficients."""
         return np.concatenate([[self.gamma], self.coefficients])
+
+
+def t_statistics(params, se):
+    """The t statistics ``params / se``.
+
+    Where a standard error is 0 (an exact fit, or an exactly zero column),
+    the t statistic is 0 for a zero parameter and infinite with the
+    parameter's sign otherwise.
+    """
+    params, se = np.asarray(params, dtype=float), np.asarray(se, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(se > 0.0, params / np.where(se > 0.0, se, 1.0),
+                        np.where(params == 0.0, 0.0, np.inf * np.sign(params)))
 
 
 def _dependent_column_names(vt_null: np.ndarray, names) -> tuple:
@@ -189,9 +203,7 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
     sigma2 = rss / dof_residual
     se = np.sqrt(np.maximum(sigma2 * np.diag(cov_unscaled), 0.0))
     se[zero] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_all = np.where(se > 0.0, params / np.where(se > 0.0, se, 1.0),
-                         np.where(params == 0.0, 0.0, np.inf * np.sign(params)))
+    t_all = t_statistics(params, se)
     p_all = np.array([t_p_value(float(abs(t)), dof_residual) for t in t_all])
 
     return FitResult(

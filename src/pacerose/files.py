@@ -1,0 +1,27 @@
+"""Output files written whole or not at all."""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+__all__ = ["write_atomic"]
+
+
+def write_atomic(path, text: str):
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    ``path`` holds either its earlier content or all of ``text``; the
+    temporary file is removed when the write fails.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -14,8 +14,8 @@ File formats (UTF-8, comma separated, '.' decimal, blank lines and
 segments in the kept classes. Both read ``BLOCK_ROWS`` source lines at a
 time: one strict CSV reader splits a block's content lines and one numpy
 conversion turns its fields into floats, so no string fields outlive their
-block. A block that fails a check is walked row by row to name the first
-bad row, with the same message a row-at-a-time reader would give.
+block. Each row rule is one entry, a row mask and a message template, of an
+ordered table; a block's first bad row is named with its first broken rule.
 ``directions`` turns the endpoint columns of either array into bearings, and
 a trip's pace is ``duration_s / distance_km``.
 
@@ -170,58 +170,72 @@ def _header(blocks, what: str):
     return lineno, [f.strip() for f in fields]
 
 
-def _raise_first_bad_row(check, linenos, rows, *args):
-    """Raise the error of the first row of a block that ``check`` rejects.
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
-    Called on a block that failed a bulk check, so some row fails.
+
+def _convert(rows, width: int, text=None):
+    """``(width rule, values, unparsed, texts)`` of a block's rows.
+
+    The width rule marks the rows without ``width`` fields. ``texts`` holds
+    each row's field in column ``text`` (None without one), ``values`` its
+    other fields as floats, and ``unparsed`` marks those that are not
+    numbers. Rows of the wrong width and fields that are not numbers read
+    as NaN.
     """
-    for lineno, fields in zip(linenos, rows):
-        check(lineno, [f.strip() for f in fields], *args)
-    raise AssertionError("a block failed its bulk checks but no row did")
-
-
-def _parse_float(value: str, lineno: int, name: str) -> float:
+    wrong = np.fromiter(map(len, rows), dtype=int, count=len(rows)) != width
+    if wrong.any():
+        rows = [r if len(r) == width else ["nan"] * width for r in rows]
+    # one flat conversion; a nested list would cost numpy a shape search
+    cells = list(chain.from_iterable(rows))
+    texts = None if text is None else cells[text::width]
+    if text is not None:
+        del cells[text::width]
     try:
-        x = float(value)
+        values = np.array(cells, dtype=float)
+        unparsed = np.zeros(values.shape, dtype=bool)
     except ValueError:
+        unparsed = np.array([not _is_number(c) for c in cells], dtype=bool)
+        cells = np.where(unparsed, "nan", np.array(cells, dtype=object))
+        values = np.array(cells, dtype=float)
+    shape = (len(rows), -1)
+    return ((wrong, f"expected {width} fields, got {{n}}"),
+            values.reshape(shape), unparsed.reshape(shape), texts)
+
+
+def _field_rules(names, columns, values, unparsed):
+    """The rules "is a number", then "is finite", of each named field."""
+    rules = []
+    finite = np.isfinite(values).T
+    for name, column, bad, good in zip(names, columns, unparsed.T, finite):
+        rules += [
+            (bad, f"field '{name}' is not a number: {{row[{column}]!r}}"),
+            (~good, f"field '{name}' must be finite, got {{row[{column}]!r}}"),
+        ]
+    return rules
+
+
+def _check(linenos, rows, rules):
+    """Raise the error of the first row of a block that breaks a rule.
+
+    ``rules`` is an ordered list of (mask of the rows that break the rule,
+    message template). A row is reported with the first rule it breaks,
+    whose template is formatted with the row's stripped fields as ``row``
+    and their count as ``n``.
+    """
+    broken = np.array([mask for mask, _ in rules])
+    bad = broken.any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        fields = [f.strip() for f in rows[i]]
+        template = rules[int(broken[:, i].argmax())][1]
         raise InputFormatError(
-            f"row {lineno}: field '{name}' is not a number: {value!r}"
-        ) from None
-    if not math.isfinite(x):
-        raise InputFormatError(
-            f"row {lineno}: field '{name}' must be finite, got {value!r}"
+            f"row {linenos[i]}: " + template.format(row=fields, n=len(fields))
         )
-    return x
-
-
-def _warn_skipped(rows: list, what: str):
-    shown = ", ".join(str(r) for r in rows[:WARN_ROWS])
-    more = ", ..." if len(rows) > WARN_ROWS else ""
-    log.warning("skipped %d trip(s) with non-positive %s: row %s%s",
-                len(rows), what, shown, more)
-
-
-def _check_trip_row(lineno: int, fields: list, names: tuple):
-    if len(fields) != 6:
-        raise InputFormatError(
-            f"row {lineno}: expected 6 fields, got {len(fields)}"
-        )
-    duration, distance = [_parse_float(f, lineno, name)
-                           for f, name in zip(fields, names)][4:]
-    if duration > 0.0 and distance > 0.0 and not math.isfinite(
-            duration / distance):
-        raise InputFormatError(
-            f"row {lineno}: pace duration_s / distance_km is not finite "
-            f"({fields[4]} / {fields[5]})"
-        )
-
-
-def _floats(fields) -> np.ndarray | None:
-    """``fields`` as a float array, or None if one is not a number."""
-    try:
-        return np.array(fields, dtype=float)
-    except ValueError:
-        return None
 
 
 def parse_trips(source, lonlat: bool = False) -> np.ndarray:
@@ -242,27 +256,31 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
             f"got {','.join(fields)}"
         )
     data = array("d")
-    skipped = {"duration_s": [], "distance_km": []}
+    skipped = {"duration_s": 0, "distance_km": 0}
+    first = {what: [] for what in skipped}
     for linenos, rows in blocks:
-        # one flat conversion; a nested list would cost numpy a shape search
-        block = (_floats(list(chain.from_iterable(rows)))
-                 if set(map(len, rows)) == {6} else None)
-        if block is None or not np.isfinite(block).all():
-            _raise_first_bad_row(_check_trip_row, linenos, rows, expected)
-        block = block.reshape(-1, 6)
-        bad_duration = block[:, 4] <= 0.0
-        bad_distance = ~bad_duration & (block[:, 5] <= 0.0)
-        block = block[~(bad_duration | bad_distance)]
-        with np.errstate(over="ignore"):
-            paces = block[:, 4] / block[:, 5]
-        if not np.isfinite(paces).all():
-            _raise_first_bad_row(_check_trip_row, linenos, rows, expected)
-        skipped["duration_s"].extend(linenos[bad_duration].tolist())
-        skipped["distance_km"].extend(linenos[bad_distance].tolist())
-        data.frombytes(block.tobytes())
-    for what, rows in skipped.items():
-        if rows:
-            _warn_skipped(rows, what)
+        width_rule, block, unparsed, _ = _convert(rows, 6)
+        duration, distance = block[:, 4], block[:, 5]
+        kept = (duration > 0.0) & (distance > 0.0)
+        with np.errstate(all="ignore"):
+            overflow = kept & ~np.isfinite(duration / distance)
+        _check(linenos, rows, [
+            width_rule,
+            *_field_rules(expected, range(6), block, unparsed),
+            (overflow, "pace duration_s / distance_km is not finite "
+                       "({row[4]} / {row[5]})"),
+        ])
+        skips = {"duration_s": duration <= 0.0}
+        skips["distance_km"] = ~skips["duration_s"] & (distance <= 0.0)
+        for what, mask in skips.items():
+            skipped[what] += int(mask.sum())
+            first[what] += linenos[mask][:WARN_ROWS - len(first[what])].tolist()
+        data.frombytes(block[kept].tobytes())
+    for what, count in skipped.items():
+        if count:
+            more = ", ..." if count > WARN_ROWS else ""
+            log.warning("skipped %d trip(s) with non-positive %s: row %s%s",
+                        count, what, ", ".join(map(str, first[what])), more)
     return np.frombuffer(data, dtype=float).reshape(-1, 6)
 
 
@@ -275,48 +293,10 @@ def road_class_filter(names) -> set:
     return classes
 
 
-def _check_segment_row(lineno: int, fields: list, width: int):
-    if len(fields) != width:
-        raise InputFormatError(
-            f"row {lineno}: expected {width} fields, got {len(fields)}"
-        )
-    ends = [_parse_float(f, lineno, name)
-            for f, name in zip(fields[:4], NETWORK_HEADER)]
-    if fields[4].lower() not in ROAD_CLASSES:
-        raise InputFormatError(
-            f"row {lineno}: unknown road class {fields[4]!r}"
-        )
-    if width == 6:
-        length = _parse_float(fields[5], lineno, "length_m")
-        if length < 0.0:
-            raise InputFormatError(f"row {lineno}: negative length_m")
-        if length == 0.0 and ends[:2] != ends[2:]:
-            raise InputFormatError(
-                f"row {lineno}: zero length_m but distinct endpoints"
-            )
-
-
-def _segment_block(rows, width: int):
-    """``(values, classes)`` of a block, or None if a row fails a check.
-
-    ``values`` holds the numeric columns ``ax, ay, bx, by[, length_m]`` as
-    floats and ``classes`` the lower-cased class names.
-    """
-    cells = np.array(rows, dtype=object)
-    if cells.shape != (len(rows), width):
-        return None
-    values = _floats(np.delete(cells, 4, axis=1))
-    classes = [c.strip().lower() for c in cells[:, 4]]
-    if (values is None or not np.isfinite(values).all()
-            or not set(classes).issubset(ROAD_CLASSES)):
-        return None
-    if width == 6:
-        length = values[:, 4]
-        moving = ((values[:, 0] != values[:, 2])
-                  | (values[:, 1] != values[:, 3]))
-        if ((length < 0.0) | ((length == 0.0) & moving)).any():
-            return None
-    return values, classes
+def _members(names: list, kept: set) -> np.ndarray:
+    """Mask of the ``names`` that are in ``kept``."""
+    return np.fromiter(map(kept.__contains__, names), dtype=bool,
+                       count=len(names))
 
 
 def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray:
@@ -340,11 +320,27 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     width = len(got)
     data = array("d")
     for linenos, rows in blocks:
-        checked = _segment_block(rows, width)
-        if checked is None:
-            _raise_first_bad_row(_check_segment_row, linenos, rows, width)
-        values, classes = checked
-        data.frombytes(values[np.isin(classes, list(class_filter))].tobytes())
+        width_rule, values, unparsed, texts = _convert(rows, width, text=4)
+        classes = [c.strip().lower() for c in texts]
+        rules = [
+            width_rule,
+            *_field_rules(NETWORK_HEADER[:4], range(4), values, unparsed),
+            (~_members(classes, set(ROAD_CLASSES)),
+             "unknown road class {row[4]!r}"),
+        ]
+        if width == 6:
+            length = values[:, 4]
+            moving = ((values[:, 0] != values[:, 2])
+                      | (values[:, 1] != values[:, 3]))
+            rules += [
+                *_field_rules(("length_m",), (5,), values[:, 4:],
+                              unparsed[:, 4:]),
+                (length < 0.0, "negative length_m"),
+                ((length == 0.0) & moving,
+                 "zero length_m but distinct endpoints"),
+            ]
+        _check(linenos, rows, rules)
+        data.frombytes(values[_members(classes, class_filter)].tobytes())
     segments = np.frombuffer(data, dtype=float).reshape(-1, width - 1)
     if width == 5:
         segments = np.column_stack([segments, _lengths(segments, lonlat)])

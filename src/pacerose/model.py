@@ -18,8 +18,9 @@ import numpy as np
 
 from .angles import AngularHistogram
 from .errors import InputFormatError, SpecMismatchError
-from .estimator import FitResult
+from .estimator import FitResult, t_statistics
 from .features import ModelSpec, model_features
+from .files import write_atomic
 from .special import t_p_value
 
 MODEL_FORMAT = "pacerose-model/1"
@@ -212,9 +213,7 @@ def save_model(
         "demand_hist": [float(v) for v in demand_hist.values],
         "network_hist": [float(v) for v in network_hist.values],
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
 _MODEL_KEYS = (
@@ -294,7 +293,7 @@ def load_model(path):
               for key in ("gamma", "gamma_std_error", "r_squared",
                           "f_statistic", "prob_f")}
     gamma, gamma_se = scalar["gamma"], scalar["gamma_std_error"]
-    gamma_t = gamma / gamma_se if gamma_se > 0.0 else math.inf
+    gamma_t = float(t_statistics(gamma, gamma_se))
     fit = FitResult(
         column_names=column_names,
         gamma=gamma,

@@ -163,7 +163,10 @@ class TestHistCommand:
         ("--bins", "0"),
         ("--bins", "-3"),
         ("--class-filter", "footpath"),
-    ], ids=["bins-zero", "bins-negative", "class-filter-footpath"])
+        ("--class-filter", ""),
+        ("--class-filter", " , "),
+    ], ids=["bins-zero", "bins-negative", "class-filter-footpath",
+            "class-filter-empty", "class-filter-blank"])
     def test_invalid_option_exits_2_before_writing(self, tmp_path, capsys,
                                                    extra):
         trips = trips_csv(tmp_path)
@@ -330,7 +333,10 @@ class TestFitCommand:
         ("--lower-cut", "0.7", "--upper-cut", "0.5"),
         ("--curve-grid", "4"),
         ("--class-filter", "footpath"),
-    ], ids=["k-zero", "cuts-overlap", "curve-grid-4", "class-filter-footpath"])
+        ("--class-filter", ""),
+        ("--class-filter", " , "),
+    ], ids=["k-zero", "cuts-overlap", "curve-grid-4", "class-filter-footpath",
+            "class-filter-empty", "class-filter-blank"])
     def test_invalid_option_exits_2_before_writing(self, tmp_path, simulated,
                                                    capsys, extra):
         code, out = self.fit(tmp_path, simulated, *extra)

@@ -2,6 +2,8 @@ import csv
 import io
 import logging
 import math
+import tracemalloc
+from itertools import chain, repeat
 from unittest import mock
 
 import numpy as np
@@ -107,6 +109,20 @@ class TestParseTrips:
             "skipped 1 trip(s) with non-positive distance_km: row 4",
         ]
 
+    def test_skipped_rows_are_counted_not_kept(self):
+        lines = chain([TRIP_HEADER], repeat("0,0,1,1,0,1", 200_000),
+                      ["0,0,1,1,60,1"])
+        tracemalloc.start()
+        try:
+            trips, warnings = logged_warnings(parse_trips, lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trips.tolist() == [[0.0, 0.0, 1.0, 1.0, 60.0, 1.0]]
+        assert warnings == ["skipped 200000 trip(s) with non-positive "
+                            "duration_s: row 2, 3, 4, 5, 6, ..."]
+        assert peak < 5e6
+
     def test_first_bad_row_in_file_order_is_named(self):
         good = "0,0,1,1,60,1.0"
         text = f"{TRIP_HEADER}\n{good}\n0,0,1,oops,60,1.0\n{good}\n0,inf,1,1,60,1\n"
@@ -141,6 +157,19 @@ class TestParseTrips:
             with pytest.raises(InputFormatError) as err:
                 trips_from("x,y\n" + text)
             assert str(err.value).startswith("row 1: expected header")
+
+    @pytest.mark.parametrize("block_rows", [1, 4096])
+    @pytest.mark.parametrize("body, message", [
+        ("nan,0,1,1,1e300,x", "row 2: field 'origin_x' must be finite, got 'nan'"),
+        # the earlier row is named although it breaks a later rule
+        ("0,0,1,1,1e300,1e-300\n0,0,1,1,x,1\n0,0,1",
+         "row 2: pace duration_s / distance_km is not finite (1e300 / 1e-300)"),
+    ], ids=["finite-before-number", "earlier-row-first"])
+    def test_rule_precedence(self, block_rows, body, message):
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            with pytest.raises(InputFormatError) as err:
+                trips_from(f"{TRIP_HEADER}\n{body}\n")
+        assert str(err.value) == message
 
     def test_overflowing_pace_rejected(self):
         with pytest.raises(InputFormatError) as err:
@@ -191,6 +220,25 @@ class TestParseNetwork:
         text = f"{NET_HEADER},length_m\n0,0,1,1,primary,0\n"
         with pytest.raises(InputFormatError):
             parse_network(io.StringIO(text))
+
+    @pytest.mark.parametrize("block_rows", [1, 4096])
+    @pytest.mark.parametrize("body, message", [
+        ("0,x,inf,1,footpath,-1", "row 2: field 'ay' is not a number: 'x'"),
+        ("0,0,inf,1,footpath,-1", "row 2: field 'bx' must be finite, got 'inf'"),
+        ("0,0,1,1,footpath,-1", "row 2: unknown road class 'footpath'"),
+        ("0,0,1,1,primary,-1", "row 2: negative length_m"),
+        ("0,0,1,1,primary", "row 2: expected 6 fields, got 5"),
+        # the earlier row is named although it breaks a later rule
+        ("0,0,1,1,primary,0\nx,0,1,1,primary,1\n0,0",
+         "row 2: zero length_m but distinct endpoints"),
+    ], ids=["number-before-finite", "finite-before-class",
+            "class-before-length", "negative-length", "field-count",
+            "earlier-row-first"])
+    def test_rule_precedence(self, block_rows, body, message):
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            with pytest.raises(InputFormatError) as err:
+                parse_network(io.StringIO(f"{NET_HEADER},length_m\n{body}\n"))
+        assert str(err.value) == message
 
     def test_lonlat_length_in_meters(self):
         # one degree of latitude is ~111.2 km on a 6371 km sphere

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,6 +267,47 @@ class TestModelPersistence:
         path.write_text(json.dumps(edit(self.saved_payload(tmp_path))))
         with pytest.raises(InputFormatError, match=named):
             load_model(path)
+
+    @staticmethod
+    def exact_fit(value):
+        """A fit of ``y = value`` on two zero columns: every residual is 0."""
+        spec = ModelSpec(k_max=1, bins=4)
+        fit = ols_fit(np.zeros((4, 2)), np.full(4, value), spec.column_names)
+        return fit, spec, AngularHistogram(4, np.full(4, 0.25))
+
+    @pytest.mark.parametrize("value, t, p", [(-4.0, -math.inf, 0.0),
+                                             (0.0, 0.0, 1.0)])
+    def test_exact_fit_gamma_t_survives_round_trip(self, tmp_path, value, t, p):
+        fit, spec, hist = self.exact_fit(value)
+        path = tmp_path / "model.json"
+        save_model(path, fit, spec, hist, hist)
+        loaded = load_model(path)[0]
+        assert (fit.gamma_t_value, fit.gamma_p_value) == (t, p)
+        assert (loaded.gamma_t_value, loaded.gamma_p_value) == (t, p)
+
+    @pytest.mark.parametrize("failure", ["encoding", "rename"])
+    def test_failed_save_keeps_the_earlier_model(self, tmp_path, failure):
+        class Interrupted(Exception):
+            pass
+
+        encode = json.JSONEncoder.iterencode
+
+        def encode_partway(encoder, o, _one_shot=False):
+            yield from islice(encode(encoder, o, _one_shot), 10)
+            raise Interrupted
+
+        fit, spec, hist = self.exact_fit(1.0)
+        path = tmp_path / "model.json"
+        path.write_text("earlier model\n")
+        if failure == "encoding":
+            patch = mock.patch.object(json.JSONEncoder, "iterencode",
+                                      encode_partway)
+        else:
+            patch = mock.patch.object(os, "replace", side_effect=Interrupted)
+        with patch, pytest.raises(Interrupted):
+            save_model(path, fit, spec, hist, hist)
+        assert path.read_text() == "earlier model\n"
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_non_json_is_input_error(self, tmp_path):
         path = tmp_path / "model.json"
