@@ -5,6 +5,11 @@ defaults; the defaults reproduce the standard preprocessing setup (K=8,
 32 bins, drop the slowest 10% and fastest 5% of paces, major road classes,
 point-symmetric network).
 
+Each option is stated once, as a ``RunConfig`` field: its config key,
+default, flag, help text, choices and the commands that read it. A command
+offers only the flags it reads, so any other flag is a usage error (exit
+2); a config file may set any field on every command.
+
 Exit codes: 0 ok, 2 input error, 3 insufficient data, 4 numerical or
 model-compatibility error. Output files are written atomically (temp file
 plus rename).
@@ -18,7 +23,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,44 +74,78 @@ SIGNIFICANCE_LEVEL = 0.05
 
 HIST_HEADER = "bin,center_rad,value"
 
-# allowed values of the options that take one of a few names, for flags and
-# config-file keys alike
-CHOICES = {
-    "demand_from": ("all", "filtered"),
-    "baseline": ("none", "min"),
-}
-
 __all__ = ["RunConfig", "main"]
+
+
+def _option(default, commands, help=None, *, flag=None, choices=None):
+    """A RunConfig field that is also a command-line option.
+
+    The flag is ``flag``, or ``--`` and the field name with dashes; only
+    ``commands`` accept it.
+    """
+    return field(default=default, metadata={
+        "commands": commands, "help": help, "flag": flag, "choices": choices,
+    })
+
+
+_INGEST = ("hist", "fit")
 
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; defaults mirror the standard setup."""
+    """Resolved run configuration; defaults mirror the standard setup.
 
-    trips: str | None = None
-    network: str | None = None
-    network_hist: str | None = None
-    demand_hist: str | None = None
-    scenario: str | None = None
-    model: str | None = None
-    k_max: int = 8
-    bins: int = 32
-    lower_cut: float = 0.05
-    upper_cut: float = 0.10
-    class_filter: str = "motorway,trunk,primary,secondary"
-    point_symmetric: bool = True
-    length_weighted: bool = False
-    compass: bool = False
-    lonlat: bool = False
-    demand_from: str = "all"
-    output_dir: str = "."
-    seed: int | None = None
-    strict_rank: bool = False
-    mask_curves: bool = True
-    baseline: str = "none"
-    curve_grid: int = 256
-    dump_design: bool = False
+    Each field states its option once: ``build_parser`` makes the flags
+    (in field order) and ``_coerce`` reads config-file values from them.
+    """
 
+    trips: str | None = _option(None, _INGEST, "trip CSV path")
+    network: str | None = _option(None, _INGEST, "network edge CSV path")
+    network_hist: str | None = _option(
+        None, _INGEST, "precomputed network histogram CSV")
+    demand_hist: str | None = _option(
+        None, _INGEST, "precomputed demand histogram CSV")
+    k_max: int = _option(8, ("fit", "predict"), "max harmonic degree",
+                         flag="--k")
+    bins: int = _option(32, ("hist", "fit", "predict"), "circular bin count")
+    lower_cut: float = _option(0.05, _INGEST,
+                               "fraction of fastest paces to drop")
+    upper_cut: float = _option(0.10, _INGEST,
+                               "fraction of slowest paces to drop")
+    class_filter: str = _option("motorway,trunk,primary,secondary", _INGEST,
+                                "comma-separated road classes to keep")
+    point_symmetric: bool = _option(True, ("fit", "predict"))
+    length_weighted: bool = _option(False, _INGEST)
+    compass: bool = _option(False, _INGEST,
+                            "treat raw bearings as compass (0=N, clockwise)")
+    lonlat: bool = _option(False, _INGEST, "coordinates are lon/lat degrees")
+    demand_from: str = _option(
+        "all", _INGEST, "build d() from all trips or post-filter trips",
+        choices=("all", "filtered"))
+    output_dir: str = _option(".", ("hist", "fit", "simulate"),
+                              "output directory")
+    seed: int | None = _option(None, ("simulate",),
+                               "seed override for simulate")
+    strict_rank: bool = _option(
+        False, ("fit",), "fail on rank-deficient designs instead of min-norm")
+    mask_curves: bool = _option(True, ("fit",),
+                                "restrict curves to 5%%-significant terms",
+                                flag="--mask")
+    baseline: str = _option("none", ("fit",), "curve plot baseline",
+                            choices=("none", "min"))
+    curve_grid: int = _option(256, ("fit",), "points per reconstructed curve")
+    dump_design: bool = _option(False, ("fit",),
+                                "also write the design matrix CSV")
+    scenario: str | None = _option(None, ("simulate",), "scenario JSON path")
+    model: str | None = _option(None, ("predict",), "model.json written by fit")
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+# how a flag or config value is read, by field annotation; booleans are
+# BooleanOptionalAction flags and _BOOL_VALUES in config files
+_READERS = {"int": int, "int | None": int, "float": float,
+            "str": str, "str | None": str}
 
 _BOOL_VALUES = {
     "true": True, "1": True, "yes": True, "on": True,
@@ -114,26 +153,19 @@ _BOOL_VALUES = {
 }
 
 
-def _coerce(name: str, value: str):
-    choices = CHOICES.get(name)
+def _coerce(option, value: str):
+    """``value`` from a config file, read as the field ``option``."""
+    choices = option.metadata["choices"]
     if choices and value not in choices:
         raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
-    for f in fields(RunConfig):
-        if f.name != name:
-            continue
-        if f.type in ("bool",):
-            v = _BOOL_VALUES.get(value.lower())
-            if v is None:
-                raise InputFormatError(f"config key {name}: not a boolean: {value!r}")
-            return v
-        if f.type in ("int",):
-            return int(value)
-        if f.type in ("int | None",):
-            return None if value.lower() == "none" else int(value)
-        if f.type in ("float",):
-            return float(value)
-        return value
-    raise InputFormatError(f"unknown config key {name!r}")
+    if option.type == "bool":
+        v = _BOOL_VALUES.get(value.lower())
+        if v is None:
+            raise ValueError(f"not a boolean: {value!r}")
+        return v
+    if option.type == "int | None" and value.lower() == "none":
+        return None
+    return _READERS[option.type](value)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -149,8 +181,12 @@ def _parse_config_file(path: str) -> dict:
                 )
             key, _, value = line.partition("=")
             key = key.strip()
+            if key not in _FIELDS:
+                raise InputFormatError(
+                    f"config line {lineno}: unknown config key {key!r}"
+                )
             try:
-                data[key] = _coerce(key, value.strip())
+                data[key] = _coerce(_FIELDS[key], value.strip())
             except ValueError as exc:
                 raise InputFormatError(
                     f"config line {lineno}: bad value for {key}: {exc}"
@@ -163,14 +199,12 @@ def resolve_config(args: argparse.Namespace) -> tuple:
 
     Returns (config, explicitly_set_names).
     """
-    provided = {k: v for k, v in vars(args).items()
-                if k not in ("command", "config", "theta", "degrees", "func")
-                and v is not None}
+    provided = {name: getattr(args, name) for name in _FIELDS
+                if getattr(args, name, None) is not None}
     cfg = RunConfig()
-    config_path = getattr(args, "config", None)
     file_keys = {}
-    if config_path:
-        file_keys = _parse_config_file(config_path)
+    if args.config:
+        file_keys = _parse_config_file(args.config)
         cfg = replace(cfg, **file_keys)
     cfg = replace(cfg, **provided)
     return cfg, set(provided) | set(file_keys)
@@ -486,51 +520,6 @@ def cmd_predict(cfg: RunConfig, thetas, degrees: bool,
     return EXIT_OK
 
 
-def _add_common_options(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--trips", help="trip CSV path")
-    p.add_argument("--network", help="network edge CSV path")
-    p.add_argument("--network-hist", dest="network_hist",
-                   help="precomputed network histogram CSV")
-    p.add_argument("--demand-hist", dest="demand_hist",
-                   help="precomputed demand histogram CSV")
-    p.add_argument("--k", dest="k_max", type=int, help="max harmonic degree")
-    p.add_argument("--bins", type=int, help="circular bin count")
-    p.add_argument("--lower-cut", dest="lower_cut", type=float,
-                   help="fraction of fastest paces to drop")
-    p.add_argument("--upper-cut", dest="upper_cut", type=float,
-                   help="fraction of slowest paces to drop")
-    p.add_argument("--class-filter", dest="class_filter",
-                   help="comma-separated road classes to keep")
-    p.add_argument("--point-symmetric", dest="point_symmetric",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--length-weighted", dest="length_weighted",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--compass", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="treat raw bearings as compass (0=N, clockwise)")
-    p.add_argument("--lonlat", action=argparse.BooleanOptionalAction,
-                   default=None, help="coordinates are lon/lat degrees")
-    p.add_argument("--demand-from", dest="demand_from",
-                   choices=CHOICES["demand_from"],
-                   help="build d() from all trips or post-filter trips")
-    p.add_argument("--output-dir", dest="output_dir", help="output directory")
-    p.add_argument("--seed", type=int, help="seed override for simulate")
-    p.add_argument("--strict-rank", dest="strict_rank",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="fail on rank-deficient designs instead of min-norm")
-    p.add_argument("--mask", dest="mask_curves",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="restrict curves to 5%%-significant terms")
-    p.add_argument("--baseline", choices=CHOICES["baseline"],
-                   help="curve plot baseline")
-    p.add_argument("--curve-grid", dest="curve_grid", type=int,
-                   help="points per reconstructed curve")
-    p.add_argument("--dump-design", dest="dump_design",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="also write the design matrix CSV")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pacerose",
@@ -545,11 +534,19 @@ def build_parser() -> argparse.ArgumentParser:
         ("predict", "predict pace for directions from a fitted model"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common_options(p)
-        if name == "simulate":
-            p.add_argument("--scenario", help="scenario JSON path")
+        p.add_argument("--config", help="key=value config file")
+        for option in _FIELDS.values():
+            meta = option.metadata
+            if name not in meta["commands"]:
+                continue
+            if option.type == "bool":
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:
+                kind = {"type": _READERS[option.type],
+                        "choices": meta["choices"]}
+            p.add_argument(meta["flag"] or "--" + option.name.replace("_", "-"),
+                           dest=option.name, help=meta["help"], **kind)
         if name == "predict":
-            p.add_argument("--model", help="model.json written by fit")
             p.add_argument("--theta", action="append", default=None,
                            help="direction (repeatable)")
             p.add_argument("--degrees", action="store_true", default=False,

@@ -33,6 +33,7 @@ __all__ = [
     "FitResult",
     "ols_fit",
     "report_rows",
+    "require_samples",
     "significance_mask",
     "t_statistics",
 ]
@@ -103,6 +104,18 @@ def _dependent_column_names(vt_null: np.ndarray, names) -> tuple:
     return tuple(label for label, hit in zip(labels, involved) if hit)
 
 
+def require_samples(n: int, p: int):
+    """The one sample-count rule: fitting p parameters needs n > p samples.
+
+    One sample more than parameters leaves the residual degree of freedom
+    the standard errors divide by.
+    """
+    if n <= p:
+        raise InsufficientDataError(
+            f"need more than {p} samples for {p} parameters, got {n}"
+        )
+
+
 def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult:
     """Least-squares fit of y on [1 X] with standard inference statistics.
 
@@ -145,10 +158,7 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
     if rank_policy not in ("min_norm", "strict"):
         raise ValueError(f"unknown rank policy {rank_policy!r}")
     p = m + 1
-    if n <= p:
-        raise InsufficientDataError(
-            f"need more than {p} samples for {p} parameters, got {n}"
-        )
+    require_samples(n, p)
 
     A = np.column_stack([np.ones(n), X])
     u, s, vt = np.linalg.svd(A, full_matrices=False)

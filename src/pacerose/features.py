@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import TWO_PI, AngularHistogram
-from .errors import InsufficientDataError, SpecMismatchError
+from .errors import SpecMismatchError
+from .estimator import require_samples
 
 POINT_SYMMETRY_TOL = 1e-9
 # C_k or S_k within ZERO_MOMENT_ULPS * eps * (B + 2*pi*k) of zero is the
@@ -200,11 +201,7 @@ def build_design_matrix(
     thetas = np.asarray(directions, dtype=float)
     if y.shape != thetas.shape or y.ndim != 1:
         raise ValueError("paces and directions must be 1-D and equally long")
+    require_samples(y.size, spec.parameter_count)
     X = model_features(thetas, demand_hist, network_hist, spec)
-    if y.size < spec.parameter_count:
-        raise InsufficientDataError(
-            f"underdetermined system: {y.size} trips for "
-            f"{spec.parameter_count} parameters"
-        )
     return X, y.copy()
 

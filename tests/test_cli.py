@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import RAW_ALPHA, RAW_BETA
-from pacerose.cli import main
+from pacerose.cli import RunConfig, build_parser, main, resolve_config
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 NET_HEADER = "ax,ay,bx,by,class"
@@ -328,6 +328,19 @@ class TestFitCommand:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_too_few_kept_trips_share_one_message(self, tmp_path, capsys, n):
+        trips = trips_csv(tmp_path, n=n)
+        uniform = uniform_hist_csv(tmp_path)
+        code = main(["fit", "--trips", str(trips),
+                     "--demand-hist", str(uniform),
+                     "--network-hist", str(uniform),
+                     "--lower-cut", "0", "--upper-cut", "0",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: need more than 25 samples for 25 parameters, got {n}\n")
+
     @pytest.mark.parametrize("extra", [
         ("--k", "0"),
         ("--lower-cut", "0.7", "--upper-cut", "0.5"),
@@ -560,6 +573,20 @@ class TestConfigFile:
         assert main(["hist", "--trips", str(trips), "--config", str(config),
                      "--output-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("# run\nbins=16\ncompass=maybe\n",
+         "config line 3: bad value for compass: not a boolean: 'maybe'"),
+        ("\nbogus=1\n", "config line 2: unknown config key 'bogus'"),
+    ], ids=["not-a-boolean", "unknown-key"])
+    def test_config_errors_name_their_line(self, tmp_path, capsys, text,
+                                           message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert main(["hist", "--config", str(config),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, line", [
         ("hist", "demand_from=bogus"),
         ("fit", "baseline=weird"),
@@ -581,6 +608,141 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main([command, f"--{key.replace('_', '-')}", value])
         assert exc.value.code == 2
+
+
+# the flags each command reads, in --help order
+COMMAND_FLAGS = {
+    "hist": ["--config", "--trips", "--network", "--network-hist",
+             "--demand-hist", "--bins", "--lower-cut", "--upper-cut",
+             "--class-filter", "--length-weighted", "--compass", "--lonlat",
+             "--demand-from", "--output-dir"],
+    "fit": ["--config", "--trips", "--network", "--network-hist",
+            "--demand-hist", "--k", "--bins", "--lower-cut", "--upper-cut",
+            "--class-filter", "--point-symmetric", "--length-weighted",
+            "--compass", "--lonlat", "--demand-from", "--output-dir",
+            "--strict-rank", "--mask", "--baseline", "--curve-grid",
+            "--dump-design"],
+    "simulate": ["--config", "--output-dir", "--seed", "--scenario"],
+    "predict": ["--config", "--k", "--bins", "--point-symmetric", "--model",
+                "--theta", "--degrees"],
+}
+
+# field: (flag arguments, config line, the non-default value both give)
+FIELD_VALUES = {
+    "trips": (["--trips", "t.csv"], "trips = t.csv", "t.csv"),
+    "network": (["--network", "n.csv"], "network=n.csv", "n.csv"),
+    "network_hist": (["--network-hist", "nh.csv"], "network_hist=nh.csv",
+                     "nh.csv"),
+    "demand_hist": (["--demand-hist", "dh.csv"], "demand_hist=dh.csv",
+                    "dh.csv"),
+    "k_max": (["--k", "4"], "k_max=4", 4),
+    "bins": (["--bins", "16"], "bins=16", 16),
+    "lower_cut": (["--lower-cut", "0.2"], "lower_cut=0.2", 0.2),
+    "upper_cut": (["--upper-cut", "0.3"], "upper_cut=0.3", 0.3),
+    "class_filter": (["--class-filter", "primary,trunk"],
+                     "class_filter=primary,trunk", "primary,trunk"),
+    "point_symmetric": (["--no-point-symmetric"], "point_symmetric=false",
+                        False),
+    "length_weighted": (["--length-weighted"], "length_weighted=yes", True),
+    "compass": (["--compass"], "compass=on", True),
+    "lonlat": (["--lonlat"], "lonlat=1", True),
+    "demand_from": (["--demand-from", "filtered"], "demand_from=filtered",
+                    "filtered"),
+    "output_dir": (["--output-dir", "out"], "output_dir=out", "out"),
+    "seed": (["--seed", "5"], "seed=5", 5),
+    "strict_rank": (["--strict-rank"], "strict_rank=true", True),
+    "mask_curves": (["--no-mask"], "mask_curves=off", False),
+    "baseline": (["--baseline", "min"], "baseline=min", "min"),
+    "curve_grid": (["--curve-grid", "64"], "curve_grid=64", 64),
+    "dump_design": (["--dump-design"], "dump_design=TRUE", True),
+    "scenario": (["--scenario", "s.json"], "scenario=s.json", "s.json"),
+    "model": (["--model", "m.json"], "model=m.json", "m.json"),
+}
+
+
+def _flag(field_name):
+    return FIELD_VALUES[field_name][0][0].replace("--no-", "--")
+
+
+class TestOptionTable:
+    def test_every_field_has_a_flag_and_a_value(self):
+        assert sorted(FIELD_VALUES) == sorted(RunConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_each_command_offers_the_flags_it_reads(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = [line.split()[0].rstrip(",")
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  --")]
+        assert flags == COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command, field_name", [
+        (command, name) for command, flags in sorted(COMMAND_FLAGS.items())
+        for name in FIELD_VALUES if _flag(name) in flags
+    ])
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command,
+                                               field_name):
+        argv, line, value = FIELD_VALUES[field_name]
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        parser = build_parser()
+        from_flag, flag_keys = resolve_config(
+            parser.parse_args([command, *argv]))
+        from_file, file_keys = resolve_config(
+            parser.parse_args([command, "--config", str(config)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, field_name) == value
+        assert value != getattr(RunConfig(), field_name)
+        assert flag_keys == file_keys == {field_name}
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_unread_flags_exit_2_writing_nothing(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        unread = [name for name in FIELD_VALUES
+                  if _flag(name) not in COMMAND_FLAGS[command]]
+        assert unread
+        for name in unread:
+            argv = FIELD_VALUES[name][0]
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--output-dir", "out", *argv]
+                     if "--output-dir" in COMMAND_FLAGS[command]
+                     else [command, *argv])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv)}" in (
+                capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_config_file_serves_every_command(self, tmp_path, capsys,
+                                                  scenario_file, simulated):
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--trips", str(simulated / "trips.csv"),
+                     "--demand-hist", str(simulated / "demand_hist.csv"),
+                     "--network-hist", str(simulated / "network_hist.csv"),
+                     "--lower-cut", "0", "--upper-cut", "0",
+                     "--output-dir", str(fit_out)]) == 0
+        values = {
+            "trips": simulated / "trips.csv",
+            "network": grid_network_csv(tmp_path),
+            "network_hist": simulated / "network_hist.csv",
+            "demand_hist": simulated / "demand_hist.csv",
+            "k_max": 8, "bins": 32, "lower_cut": 0.01, "upper_cut": 0.02,
+            "class_filter": "primary,trunk", "point_symmetric": "true",
+            "length_weighted": "true", "compass": "false", "lonlat": "false",
+            "demand_from": "filtered", "output_dir": tmp_path / "out",
+            "seed": 3, "strict_rank": "false", "mask_curves": "false",
+            "baseline": "min", "curve_grid": 64, "dump_design": "false",
+            "scenario": scenario_file, "model": fit_out / "model.json",
+        }
+        assert sorted(values) == sorted(FIELD_VALUES)
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        for argv in (["hist"], ["fit"], ["simulate"], ["predict", "--theta",
+                                                        "1.0"]):
+            assert main([*argv, "--config", str(config)]) == 0, argv
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("output_dir", ["a_file", "a_file/sub"],

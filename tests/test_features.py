@@ -173,6 +173,16 @@ class TestDesignMatrix:
             build_design_matrix(np.full(10, 100.0), thetas,
                                 standard_demand(), standard_network(), spec)
 
+    def test_as_many_trips_as_parameters_rejected(self):
+        spec = ModelSpec()
+        n = spec.parameter_count
+        thetas = np.linspace(0.1, 6.0, n)
+        with pytest.raises(InsufficientDataError,
+                           match=f"need more than {n} samples for {n} "
+                                 f"parameters, got {n}$"):
+            build_design_matrix(np.full(n, 100.0), thetas,
+                                standard_demand(), standard_network(), spec)
+
     def test_bin_count_mismatch_rejected(self):
         spec = ModelSpec(bins=32)
         thetas = np.linspace(0.1, 6.0, 40)

@@ -309,6 +309,18 @@ class TestModelPersistence:
         assert path.read_text() == "earlier model\n"
         assert os.listdir(tmp_path) == ["model.json"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_saved_model_gets_the_umask_mode(self, tmp_path, umask, mode):
+        fit, spec, hist = self.exact_fit(1.0)
+        path = tmp_path / "model.json"
+        previous = os.umask(umask)
+        try:
+            save_model(path, fit, spec, hist, hist)
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == mode
+
     def test_non_json_is_input_error(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("gamma = 133.0\n")
