@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from pacerose.estimator import ols_fit
-from pacerose.features import ModelSpec, build_design_matrix
+from pacerose.features import ModelSpec, fourier_design
 from pacerose.synth import (
     SyntheticScenario,
     canonicalized,
@@ -45,9 +45,9 @@ def one_rmse(n_trips, noise_std, seed):
     ))
     thetas = sample_directions(scenario)
     paces, _ = generate_paces(thetas, scenario)
-    X, y = build_design_matrix(paces, thetas, scenario.demand_hist,
+    design, y = fourier_design(paces, thetas, scenario.demand_hist,
                                scenario.network_hist, scenario.spec)
-    fit = ols_fit(X, y, scenario.spec.column_names)
+    fit = ols_fit(design, y, scenario.spec.column_names)
     err = np.concatenate([[fit.gamma - scenario.gamma],
                           fit.coefficients - scenario.coefficient_vector()])
     return float(np.sqrt(np.mean(err ** 2)))

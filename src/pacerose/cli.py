@@ -36,7 +36,7 @@ from .errors import (
     SpecMismatchError,
 )
 from .estimator import ols_fit, report_rows, significance_mask
-from .features import ModelSpec, build_design_matrix
+from .features import ModelSpec, build_design_matrix, fourier_design
 from .files import write_atomic
 from .ingest import (
     FilterPolicy,
@@ -86,6 +86,11 @@ def _option(default, commands, help=None, *, flag=None, choices=None):
     return field(default=default, metadata={
         "commands": commands, "help": help, "flag": flag, "choices": choices,
     })
+
+
+def _flag(option) -> str:
+    """The command-line flag of a RunConfig field."""
+    return option.metadata["flag"] or "--" + option.name.replace("_", "-")
 
 
 _INGEST = ("hist", "fit")
@@ -407,10 +412,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, theta, kept)
     network = _load_network_histogram(cfg, classes)
-    X, y = build_design_matrix(paces[kept], theta[kept], demand,
-                               network, spec)
+    design, y = fourier_design(paces[kept], theta[kept], demand, network, spec)
     fit = ols_fit(
-        X, y,
+        design, y,
         column_names=spec.column_names,
         rank_policy="strict" if cfg.strict_rank else "min_norm",
     )
@@ -441,6 +445,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     save_model(os.path.join(out, "model.json"), fit, spec, demand, network)
 
     if cfg.dump_design:
+        X, y = build_design_matrix(paces[kept], theta[kept], demand,
+                                   network, spec)
         lines = [",".join(spec.column_names + ("pace",))]
         for row, target in zip(X, y):
             lines.append(",".join(_format_float(v) for v in row)
@@ -502,17 +508,29 @@ def _parse_directions(thetas, degrees: bool) -> np.ndarray:
     return np.radians(values) if degrees else values
 
 
-def cmd_predict(cfg: RunConfig, thetas, degrees: bool,
+def _as_given(args: argparse.Namespace, name: str, value) -> str:
+    """``name`` set to ``value`` as the user wrote it: flag or config key."""
+    if getattr(args, name, None) is None:
+        return f"config key {name}={value}"
+    flag = _flag(_FIELDS[name])
+    if isinstance(value, bool):
+        return flag if value else "--no-" + flag[2:]
+    return f"{flag} {value}"
+
+
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace,
                 explicit: set) -> int:
+    if not args.theta:
+        raise InputFormatError("predict needs at least one --theta")
     if not cfg.model:
         raise InputFormatError("predict needs --model")
-    theta = _parse_directions(thetas, degrees)
+    theta = _parse_directions(args.theta, args.degrees)
     fit, spec, demand, network = load_model(cfg.model)
     for key, value in (("k_max", spec.k_max), ("bins", spec.bins),
                        ("point_symmetric", spec.network_point_symmetric)):
         if key in explicit and getattr(cfg, key) != value:
             raise SpecMismatchError(
-                f"--{key.replace('_', '-')} {getattr(cfg, key)} does not "
+                f"{_as_given(args, key, getattr(cfg, key))} does not "
                 f"match the model ({value})"
             )
     paces = predict_pace(theta, demand, network, fit, spec)
@@ -544,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 kind = {"type": _READERS[option.type],
                         "choices": meta["choices"]}
-            p.add_argument(meta["flag"] or "--" + option.name.replace("_", "-"),
-                           dest=option.name, help=meta["help"], **kind)
+            p.add_argument(_flag(option), dest=option.name, help=meta["help"],
+                           **kind)
         if name == "predict":
             p.add_argument("--theta", action="append", default=None,
                            help="direction (repeatable)")
@@ -567,10 +585,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "predict":
-            thetas = args.theta or []
-            if not thetas:
-                raise InputFormatError("predict needs at least one --theta")
-            return cmd_predict(cfg, thetas, args.degrees, explicit)
+            return cmd_predict(cfg, args, explicit)
         raise InputFormatError(f"unknown command {args.command!r}")
     except (InputFormatError, FileNotFoundError, IsADirectoryError,
             FileExistsError, NotADirectoryError, UnicodeDecodeError) as exc:

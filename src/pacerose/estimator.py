@@ -1,10 +1,20 @@
 """Ordinary least squares with inference statistics.
 
-The solver augments the design with an intercept column, takes its SVD,
-detects the numerical rank from the singular values, and solves by the SVD
-pseudoinverse. That is the minimum-norm least-squares solution; on a design
-of full rank it is the unique one. A column that is exactly zero gets
-coefficient and standard error 0 (t 0, p 1).
+Every design is given as ``[1 X] = G M``: a tall basis G (N x q) that is
+produced one block of rows at a time and a small matrix M (q x p). A dense
+X is the case G = [1 X], M = I; the model's Fourier design is the case
+G = F(theta), M = the histogram moments (see ``features.fourier_design``).
+The solver never holds [1 X]. It accumulates the R factor of [G y] block by
+block (each block is stacked under the running R and factored again, the
+TSQR merge), forms the compressed matrix B = R_G M, takes its SVD, detects
+the numerical rank from the singular values, and solves by the SVD
+pseudoinverse: [1 X] = Q B with Q orthonormal, so B has the singular values
+and right singular vectors of [1 X], and the y column of R carries all of y
+that the fit can explain. That is the minimum-norm least-squares solution;
+on a design of full rank it is the unique one. The residual sum of squares
+comes from the explicit residuals y - G (M params), summed over the same
+blocks, so an exact fit has RSS exactly 0. A column that is exactly zero
+gets coefficient and standard error 0 (t 0, p 1).
 
 The minimum-norm path exists because the Fourier histogram features of this
 model family are structurally collinear: demand and network features that
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,8 +39,12 @@ from .special import f_p_value, t_p_value
 
 RANK_RCOND = 1e-10
 _NULLSPACE_COMPONENT_TOL = 1e-6
+# rows of G per block: a block of a few hundred kB stays in cache while it
+# is factored, and the loop's per-block cost stays small next to the QR
+BLOCK_ROWS = 1024
 
 __all__ = [
+    "FactoredDesign",
     "FitResult",
     "ols_fit",
     "report_rows",
@@ -65,8 +80,6 @@ class FitResult:
     dof_residual: int
     rank: int
     dependent_columns: tuple = ()
-    fitted_values: np.ndarray | None = field(default=None, repr=False)
-    residuals: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def parameter_count(self) -> int:
@@ -79,6 +92,40 @@ class FitResult:
     def params(self) -> np.ndarray:
         """Intercept followed by the slope coefficients."""
         return np.concatenate([[self.gamma], self.coefficients])
+
+
+@dataclass(frozen=True)
+class FactoredDesign:
+    """A design ``[1 X] = G M`` whose tall basis G is made a block at a time.
+
+    ``basis(start, stop)`` returns rows start:stop of G, shape
+    ``(stop - start, q)``; ``moments`` is M, shape ``(q, p)``, whose first
+    column gives the intercept column of [1 X].
+    """
+
+    rows: int
+    moments: np.ndarray
+    basis: Callable
+
+    @classmethod
+    def dense(cls, X) -> FactoredDesign:
+        """``[1 X]`` itself as the basis, with M the identity."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X.reshape(-1, 1)
+        if X.ndim != 2:
+            raise ValueError("X must be N x m and y length N")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("X and y must be finite")
+
+        def basis(start, stop):
+            return np.column_stack([np.ones(stop - start), X[start:stop]])
+        return cls(X.shape[0], np.eye(X.shape[1] + 1), basis)
+
+    def blocks(self):
+        """(start, stop) of each block of BLOCK_ROWS rows."""
+        for start in range(0, self.rows, BLOCK_ROWS):
+            yield start, min(start + BLOCK_ROWS, self.rows)
 
 
 def t_statistics(params, se):
@@ -116,13 +163,51 @@ def require_samples(n: int, p: int):
         )
 
 
+def _r_factor(design: FactoredDesign, y: np.ndarray):
+    """R of [G y], one block of G at a time, and G's columns that are not 0.
+
+    Each block is stacked under the R so far and factored again, so no
+    more than one block of G exists at once.
+    """
+    q = design.moments.shape[0]
+    r = np.zeros((0, q + 1))
+    nonzero = np.zeros(q, dtype=bool)
+    for start, stop in design.blocks():
+        g = design.basis(start, stop)
+        nonzero |= g.any(axis=0)
+        # filled transposed, so LAPACK reads the stack in column order
+        stacked = np.empty((q + 1, len(r) + stop - start))
+        stacked[:, :len(r)] = r.T
+        stacked[:q, len(r):] = g.T
+        stacked[q, len(r):] = y[start:stop]
+        r = np.linalg.qr(stacked.T, mode="r")
+    return r, nonzero
+
+
+def _sums_of_squares(design: FactoredDesign, y, params, ybar: float):
+    """Residual and total sums of squares, block by block.
+
+    The residuals are explicit, y - G (M params), so an exact fit has a
+    residual sum of exactly 0.
+    """
+    basis_coefficients = design.moments @ params
+    rss = tss = 0.0
+    for start, stop in design.blocks():
+        residuals = y[start:stop] - design.basis(start, stop) @ basis_coefficients
+        deviations = y[start:stop] - ybar
+        rss += float(residuals @ residuals)
+        tss += float(deviations @ deviations)
+    return rss, tss
+
+
 def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult:
     """Least-squares fit of y on [1 X] with standard inference statistics.
 
     Parameters
     ----------
-    X : (N, m) array
-        Regressor columns, without an intercept (added internally).
+    X : (N, m) array or FactoredDesign
+        Regressor columns, without an intercept (added internally), or the
+        whole design [1 X] in factored form.
     y : (N,) array
         Response.
     column_names : sequence of str, optional
@@ -140,28 +225,30 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
     RankDeficiencyError
         Under the strict policy on a rank-deficient design.
     """
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    design = X if isinstance(X, FactoredDesign) else FactoredDesign.dense(X)
+    if y.ndim != 1 or y.shape[0] != design.rows:
         raise ValueError("X must be N x m and y length N")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not np.all(np.isfinite(y)):
         raise ValueError("X and y must be finite")
-    n, m = X.shape
+    n = design.rows
+    q, p = design.moments.shape
     if column_names is None:
-        column_names = tuple(f"x{j + 1}" for j in range(m))
+        column_names = tuple(f"x{j + 1}" for j in range(p - 1))
     else:
         column_names = tuple(column_names)
-        if len(column_names) != m:
+        if len(column_names) != p - 1:
             raise ValueError("column_names must match the number of columns")
     if rank_policy not in ("min_norm", "strict"):
         raise ValueError(f"unknown rank policy {rank_policy!r}")
-    p = m + 1
     require_samples(n, p)
 
-    A = np.column_stack([np.ones(n), X])
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    r, basis_nonzero = _r_factor(design, y)
+    # [1 X] = Q B with orthonormal Q: B has the singular values and right
+    # singular vectors of [1 X], and the y column z of R stands in for y.
+    # The full vt spans all p parameters when B has fewer rows than p.
+    b = r[:, :q] @ design.moments
+    u, s, vt = np.linalg.svd(b)
     rank = int(np.sum(s > RANK_RCOND * s[0]))
 
     dependent = ()
@@ -176,19 +263,17 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
             )
 
     # minimum-norm solution and pseudoinverse covariance factor
-    uty = u[:, :rank].T @ y
+    uty = u[:, :rank].T @ r[:, q]
     params = vt[:rank].T @ (uty / s[:rank])
     cov_unscaled = (vt[:rank].T / s[:rank] ** 2) @ vt[:rank]
-    # an exactly zero column carries no information: its coefficient and
+    # an exactly zero column (every term of it has a zero moment or an
+    # all-zero basis column) carries no information: its coefficient and
     # standard error are 0 by definition, not the rounding noise of the SVD
-    zero = ~A.any(axis=0)
+    zero = ~((design.moments != 0.0) & basis_nonzero[:, None]).any(axis=0)
     params[zero] = 0.0
 
-    fitted = A @ params
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
     ybar = float(y.mean())
-    tss = float(((y - ybar) ** 2).sum())
+    rss, tss = _sums_of_squares(design, y, params, ybar)
     dof_residual = n - rank
 
     degenerate = tss == 0.0 or float(np.ptp(y)) == 0.0
@@ -233,8 +318,6 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
         dof_residual=dof_residual,
         rank=rank,
         dependent_columns=dependent,
-        fitted_values=fitted,
-        residuals=residuals,
     )
 
 

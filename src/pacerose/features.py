@@ -8,7 +8,10 @@ gives the feature pair
 
 with the histogram's moments C_k, S_k = sum_j h_j cos/sin(k c_j). So the
 design factors as X = F(theta) M(d, n), a Fourier basis times the moments
-of both histograms, and ``moment_features`` is the one kernel evaluating it.
+of both histograms. ``moment_features`` evaluates X at any directions;
+``fourier_design`` hands the solver [1 X] as the basis F(theta) =
+[1, cos theta, sin theta, ..., cos K theta, sin K theta] times the moment
+matrix M, so the fit never forms X. Both read the moments from one helper.
 Rotating data and histograms together leaves every feature unchanged, and
 demand and network columns sharing a k both lie in the span of cos(k theta)
 and sin(k theta): the design is collinear whenever both carry mass at k.
@@ -31,7 +34,7 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram
 from .errors import SpecMismatchError
-from .estimator import require_samples
+from .estimator import FactoredDesign, require_samples
 
 POINT_SYMMETRY_TOL = 1e-9
 # C_k or S_k within ZERO_MOMENT_ULPS * eps * (B + 2*pi*k) of zero is the
@@ -43,7 +46,10 @@ __all__ = [
     "ModelSpec",
     "build_design_matrix",
     "demand_features",
+    "fourier_basis",
+    "fourier_design",
     "model_features",
+    "moment_matrix",
     "moment_features",
     "network_features",
 ]
@@ -97,11 +103,8 @@ class ModelSpec:
         return len(self.column_names) + 1
 
 
-def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
-    """Cos/sin feature pair of ``hist`` per harmonic at directions ``thetas``.
-
-    The result has shape ``np.shape(thetas) + (2 * len(harmonics),)``.
-    """
+def _moments(hist: AngularHistogram, harmonics):
+    """Moments C_k, S_k of ``hist``; rounding noise of a zero moment is 0."""
     k = np.asarray(harmonics, dtype=float)
     kc = np.outer(k, hist.bin_centers())
     c = np.cos(kc) @ hist.values
@@ -110,6 +113,16 @@ def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
              * (hist.bin_count + TWO_PI * k))
     c[np.abs(c) <= noise] = 0.0
     s[np.abs(s) <= noise] = 0.0
+    return c, s
+
+
+def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
+    """Cos/sin feature pair of ``hist`` per harmonic at directions ``thetas``.
+
+    The result has shape ``np.shape(thetas) + (2 * len(harmonics),)``.
+    """
+    k = np.asarray(harmonics, dtype=float)
+    c, s = _moments(hist, harmonics)
     # one period keeps k * theta small, so cos/sin keep their accuracy
     kt = np.multiply.outer(np.mod(thetas, TWO_PI), k)
     cos_kt = np.cos(kt)
@@ -118,6 +131,29 @@ def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
     out[..., 0::2] = c * cos_kt + s * sin_kt
     out[..., 1::2] = s * cos_kt - c * sin_kt
     return out
+
+
+def fourier_basis(thetas, k_max: int) -> np.ndarray:
+    """F(theta) = [1, cos theta, sin theta, ..., cos K theta, sin K theta].
+
+    Shape ``(len(thetas), 2 * k_max + 1)``. Harmonic k comes from k - 1 by
+    the angle-addition formulas, four products in place of two cos/sin
+    calls; the error grows like k times the rounding unit.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    # built one basis function per row, so each step runs on contiguous rows
+    f = np.empty((2 * k_max + 1, thetas.size))
+    f[0] = 1.0
+    cos1 = np.cos(thetas, out=f[1])
+    sin1 = np.sin(thetas, out=f[2])
+    term = np.empty(thetas.size)
+    for k in range(2, k_max + 1):
+        cos_prev, sin_prev = f[2 * k - 3], f[2 * k - 2]
+        cos_k = np.multiply(cos_prev, cos1, out=f[2 * k - 1])
+        cos_k -= np.multiply(sin_prev, sin1, out=term)
+        sin_k = np.multiply(sin_prev, cos1, out=f[2 * k])
+        sin_k += np.multiply(cos_prev, sin1, out=term)
+    return f.T
 
 
 def demand_features(theta: float, hist: AngularHistogram, k_max: int) -> np.ndarray:
@@ -159,6 +195,19 @@ def _check_point_symmetry(hist: AngularHistogram):
         )
 
 
+def _check_histograms(demand_hist: AngularHistogram,
+                      network_hist: AngularHistogram, spec: ModelSpec):
+    """Both histograms have the spec's bins; the network is point symmetric
+    when the spec asks for it."""
+    for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
+        if hist.bin_count != spec.bins:
+            raise SpecMismatchError(
+                f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
+            )
+    if spec.network_point_symmetric:
+        _check_point_symmetry(network_hist)
+
+
 def model_features(
     thetas,
     demand_hist: AngularHistogram,
@@ -171,17 +220,47 @@ def model_features(
     when the spec asks for it). Any number of directions is
     accepted; the last axis of the result indexes the columns.
     """
-    for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
-        if hist.bin_count != spec.bins:
-            raise SpecMismatchError(
-                f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
-            )
-    if spec.network_point_symmetric:
-        _check_point_symmetry(network_hist)
+    _check_histograms(demand_hist, network_hist, spec)
     return np.concatenate([
         moment_features(thetas, demand_hist, spec.demand_harmonics),
         moment_features(thetas, network_hist, spec.network_harmonics),
     ], axis=-1)
+
+
+def moment_matrix(
+    demand_hist: AngularHistogram,
+    network_hist: AngularHistogram,
+    spec: ModelSpec,
+) -> np.ndarray:
+    """M with ``[1 X] = fourier_basis(theta, spec.k_max) @ M``.
+
+    Shape ``(2 * k_max + 1, parameter_count)``: the intercept column, then
+    the spec's columns. A harmonic's rows are exactly zero in every column
+    whose histogram lacks that harmonic.
+    """
+    m = np.zeros((2 * spec.k_max + 1, spec.parameter_count))
+    m[0, 0] = 1.0
+    first = 1
+    for hist, harmonics in ((demand_hist, spec.demand_harmonics),
+                            (network_hist, spec.network_harmonics)):
+        c, s = _moments(hist, harmonics)
+        cos_rows = 2 * np.array(harmonics, dtype=int) - 1
+        cols = first + 2 * np.arange(len(harmonics))
+        # C_k cos k theta + S_k sin k theta, then S_k cos k theta - C_k sin k theta
+        m[cos_rows, cols], m[cos_rows + 1, cols] = c, s
+        m[cos_rows, cols + 1], m[cos_rows + 1, cols + 1] = s, -c
+        first += 2 * len(harmonics)
+    return m
+
+
+def _targets(paces, directions, spec: ModelSpec):
+    """Paces and directions as float arrays, enough of them for ``spec``."""
+    y = np.asarray(paces, dtype=float)
+    thetas = np.asarray(directions, dtype=float)
+    if y.shape != thetas.shape or y.ndim != 1:
+        raise ValueError("paces and directions must be 1-D and equally long")
+    require_samples(y.size, spec.parameter_count)
+    return y, thetas
 
 
 def build_design_matrix(
@@ -197,11 +276,31 @@ def build_design_matrix(
     direction; y_i is its pace in seconds per kilometer. The intercept is
     appended later by the estimator.
     """
-    y = np.asarray(paces, dtype=float)
-    thetas = np.asarray(directions, dtype=float)
-    if y.shape != thetas.shape or y.ndim != 1:
-        raise ValueError("paces and directions must be 1-D and equally long")
-    require_samples(y.size, spec.parameter_count)
+    y, thetas = _targets(paces, directions, spec)
     X = model_features(thetas, demand_hist, network_hist, spec)
     return X, y.copy()
 
+
+def fourier_design(
+    paces,
+    directions,
+    demand_hist: AngularHistogram,
+    network_hist: AngularHistogram,
+    spec: ModelSpec,
+):
+    """The regression of ``build_design_matrix`` without its N x p matrix.
+
+    Returns (design, y) for ``ols_fit``: ``[1 X] = F(theta) M`` as a
+    ``FactoredDesign`` with F ``fourier_basis`` and M ``moment_matrix``.
+    The same checks run first; F is made a block of rows at a time.
+    """
+    y, thetas = _targets(paces, directions, spec)
+    _check_histograms(demand_hist, network_hist, spec)
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("directions must be finite")
+    moments = moment_matrix(demand_hist, network_hist, spec)
+
+    def basis(start, stop):
+        return fourier_basis(thetas[start:stop], spec.k_max)
+
+    return FactoredDesign(thetas.size, moments, basis), y

@@ -120,9 +120,19 @@ def reconstruct_curve(
     if len(column_names) != coefficients.size:
         raise ValueError("column_names and coefficients must align")
     offsets = -math.pi + np.arange(grid_size) * (2.0 * math.pi / grid_size)
+    terms = _curve_terms(column_names, coefficients, mask, kind)
+    # with only even harmonics the curve has period pi, so offsets i and
+    # i + G/2 tie exactly: the first half is computed and copied, and the
+    # extremes are reported at the first of two tied offsets
+    half = grid_size // 2
+    period_pi = grid_size % 2 == 0 and all(k % 2 == 0 for k, _ in terms)
+    computed = offsets[:half] if period_pi else offsets
     values = np.zeros(grid_size)
-    for k, (c, s) in _curve_terms(column_names, coefficients, mask, kind):
-        values += c * np.cos(k * offsets) + s * np.sin(k * offsets)
+    for k, (c, s) in terms:
+        values[:computed.size] += (c * np.cos(k * computed)
+                                   + s * np.sin(k * computed))
+    if period_pi:
+        values[half:] = values[:half]
     return InfluenceCurve(
         offsets=offsets,
         values=values,
@@ -245,8 +255,7 @@ def _model_numbers(payload: dict, key: str, shape: tuple) -> np.ndarray:
 def load_model(path):
     """Load a model written by save_model.
 
-    Returns (fit, spec, demand_hist, network_hist). The fit carries no
-    fitted values or residuals (they are not persisted).
+    Returns (fit, spec, demand_hist, network_hist).
 
     Raises
     ------

@@ -500,6 +500,30 @@ class TestPredictCommand:
                      "--theta", "1.0", "--k", "4"])
         assert code == 4
 
+    @pytest.mark.parametrize("given, config, said", [
+        (["--k", "4"], None, "--k 4 does not match the model (8)"),
+        ([], "k_max = 4", "config key k_max=4 does not match the model (8)"),
+        (["--bins", "16"], "bins = 32",
+         "--bins 16 does not match the model (32)"),
+        (["--no-point-symmetric"], None,
+         "--no-point-symmetric does not match the model (True)"),
+    ], ids=["flag", "config", "flag-over-config", "boolean-flag"])
+    def test_spec_mismatch_names_how_the_value_was_given(
+            self, tmp_path, capsys, simulated, given, config, said):
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--trips", str(simulated / "trips.csv"),
+                     "--demand-hist", str(simulated / "demand_hist.csv"),
+                     "--network-hist", str(simulated / "network_hist.csv"),
+                     "--output-dir", str(fit_out)]) == 0
+        argv = ["predict", "--model", str(fit_out / "model.json"),
+                "--theta", "1.0", *given]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {said}\n"
+
     def test_bad_theta_exits_2(self, tmp_path):
         model = self.make_uniform_model(tmp_path)
         assert main(["predict", "--model", str(model),

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,12 +9,18 @@ from hypothesis import strategies as st
 from oracles import brute_force_features
 from conftest import standard_demand, standard_network, standard_scenario
 from pacerose.angles import TWO_PI, AngularHistogram
-from pacerose.errors import InsufficientDataError, SpecMismatchError
+from pacerose import estimator
+from pacerose.errors import (
+    InsufficientDataError,
+    RankDeficiencyError,
+    SpecMismatchError,
+)
 from pacerose.estimator import ols_fit
 from pacerose.features import (
     ModelSpec,
     build_design_matrix,
     demand_features,
+    fourier_design,
     moment_features,
     network_features,
 )
@@ -286,3 +293,106 @@ def test_fit_on_kernel_design_matches_brute_force_design(spec, network,
     ):
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10,
                                    atol=1e-10 * np.max(np.abs(want[keep])))
+
+
+def _case_histogram(rng, kind, bins, period_bins):
+    """A histogram of one of the shapes the factored-fit test mixes."""
+    centers = (np.arange(bins) + 0.5) * (TWO_PI / bins)
+    if kind == "concentrated":
+        kappa = rng.uniform(20.0, 400.0)
+        values = np.exp(kappa * (np.cos(centers - rng.uniform(0.0, TWO_PI)) - 1.0))
+    else:
+        values = rng.uniform(0.1, 1.0, bins)
+    if kind == "vanished":
+        # a pattern repeating every period_bins bins: every harmonic that is
+        # not a multiple of bins / period_bins vanishes
+        values = np.tile(values[:period_bins], bins // period_bins)
+    return values / values.sum()
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def factored_fit_cases(draw):
+    k_max = draw(st.integers(1, 8))
+    point_symmetric = draw(st.booleans())
+    bins = (2 * draw(st.integers(2, 20)) if point_symmetric
+            else draw(st.integers(3, 40)))
+    spec = ModelSpec(k_max=k_max, bins=bins,
+                     network_point_symmetric=point_symmetric)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ("random", "concentrated", "vanished")
+    demand = _case_histogram(rng, draw(st.sampled_from(kinds)), bins,
+                             draw(st.sampled_from(_divisors(bins))))
+    network = _case_histogram(
+        rng, draw(st.sampled_from(kinds)), bins,
+        draw(st.sampled_from(_divisors(bins // 2 if point_symmetric else bins))))
+    if point_symmetric:
+        network = np.tile(network[:bins // 2], 2)
+        network /= network.sum()
+    # trips head where the demand histogram puts them, and their paces
+    # scatter as observed paces do: on a near-exact fit the F statistic is
+    # the ratio to an RSS at the rounding level, which no two solvers share
+    n = spec.parameter_count + 1 + draw(st.integers(0, 300))
+    thetas = ((rng.choice(bins, size=n, p=demand) + rng.random(n))
+              * (TWO_PI / bins))
+    paces = (200.0 + rng.normal(0.0, 20.0, spec.parameter_count - 1)
+             @ np.cos(np.outer(np.arange(1, spec.parameter_count), thetas))
+             + rng.normal(0.0, draw(st.sampled_from([5.0, 50.0])), n))
+    block_rows = draw(st.integers(1, 64))
+    return (spec, AngularHistogram(bins, demand), AngularHistogram(bins, network),
+            thetas, paces, block_rows)
+
+
+def _strict_error(fit_call):
+    try:
+        fit_call()
+    except RankDeficiencyError as exc:
+        return str(exc), exc.columns
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=factored_fit_cases())
+def test_fourier_fit_matches_the_dense_design_fit(case):
+    spec, demand, network, thetas, paces, block_rows = case
+    X, y = build_design_matrix(paces, thetas, demand, network, spec)
+    with patch.object(estimator, "BLOCK_ROWS", block_rows):
+        design, y_design = fourier_design(paces, thetas, demand, network, spec)
+        fast = ols_fit(design, y_design, spec.column_names)
+        fast_strict = _strict_error(lambda: ols_fit(
+            design, y_design, spec.column_names, rank_policy="strict"))
+    dense = ols_fit(X, y, spec.column_names)
+    dense_strict = _strict_error(lambda: ols_fit(
+        X, y, spec.column_names, rank_policy="strict"))
+    assert fast.rank == dense.rank
+    assert fast.dependent_columns == dense.dependent_columns
+    assert fast_strict == dense_strict
+    assert (fast.n_samples, fast.dof_residual) == (dense.n_samples,
+                                                   dense.dof_residual)
+    # Two backward-stable solvers agree to about eps * kappa([1 X]) and no
+    # closer. Designs conditioned like the model's own (the benchmark fits
+    # have kappa ~600) meet the fixed tolerances; worse ones, such as all
+    # trips inside one bin, must agree to 1e4 * eps * kappa.
+    s = np.linalg.svd(np.column_stack([np.ones(len(y)), X]), compute_uv=False)
+    kappa = s[0] / s[dense.rank - 1]
+    slack = 1e4 * np.finfo(float).eps * kappa if kappa > 1e4 else 0.0
+    # r^2 and F have scale 1 even where the fit explains nothing
+    for got, want, rtol, least_scale in (
+        (fast.params(), dense.params(), 1e-10, 0.0),
+        (np.append(fast.std_errors, fast.gamma_std_error),
+         np.append(dense.std_errors, dense.gamma_std_error), 1e-10, 0.0),
+        (np.append(fast.t_values, fast.gamma_t_value),
+         np.append(dense.t_values, dense.gamma_t_value), 1e-9, 0.0),
+        ([fast.r_squared], [dense.r_squared], 1e-10, 1.0),
+        ([fast.f_statistic], [dense.f_statistic], 1e-10, 1.0),
+    ):
+        scale = max(least_scale, np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=max(rtol, slack) * scale)
+    np.testing.assert_allclose(
+        np.append(fast.p_values, fast.gamma_p_value),
+        np.append(dense.p_values, dense.gamma_p_value), rtol=0.0,
+        atol=max(1e-7, slack))

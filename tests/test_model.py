@@ -94,6 +94,24 @@ class TestReconstructCurve:
         rolled = np.roll(curve.values, half)
         np.testing.assert_allclose(curve.values, rolled, atol=1e-10)
 
+    def test_period_pi_ties_report_the_first_offset(self):
+        # at seed 1 the rounding of a full-grid sum put both extremes in
+        # the second half, pi away from their tied twins in the first
+        names = tuple(f"b_{part}{k}" for k in (2, 4, 6, 8) for part in "cs")
+        coeffs = np.random.default_rng(1).normal(0.0, 10.0, len(names))
+        curve = reconstruct_curve(names, coeffs, kind="beta", grid_size=256)
+        first_half = curve.values[:128]
+        assert np.array_equal(first_half, curve.values[128:])
+        assert curve.argmax_offset() == curve.offsets[np.argmax(first_half)]
+        assert curve.argmin_offset() == curve.offsets[np.argmin(first_half)]
+        assert curve.argmax_offset() < 0.0 and curve.argmin_offset() < 0.0
+
+    def test_odd_harmonics_fill_the_whole_grid(self):
+        curve = reconstruct_curve(NAMES, np.eye(len(NAMES))[NAMES.index("a_c1")],
+                                  kind="alpha", grid_size=64)
+        np.testing.assert_allclose(curve.values, np.cos(curve.offsets),
+                                   atol=1e-15)
+
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             reconstruct_curve(NAMES, np.zeros(len(NAMES)), grid_size=4)
@@ -137,11 +155,11 @@ class TestPredictPace:
         X, y = build_design_matrix(paces, thetas, scenario.demand_hist,
                                    scenario.network_hist, scenario.spec)
         fit = ols_fit(X, y, scenario.spec.column_names)
+        fitted = np.column_stack([np.ones(len(y)), X]) @ fit.params()
         for i in range(0, 2000, 311):
             predicted = predict_pace(float(thetas[i]), scenario.demand_hist,
                                      scenario.network_hist, fit, scenario.spec)
-            assert predicted == pytest.approx(float(fit.fitted_values[i]),
-                                              abs=1e-10)
+            assert predicted == pytest.approx(float(fitted[i]), abs=1e-10)
 
     def test_in_sample_mean_matches(self):
         scenario = standard_scenario(n_trips=2000, noise_std=25.0)
@@ -150,7 +168,8 @@ class TestPredictPace:
         X, y = build_design_matrix(paces, thetas, scenario.demand_hist,
                                    scenario.network_hist, scenario.spec)
         fit = ols_fit(X, y, scenario.spec.column_names)
-        assert float(fit.fitted_values.mean()) == pytest.approx(
+        fitted = np.column_stack([np.ones(len(y)), X]) @ fit.params()
+        assert float(fitted.mean()) == pytest.approx(
             float(y.mean()), abs=1e-8
         )
 
