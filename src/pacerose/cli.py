@@ -175,7 +175,7 @@ def _coerce(option, value: str):
 
 def _parse_config_file(path: str) -> dict:
     data = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -229,7 +229,7 @@ def _write_histogram_csv(path: str, hist: AngularHistogram):
 
 def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         header = None
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -277,7 +277,7 @@ def _load_trips(cfg: RunConfig):
     """Directions and paces of the trips in ``cfg.trips``."""
     if not cfg.trips:
         raise InputFormatError("no trip file given (--trips)")
-    with open(cfg.trips, encoding="utf-8") as f:
+    with open(cfg.trips, encoding="utf-8-sig") as f:
         trips = parse_trips(f, lonlat=cfg.lonlat)
     theta, moving = directions(trips, lonlat=cfg.lonlat, compass=cfg.compass)
     skipped = len(trips) - theta.size
@@ -304,7 +304,7 @@ def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
         raise InputFormatError(
             "need a network input (--network or --network-hist)"
         )
-    with open(cfg.network, encoding="utf-8") as f:
+    with open(cfg.network, encoding="utf-8-sig") as f:
         segments = parse_network(f, class_filter=classes, lonlat=cfg.lonlat)
     return network_orientation_histogram(
         segments,

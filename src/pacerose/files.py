@@ -1,11 +1,28 @@
-"""Output files written whole or not at all."""
+"""Output files written whole or not at all, and JSON values read strictly."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 
-__all__ = ["write_atomic"]
+__all__ = ["json_value", "write_atomic"]
+
+_JSON_TYPES = {bool: "boolean", int: "integer"}
+
+
+def json_value(payload: dict, key: str, kind: type, default=None):
+    """``payload[key]``, or ``default`` when given and the key is absent.
+
+    The value must be a JSON value of ``kind``, bool or int: ``true`` is not
+    an integer and ``50.0`` is not one either. Raises KeyError for a missing
+    key without a default and ValueError naming the key for a value of
+    another type.
+    """
+    value = payload[key] if default is None else payload.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(
+            f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def write_atomic(path, text: str):

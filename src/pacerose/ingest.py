@@ -12,10 +12,14 @@ File formats (UTF-8, comma separated, '.' decimal, blank lines and
 ``parse_trips`` returns an ``(n, 6)`` float array in header order and
 ``parse_network`` an ``(n, 5)`` array ``ax, ay, bx, by, length_m`` of the
 segments in the kept classes. Both read ``BLOCK_ROWS`` source lines at a
-time: one strict CSV reader splits a block's content lines and one numpy
-conversion turns its fields into floats, so no string fields outlive their
-block. Each row rule is one entry, a row mask and a message template, of an
+time, so no string fields outlive their block. A clean block, one whose
+every line is a row of the header's width, with no quote, NUL or
+``\x1c``-``\x1f`` character, is read by one ``np.loadtxt`` call at C
+speed. Any other block, and a clean one that breaks a rule, is split by one
+strict CSV reader and converted by one numpy call, which name the first bad
+row. Each row rule is one entry, a row mask and a message template, of an
 ordered table; a block's first bad row is named with its first broken rule.
+Both readers give the same bits, so which one read a block never shows.
 ``directions`` turns the endpoint columns of either array into bearings, and
 a trip's pace is ``duration_s / distance_km``.
 
@@ -58,7 +62,8 @@ EARTH_RADIUS_M = 6371000.0
 # row numbers named in a skipped-row warning
 WARN_ROWS = 5
 
-# source lines split by one CSV reader call and converted by one numpy call
+# source lines read by one np.loadtxt call, or else split by one CSV reader
+# call and converted by one numpy call
 BLOCK_ROWS = 4096
 
 __all__ = [
@@ -89,12 +94,27 @@ class FilterPolicy:
             raise ValueError("lower and upper fractions must sum below 1")
 
 
-def _chunks(numbered):
-    """Per block of ``BLOCK_ROWS`` numbered source lines, the list of
-    (line number, stripped line) of its non-blank, non-comment lines."""
-    while chunk := list(islice(numbered, BLOCK_ROWS)):
-        yield [(n, line) for n, raw in chunk
-               if (line := raw.strip()) and not line.startswith("#")]
+def _source_blocks(source):
+    """Yield ``(number of the first line, lines)`` per block of
+    ``BLOCK_ROWS`` source lines."""
+    source = iter(source)
+    first = 1
+    while lines := list(islice(source, BLOCK_ROWS)):
+        yield first, lines
+        first += len(lines)
+
+
+def _content(first: int, lines):
+    """Yield (line number, stripped line) of the non-blank, non-comment
+    lines of a block that starts at line ``first``."""
+    return ((n, line) for n, raw in enumerate(lines, start=first)
+            if (line := raw.strip()) and not line.startswith("#"))
+
+
+def _rest(blocks):
+    """The stripped content lines of the remaining ``blocks``."""
+    return (line for first, lines in blocks
+            for _, line in _content(first, lines))
 
 
 def _frames_alone(line: str) -> bool:
@@ -126,48 +146,111 @@ def _framing_error(lineno: int, lines) -> InputFormatError:
     return InputFormatError(f"row {lineno}: unterminated quoted field")
 
 
-def _blocks(source):
-    """Yield ``(line numbers, rows)`` for the content lines of ``source``.
+def _header(source, what: str):
+    """The header row of ``source`` and the source lines after it.
 
-    The header row comes first on its own, then the rest of each block of
-    ``BLOCK_ROWS`` source lines, split by one strict CSV reader into
-    unstripped fields. When a row does not end on its own line, the rows
-    before it are yielded and then its InputFormatError is raised.
+    Returns the header's line number and stripped fields, and the blocks
+    ``(number of the first line, lines)`` of the rest of the input.
     """
-    numbered = enumerate(source, start=1)
-    header = True
-    for content in _chunks(numbered):
+    blocks = _source_blocks(source)
+    for first, lines in blocks:
+        for lineno, line in _content(first, lines):
+            rest = chain([(lineno + 1, lines[lineno - first + 1:])], blocks)
+            if not _frames_alone(line):
+                raise _framing_error(lineno, chain([line], _rest(rest)))
+            (fields,) = csv.reader([line], strict=True)
+            return lineno, [f.strip() for f in fields], rest
+    raise InputFormatError(f"{what} file has no header row")
+
+
+def _loadtxt(lines, width: int, text=None):
+    """``(values, texts)`` of a block of source lines, read by one
+    ``np.loadtxt`` call, or None when the CSV reader must read the block.
+
+    As ``_convert`` gives them for a block whose every line is a row of
+    ``width`` fields, all of them numbers but the text field in column
+    ``text``. None when a line is blank, a comment or of another width, a
+    field is not a number to ``np.loadtxt``, or a text field may have been
+    cut; a block ``np.loadtxt`` reads is read to the same bits as ``float``
+    would read it.
+    """
+    # quotes are the CSV reader's to frame, np.loadtxt drops NUL from the
+    # end of a text field and reads \x1c-\x1f as blanks where float()
+    # rejects them, and it warns when it finds no row at all
+    csv_only = '"\x00\x1c\x1d\x1e\x1f'
+    joined = "".join(lines)
+    if not joined.strip() or any(c in joined for c in csv_only):
+        return None
+    if text is None:
+        dtype, ndmin = float, 2
+    else:
+        dtype, ndmin = [("head", float, (text,)), ("text", "U16"),
+                        ("tail", float, (width - text - 1,))], 1
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                           ndmin=ndmin)
+    except ValueError:
+        return None
+    # np.loadtxt reads no row from an empty line
+    if len(table) != len(lines):
+        return None
+    if text is None:
+        return (table, None) if table.shape[1] == width else None
+    texts = table["text"].tolist()
+    # a text field that fills all 16 characters may have been cut to fit
+    if max(map(len, set(texts))) == 16:
+        return None
+    return np.concatenate([table["head"], table["tail"]], axis=1), texts
+
+
+def _split(lines):
+    """CSV rows of the stripped content ``lines`` of a block, and the index
+    of the first line that does not end its row (None when all do); the
+    rows are those of the lines before it."""
+    try:
+        rows = list(csv.reader(lines, strict=True))
+        if len(rows) == len(lines):
+            return rows, None
+    except csv.Error:
+        pass
+    bad = next(i for i, line in enumerate(lines) if not _frames_alone(line))
+    return list(csv.reader(lines[:bad], strict=True)), bad
+
+
+def _rows(blocks, width: int, judge, text=None):
+    """Yield ``(line numbers, values, kept)`` per block of ``blocks``.
+
+    ``judge(values, unparsed, texts)`` gives the ordered rules of a block,
+    after the width rule, and the mask of its rows to keep (see
+    ``_convert`` for the arguments). A block is read by one ``np.loadtxt``
+    call when it can be and breaks no rule; any other block is split by one
+    strict CSV reader and checked with ``_check``. When a row does not end
+    on its own line, the rows before it are checked and yielded and then
+    its InputFormatError is raised.
+    """
+    for first, lines in blocks:
+        fast = _loadtxt(lines, width, text)
+        if fast is not None:
+            values, texts = fast
+            rules, kept = judge(values, np.zeros(values.shape, dtype=bool),
+                                texts)
+            if not any(mask.any() for mask, _ in rules):
+                yield first + np.arange(len(lines)), values, kept
+                continue
+        content = list(_content(first, lines))
         if not content:
             continue
         linenos, lines = zip(*content)
-        try:
-            rows = list(csv.reader(lines, strict=True))
-            framed = len(rows) == len(lines)
-        except csv.Error:
-            framed = False
-        if not framed:
-            bad = next(i for i, line in enumerate(lines)
-                       if not _frames_alone(line))
-            rows = list(csv.reader(lines[:bad], strict=True))
-        numbers = np.array(linenos[:len(rows)])
-        if header and rows:
-            yield numbers[:1], rows[:1]
-            numbers, rows, header = numbers[1:], rows[1:], False
+        rows, bad = _split(lines)
         if rows:
-            yield numbers, rows
-        if not framed:
-            rest = (line for content in _chunks(numbered)
-                    for _, line in content)
-            raise _framing_error(linenos[bad], chain(lines[bad:], rest))
-
-
-def _header(blocks, what: str):
-    """Line number and stripped fields of the header row from ``_blocks``."""
-    first = next(blocks, None)
-    if first is None:
-        raise InputFormatError(f"{what} file has no header row")
-    (lineno,), (fields,) = first
-    return lineno, [f.strip() for f in fields]
+            width_rule, values, unparsed, texts = _convert(rows, width, text)
+            rules, kept = judge(values, unparsed, texts)
+            numbers = np.array(linenos[:len(rows)])
+            _check(numbers, rows, [width_rule, *rules])
+            yield numbers, values, kept
+        if bad is not None:
+            raise _framing_error(linenos[bad],
+                                 chain(lines[bad:], _rest(blocks)))
 
 
 def _is_number(cell: str) -> bool:
@@ -248,30 +331,30 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
     raises InputFormatError naming the row.
     """
     expected = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
-    blocks = _blocks(source)
-    lineno, fields = _header(blocks, "trip")
+    lineno, fields, blocks = _header(source, "trip")
     if tuple(f.lower() for f in fields) != expected:
         raise InputFormatError(
             f"row {lineno}: expected header {','.join(expected)}, "
             f"got {','.join(fields)}"
         )
-    data = array("d")
-    skipped = {"duration_s": 0, "distance_km": 0}
-    first = {what: [] for what in skipped}
-    for linenos, rows in blocks:
-        width_rule, block, unparsed, _ = _convert(rows, 6)
+
+    def judge(block, unparsed, _):
         duration, distance = block[:, 4], block[:, 5]
         kept = (duration > 0.0) & (distance > 0.0)
         with np.errstate(all="ignore"):
             overflow = kept & ~np.isfinite(duration / distance)
-        _check(linenos, rows, [
-            width_rule,
+        return [
             *_field_rules(expected, range(6), block, unparsed),
             (overflow, "pace duration_s / distance_km is not finite "
                        "({row[4]} / {row[5]})"),
-        ])
-        skips = {"duration_s": duration <= 0.0}
-        skips["distance_km"] = ~skips["duration_s"] & (distance <= 0.0)
+        ], kept
+
+    data = array("d")
+    skipped = {"duration_s": 0, "distance_km": 0}
+    first = {what: [] for what in skipped}
+    for linenos, block, kept in _rows(blocks, 6, judge):
+        skips = {"duration_s": block[:, 4] <= 0.0}
+        skips["distance_km"] = ~skips["duration_s"] & (block[:, 5] <= 0.0)
         for what, mask in skips.items():
             skipped[what] += int(mask.sum())
             first[what] += linenos[mask][:WARN_ROWS - len(first[what])].tolist()
@@ -293,10 +376,12 @@ def road_class_filter(names) -> set:
     return classes
 
 
-def _members(names: list, kept: set) -> np.ndarray:
-    """Mask of the ``names`` that are in ``kept``."""
-    return np.fromiter(map(kept.__contains__, names), dtype=bool,
-                       count=len(names))
+def _members(texts: list, kept) -> np.ndarray:
+    """Mask of the ``texts`` that name a class in ``kept`` once stripped and
+    lower-cased; each distinct text is looked at once."""
+    member = {t: t.strip().lower() in kept for t in set(texts)}
+    return np.fromiter(map(member.__getitem__, texts), dtype=bool,
+                       count=len(texts))
 
 
 def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray:
@@ -309,8 +394,7 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     """
     class_filter = (set(ROAD_CLASSES) if class_filter is None
                     else road_class_filter(class_filter))
-    blocks = _blocks(source)
-    lineno, fields = _header(blocks, "network")
+    lineno, fields, blocks = _header(source, "network")
     got = tuple(f.lower() for f in fields)
     if got not in (NETWORK_HEADER, NETWORK_HEADER + ("length_m",)):
         raise InputFormatError(
@@ -318,14 +402,11 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
             f"got {','.join(fields)}"
         )
     width = len(got)
-    data = array("d")
-    for linenos, rows in blocks:
-        width_rule, values, unparsed, texts = _convert(rows, width, text=4)
-        classes = [c.strip().lower() for c in texts]
+
+    def judge(values, unparsed, texts):
         rules = [
-            width_rule,
             *_field_rules(NETWORK_HEADER[:4], range(4), values, unparsed),
-            (~_members(classes, set(ROAD_CLASSES)),
+            (~_members(texts, ROAD_CLASSES),
              "unknown road class {row[4]!r}"),
         ]
         if width == 6:
@@ -339,8 +420,11 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
                 ((length == 0.0) & moving,
                  "zero length_m but distinct endpoints"),
             ]
-        _check(linenos, rows, rules)
-        data.frombytes(values[_members(classes, class_filter)].tobytes())
+        return rules, _members(texts, class_filter)
+
+    data = array("d")
+    for _, values, kept in _rows(blocks, width, judge, text=4):
+        data.frombytes(values[kept].tobytes())
     segments = np.frombuffer(data, dtype=float).reshape(-1, width - 1)
     if width == 5:
         segments = np.column_stack([segments, _lengths(segments, lonlat)])

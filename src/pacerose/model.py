@@ -20,7 +20,7 @@ from .angles import AngularHistogram
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import FitResult, t_statistics
 from .features import ModelSpec, model_features
-from .files import write_atomic
+from .files import json_value, write_atomic
 from .special import t_p_value
 
 MODEL_FORMAT = "pacerose-model/1"
@@ -282,14 +282,15 @@ def load_model(path):
         raise InputFormatError(f"{path}: model lacks keys {', '.join(missing)}")
     try:
         spec = ModelSpec(
-            k_max=int(payload["k_max"]),
-            bins=int(payload["bins"]),
-            network_point_symmetric=bool(payload["point_symmetric"]),
+            k_max=json_value(payload, "k_max", int),
+            bins=json_value(payload, "bins", int),
+            network_point_symmetric=json_value(payload, "point_symmetric",
+                                               bool),
         )
         column_names = tuple(payload["column_names"])
-        n_samples = int(payload["n_samples"])
-        dof_residual = int(payload["dof_residual"])
-        rank = int(payload["rank"])
+        n_samples = json_value(payload, "n_samples", int)
+        dof_residual = json_value(payload, "dof_residual", int)
+        rank = json_value(payload, "rank", int)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: invalid model: {exc}") from exc
     if dof_residual < 1:

@@ -29,6 +29,7 @@ from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from .errors import InputFormatError
 from .estimator import ols_fit
 from .features import ModelSpec, model_features
+from .files import json_value
 from .ingest import TRIP_HEADER_PLANAR
 
 PACE_FLOOR_S_PER_KM = 1.0
@@ -217,18 +218,26 @@ def generate_paces(directions, scenario: SyntheticScenario):
     """Paces for the given directions: signal + seeded Gaussian noise.
 
     Returns (paces, n_clamped); paces below the 1 s/km floor are clamped
-    and counted.
+    and counted. A pace that is not finite before the clamp, from an
+    overflowing signal or noise draw, raises InputFormatError.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.size == 0:
         raise ValueError("directions must be nonempty")
     X = model_features(directions, scenario.demand_hist,
                        scenario.network_hist, scenario.spec)
-    signal = scenario.gamma + X @ scenario.coefficient_vector()
-    if scenario.noise_std > 0.0:
-        _, noise_rng = _rng_streams(scenario.seed, 2)
-        signal = signal + noise_rng.normal(0.0, scenario.noise_std,
-                                           directions.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = scenario.gamma + X @ scenario.coefficient_vector()
+        if scenario.noise_std > 0.0:
+            _, noise_rng = _rng_streams(scenario.seed, 2)
+            signal = signal + noise_rng.normal(0.0, scenario.noise_std,
+                                               directions.size)
+    finite = np.isfinite(signal)
+    if not finite.all():
+        raise InputFormatError(
+            f"invalid scenario: the pace of {int((~finite).sum())} of "
+            f"{signal.size} trips is not finite; gamma, alpha, beta or "
+            "noise_std is too large")
     clamped = signal < PACE_FLOOR_S_PER_KM
     n_clamped = int(clamped.sum())
     paces = np.where(clamped, PACE_FLOOR_S_PER_KM, signal)
@@ -312,9 +321,10 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
         )
     try:
         spec = ModelSpec(
-            k_max=int(payload.get("k_max", 8)),
-            bins=int(payload.get("bins", 32)),
-            network_point_symmetric=bool(payload.get("point_symmetric", True)),
+            k_max=json_value(payload, "k_max", int, 8),
+            bins=json_value(payload, "bins", int, 32),
+            network_point_symmetric=json_value(payload, "point_symmetric",
+                                               bool, True),
         )
         scenario = SyntheticScenario(
             spec=spec,
@@ -328,11 +338,11 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
                 payload["network_hist"], spec.bins,
                 point_symmetric=spec.network_point_symmetric,
             ),
-            n_trips=int(payload["n_trips"]),
+            n_trips=json_value(payload, "n_trips", int),
             noise_std=float(payload.get("noise_std", 0.0)),
-            seed=int(payload.get("seed", 0)),
+            seed=json_value(payload, "seed", int, 0),
         )
-        if payload.get("canonicalize_coefficients", True):
+        if json_value(payload, "canonicalize_coefficients", bool, True):
             scenario = canonicalized(scenario)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"invalid scenario: {exc}") from exc

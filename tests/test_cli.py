@@ -262,6 +262,57 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("point_symmetric", "false", "boolean"),
+        ("point_symmetric", 0, "boolean"),
+        ("canonicalize_coefficients", "false", "boolean"),
+        ("k_max", 8.0, "integer"),
+        ("bins", True, "integer"),
+        ("n_trips", 50.5, "integer"),
+        ("n_trips", True, "integer"),
+        ("seed", "21", "integer"),
+    ])
+    def test_scenario_json_types_are_strict(self, tmp_path, capsys, key,
+                                            value, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario_payload(**{key: value})))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert (f"invalid scenario: {key} must be a JSON {kind}, "
+                f"got {value!r}") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, count", [
+        ({"noise_std": 1e308}, 4),
+        ({"gamma": 1e308, "alpha": [1e308, 0.0]}, 19),
+        # an infinite pace below the floor would be clamped to 1 s/km
+        ({"gamma": -1e308, "alpha": [-1e308, 0.0]}, 19),
+    ], ids=["noise", "gamma", "negative-gamma"])
+    def test_non_finite_pace_exits_2_writing_nothing(self, tmp_path, capsys,
+                                                     overrides, count):
+        payload = {
+            "k_max": 1, "bins": 2, "point_symmetric": False,
+            "gamma": 100.0, "alpha": [1.0, 0.5], "beta": [0.3, 0.2],
+            "demand_hist": [1.0, 0.0], "network_hist": {"kind": "uniform"},
+            "n_trips": 50, "noise_std": 0.0, "seed": 3,
+            "canonicalize_coefficients": False,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(payload, **overrides)))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: invalid scenario: the pace of {count} of 50 "
+                       "trips is not finite; gamma, alpha, beta or noise_std "
+                       "is too large\n")
+        assert not out.exists()
+
+
 class TestFitCommand:
     def fit(self, tmp_path, simulated, *extra):
         out = tmp_path / "fit"
@@ -557,9 +608,52 @@ class TestPredictCommand:
         assert captured.out == ""
         assert "coefficients" in captured.err
 
+    @pytest.mark.parametrize("key, value", [
+        ("point_symmetric", "false"), ("k_max", 8.0), ("rank", True)])
+    def test_model_json_types_are_strict(self, tmp_path, capsys, key, value):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        model.write_text(json.dumps(dict(payload, **{key: value})))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid model: {key} must be a JSON" in captured.err
+
     def test_missing_model_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),
                      "--theta", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("marked", ["trips", "network", "config",
+                                    "histogram"])
+def test_byte_order_mark_is_dropped(tmp_path, capsys, marked):
+    inputs = {
+        "trips": trips_csv(tmp_path),
+        "network": grid_network_csv(tmp_path),
+        "config": tmp_path / "run.cfg",
+        "histogram": uniform_hist_csv(tmp_path, bins=16),
+    }
+    inputs["config"].write_text("bins = 16\nlower_cut = 0\n")
+    copy = tmp_path / f"marked-{inputs[marked].name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + inputs[marked].read_bytes())
+    outputs = []
+    for files in (inputs, dict(inputs, **{marked: copy})):
+        out = tmp_path / f"out{len(outputs)}"
+        if marked == "histogram":
+            argv = ["fit", "--trips", str(files["trips"]),
+                    "--demand-hist", str(files["histogram"]),
+                    "--network-hist", str(files["histogram"]), "--k", "2"]
+        else:
+            argv = ["hist", "--trips", str(files["trips"]),
+                    "--network", str(files["network"])]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(files["config"]),
+                     "--output-dir", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((stdout, {p.name: p.read_bytes()
+                                 for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
 
 
 class TestConfigFile:

@@ -589,15 +589,50 @@ def logged_warnings(parse, *args, **kwargs):
 coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 lats = st.floats(min_value=-80.0, max_value=80.0, allow_nan=False)
 
+# numbers float() reads and np.loadtxt does not, and tab padding, which both
+# read: each sends its block from the loadtxt reader to the CSV reader or not
+ODD_NUMBERS = ["1_000", "\u0661\u0662", "\t7.5", "2.5\t"]
+# a character that str.strip() drops from either end of a line or a class,
+# and that sends a block to the CSV reader; \x1c-\x1e would do the same,
+# but the references split lines with str.splitlines(), which breaks lines
+# at them (TestLoadtxtReader covers all four inside a field)
+SEPARATOR = "\x1f"
+
+
+def odd_fields(draw, fields):
+    """``fields`` with, now and then, one number replaced by an odd one."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        column = draw(st.integers(min_value=0, max_value=len(fields) - 1))
+        fields[column] = draw(st.sampled_from(ODD_NUMBERS))
+    return fields
+
+
+def padded(draw, line):
+    """``line``, now and then with a separator character at one end."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        line = draw(st.sampled_from([SEPARATOR + line, line + SEPARATOR]))
+    return line
+
+
+def quoting(draw):
+    """Whether each field is quoted with probability 1/2 and blank and
+    comment lines appear, or no field is quoted and blank and comment
+    lines appear in some files only: then many blocks are clean, so the
+    loadtxt reader and the CSV reader take turns."""
+    quoted = draw(st.booleans())
+    return quoted, quoted or draw(st.booleans())
+
 
 @st.composite
 def trip_files(draw):
     lonlat = draw(st.booleans())
     header = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
     lines = ["# trip log", "", ",".join(header)]
+    quoted_mode, extras = quoting(draw)
+    kinds = ["trip", "trip", "trip", "degenerate"]
+    kinds += ["comment", "blank"] if extras else ["trip"]
     for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        kind = draw(st.sampled_from(["trip", "trip", "trip", "comment",
-                                     "blank", "degenerate"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "comment":
             lines.append("  # " + draw(st.text("abc, ", max_size=8)))
             continue
@@ -610,9 +645,13 @@ def trip_files(draw):
         duration = draw(st.sampled_from([0.0, -1.0, 60.0]) | st.floats(1.0, 1e5))
         distance = draw(st.sampled_from([0.0, 2.5]) | st.floats(0.01, 1e3))
         fields = [repr(v) for v in (ox, oy, dx, dy, duration, distance)]
-        quoted = draw(st.lists(st.booleans(), min_size=6, max_size=6))
-        fields = [f'" {f}"' if q else f" {f}" for f, q in zip(fields, quoted)]
-        lines.append(",".join(fields))
+        if quoted_mode:
+            quoted = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+            fields = [f'" {f}"' if q else f" {f}"
+                      for f, q in zip(fields, quoted)]
+        else:
+            fields = odd_fields(draw, fields)
+        lines.append(padded(draw, ",".join(fields)))
     return lonlat, lines
 
 
@@ -702,6 +741,9 @@ def reference_network(text, class_filter):
             width = len(fields)
             continue
         try:
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, "
+                                 f"got {len(fields)}")
             ax, ay, bx, by = [float_field(f, name) for f, name in
                               zip(fields, ("ax", "ay", "bx", "by"))]
             if fields[4].lower() not in ROAD_CLASSES:
@@ -732,9 +774,13 @@ def network_files(draw):
     has_length = draw(st.booleans())
     names = ["ax", "ay", "bx", "by", "class"] + ["length_m"] * has_length
     lines = ["# edges", "", ",".join(mixed_case(draw, n) for n in names)]
-    for _ in range(draw(st.integers(min_value=0, max_value=25))):
-        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment",
-                                     "blank", "degenerate"]))
+    quoted_mode, extras = quoting(draw)
+    kinds = ["edge", "edge", "edge", "degenerate"]
+    kinds += ["comment", "blank"] if extras else ["edge"]
+    # the edge row, if any, that gets an extra trailing field
+    wide = draw(st.none() | st.integers(min_value=0, max_value=25))
+    for i in range(draw(st.integers(min_value=0, max_value=25))):
+        kind = draw(st.sampled_from(kinds))
         if kind == "comment":
             lines.append("  # " + draw(st.text("abc, ", max_size=8)))
             continue
@@ -745,14 +791,21 @@ def network_files(draw):
         bx, by = (ax, ay) if kind == "degenerate" else (draw(coords),
                                                         draw(coords))
         fields = [repr(v) for v in (ax, ay, bx, by)]
-        fields.append(mixed_case(draw, draw(st.sampled_from(ROAD_CLASSES))))
+        road_class = mixed_case(draw, draw(st.sampled_from(ROAD_CLASSES)))
+        fields.append(padded(draw, road_class))
         if has_length:
             fields.append(repr(draw(st.sampled_from([0.0, -1.0])
                                     | st.floats(0.01, 1e4))))
-        quoted = draw(st.lists(st.booleans(), min_size=len(fields),
-                               max_size=len(fields)))
-        fields = [f'" {f}"' if q else f" {f}" for f, q in zip(fields, quoted)]
-        lines.append(",".join(fields))
+        if i == wide:
+            fields.append("7")
+        if quoted_mode:
+            quoted = draw(st.lists(st.booleans(), min_size=len(fields),
+                                   max_size=len(fields)))
+            fields = [f'" {f}"' if q else f" {f}"
+                      for f, q in zip(fields, quoted)]
+        else:
+            fields = odd_fields(draw, fields[:4]) + fields[4:]
+        lines.append(padded(draw, ",".join(fields)))
     return lines
 
 
@@ -784,3 +837,76 @@ class TestNetworkIngest:
                         parse_network(io.StringIO(text),
                                       class_filter=class_filter)
                     assert str(err.value) == "row {}: {}".format(*expected)
+
+
+class TestLoadtxtReader:
+    """Blocks np.loadtxt reads, and the guards that send a block to the CSV
+    reader instead; each test fails when its guard is taken out."""
+
+    @staticmethod
+    def counted(parse, text, **kwargs):
+        """``parse`` on ``text`` and the counts of np.loadtxt calls and of
+        blocks the CSV reader converted."""
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(ingest, "_convert",
+                                  wraps=ingest._convert) as convert:
+            result = parse(io.StringIO(text), **kwargs)
+        return result, loadtxt.call_count, convert.call_count
+
+    @pytest.mark.parametrize("block_rows", [3, 4096])
+    def test_clean_files_take_one_loadtxt_call_per_block(self, block_rows):
+        rows = [f"{i},{i + 1},{i + 3},{i - 2},{60 + i},1.5" for i in range(10)]
+        edges = [f"{i},0,{i}.5,2,{ROAD_CLASSES[i % 5].upper()},{i + 1}"
+                 for i in range(10)]
+        blocks = math.ceil(10 / block_rows)
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            trips, calls, converted = self.counted(
+                parse_trips, "\n".join([TRIP_HEADER, *rows]) + "\n")
+            assert (calls, converted) == (blocks, 0)
+            assert trips.tolist() == [[float(v) for v in row.split(",")]
+                                      for row in rows]
+            segments, calls, converted = self.counted(
+                parse_network,
+                "\n".join([f"{NET_HEADER},length_m", *edges]) + "\n")
+            assert (calls, converted) == (blocks, 0)
+            assert segments.tolist() == [
+                [float(v) for v in edge.split(",") if not v.isalpha()]
+                for edge in edges]
+
+    @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_inside_a_field_is_not_a_number(self, separator):
+        # np.loadtxt reads '1\x1c' as 1.0; float() does not read it at all
+        text = (f"{TRIP_HEADER}\n0,0,1,1,60,1\n0,1{separator},1,1,60,1\n"
+                "0,0,1,1,60,1\n")
+        with pytest.raises(InputFormatError) as err:
+            trips_from(text)
+        assert str(err.value) == "row 3: field 'origin_y' is not a number: '1'"
+
+    def test_extra_field_in_a_clean_edge_block(self):
+        text = (f"{NET_HEADER},length_m\n0,0,1,1,primary,2\n"
+                "0,0,1,1,primary,2,7\n0,0,1,1,trunk,2\n")
+        with pytest.raises(InputFormatError) as err:
+            parse_network(io.StringIO(text))
+        assert str(err.value) == "row 3: expected 6 fields, got 7"
+
+    @pytest.mark.parametrize("road_class, shown", [
+        ("primary\x00", "'primary\\x00'"),
+        ("primary" + " " * 9 + "x", "'primary         x'"),
+    ], ids=["nul", "sixteen-characters-or-more"])
+    def test_class_text_np_loadtxt_would_cut(self, road_class, shown):
+        text = (f"{NET_HEADER}\n0,0,1,1,primary\n0,0,1,1,{road_class}\n"
+                "0,0,1,1,trunk\n")
+        with pytest.raises(InputFormatError) as err:
+            parse_network(io.StringIO(text))
+        assert str(err.value) == f"row 3: unknown road class {shown}"
+
+    def test_blank_line_keeps_the_row_numbers_of_skipped_trips(self):
+        # np.loadtxt skips an empty line without a word
+        text = (f"{TRIP_HEADER}\n0,0,1,1,0,1\n\n0,0,1,1,0,1\n"
+                "0,0,1,1,60,1\n0,0,1,1,60,0\n")
+        trips, warnings = logged_warnings(parse_trips, io.StringIO(text))
+        assert trips.tolist() == [[0.0, 0.0, 1.0, 1.0, 60.0, 1.0]]
+        assert warnings == [
+            "skipped 2 trip(s) with non-positive duration_s: row 2, 4",
+            "skipped 1 trip(s) with non-positive distance_km: row 6",
+        ]

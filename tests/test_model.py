@@ -287,6 +287,24 @@ class TestModelPersistence:
         with pytest.raises(InputFormatError, match=named):
             load_model(path)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("point_symmetric", "false", "boolean"),
+        ("point_symmetric", 1, "boolean"),
+        ("k_max", 8.0, "integer"),
+        ("bins", "32", "integer"),
+        ("n_samples", 500.5, "integer"),
+        ("dof_residual", None, "integer"),
+        ("rank", True, "integer"),
+    ])
+    def test_json_types_are_strict(self, tmp_path, key, value, kind):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(dict(self.saved_payload(tmp_path),
+                                        **{key: value})))
+        with pytest.raises(InputFormatError) as err:
+            load_model(path)
+        assert str(err.value) == (f"{path}: invalid model: {key} must be a "
+                                  f"JSON {kind}, got {value!r}")
+
     @staticmethod
     def exact_fit(value):
         """A fit of ``y = value`` on two zero columns: every residual is 0."""
