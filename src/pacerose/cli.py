@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -468,7 +469,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.scenario:
         raise InputFormatError("simulate needs --scenario")
     try:
-        with open(cfg.scenario, encoding="utf-8") as f:
+        with open(cfg.scenario, encoding="utf-8-sig") as f:
             payload = json.load(f)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid scenario JSON: {exc}") from exc
@@ -572,10 +573,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the spellings of predict's --theta: the flag and each abbreviation of it
+# that no other predict option shares, which argparse accepts
+_THETA_FLAGS = ("--t", "--th", "--the", "--thet", "--theta")
+# a value starting with "-" that every supported argparse reads as the value
+# of "--theta V" rather than as an option
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _collapse_thetas(argv: list):
+    """``predict``'s arguments with each run of --theta options made one.
+
+    argparse's option loop is quadratic in the number of options, so
+    thousands of --theta options would take seconds to parse. Every run of
+    consecutive --theta options, in any spelling argparse binds to --theta
+    (``--theta=V``, ``--theta V``, an abbreviation), becomes one
+    ``--theta=`` option, which leaves the meaning of every other token
+    unchanged. Returns (arguments, runs), with the values of each run in
+    order. If a --theta might not take the token after it as its value
+    (there is none, or it starts with "-" and is no plain negative number),
+    returns (``argv``, None) and argparse reads ``argv`` as given. Tokens
+    after "--" are left to argparse.
+    """
+    rest, runs = [], []
+    in_run = False
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            rest += argv[i:]
+            break
+        flag, equals, value = token.partition("=")
+        if flag not in _THETA_FLAGS:
+            rest.append(token)
+            in_run = False
+            i += 1
+            continue
+        if not equals:
+            if i + 1 == len(argv):
+                return argv, None
+            value = argv[i + 1]
+            if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+                return argv, None
+            i += 1
+        if not in_run:
+            rest.append("--theta=")
+            runs.append([])
+            in_run = True
+        runs[-1].append(value)
+        i += 1
+    return rest, runs
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in linear time in the number of
+    ``predict --theta`` options."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    runs = None
+    if argv[:1] == ["predict"]:
+        rest, runs = _collapse_thetas(argv[1:])
+        argv = ["predict", *rest]
+    args = build_parser().parse_args(argv)
+    if runs:
+        args.theta = [value for run in runs for value in run]
+    return args
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    return _run(_parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the command ``args`` names; returns the exit code."""
     try:
         cfg, explicit = resolve_config(args)
         if args.command == "hist":

@@ -7,11 +7,12 @@ gives the feature pair
     sum_j h_j sin(k (c_j - theta)) = S_k cos(k theta) - C_k sin(k theta)
 
 with the histogram's moments C_k, S_k = sum_j h_j cos/sin(k c_j). So the
-design factors as X = F(theta) M(d, n), a Fourier basis times the moments
-of both histograms. ``moment_features`` evaluates X at any directions;
-``fourier_design`` hands the solver [1 X] as the basis F(theta) =
+design factors as [1 X] = F(theta) M(d, n): the Fourier basis F(theta) =
 [1, cos theta, sin theta, ..., cos K theta, sin K theta] times the moment
-matrix M, so the fit never forms X. Both read the moments from one helper.
+matrix M of both histograms. Every evaluation goes through that product:
+``model_features`` is F M without the intercept column, ``model_signal``
+evaluates a model as F (M [gamma; c]) without forming X, and
+``fourier_design`` hands the solver F and M, so the fit never forms X.
 Rotating data and histograms together leaves every feature unchanged, and
 demand and network columns sharing a k both lie in the span of cos(k theta)
 and sin(k theta): the design is collinear whenever both carry mass at k.
@@ -49,8 +50,8 @@ __all__ = [
     "fourier_basis",
     "fourier_design",
     "model_features",
+    "model_signal",
     "moment_matrix",
-    "moment_features",
     "network_features",
 ]
 
@@ -103,49 +104,19 @@ class ModelSpec:
         return len(self.column_names) + 1
 
 
-def _moments(hist: AngularHistogram, harmonics):
-    """Moments C_k, S_k of ``hist``; rounding noise of a zero moment is 0."""
-    k = np.asarray(harmonics, dtype=float)
-    kc = np.outer(k, hist.bin_centers())
-    c = np.cos(kc) @ hist.values
-    s = np.sin(kc) @ hist.values
-    noise = (ZERO_MOMENT_ULPS * np.finfo(float).eps
-             * (hist.bin_count + TWO_PI * k))
-    c[np.abs(c) <= noise] = 0.0
-    s[np.abs(s) <= noise] = 0.0
-    return c, s
-
-
-def moment_features(thetas, hist: AngularHistogram, harmonics) -> np.ndarray:
-    """Cos/sin feature pair of ``hist`` per harmonic at directions ``thetas``.
-
-    The result has shape ``np.shape(thetas) + (2 * len(harmonics),)``.
-    """
-    k = np.asarray(harmonics, dtype=float)
-    c, s = _moments(hist, harmonics)
-    # one period keeps k * theta small, so cos/sin keep their accuracy
-    kt = np.multiply.outer(np.mod(thetas, TWO_PI), k)
-    cos_kt = np.cos(kt)
-    sin_kt = np.sin(kt, out=kt)
-    out = np.empty(kt.shape[:-1] + (2 * k.size,))
-    out[..., 0::2] = c * cos_kt + s * sin_kt
-    out[..., 1::2] = s * cos_kt - c * sin_kt
-    return out
-
-
 def fourier_basis(thetas, k_max: int) -> np.ndarray:
     """F(theta) = [1, cos theta, sin theta, ..., cos K theta, sin K theta].
 
-    Shape ``(len(thetas), 2 * k_max + 1)``. Harmonic k comes from k - 1 by
-    the angle-addition formulas, four products in place of two cos/sin
-    calls; the error grows like k times the rounding unit.
+    Shape ``np.shape(thetas) + (2 * k_max + 1,)``. Harmonic k comes from
+    k - 1 by the angle-addition formulas, four products in place of two
+    cos/sin calls; the error grows like k times the rounding unit.
     """
     thetas = np.asarray(thetas, dtype=float)
     # built one basis function per row, so each step runs on contiguous rows
     f = np.empty((2 * k_max + 1, thetas.size))
     f[0] = 1.0
-    cos1 = np.cos(thetas, out=f[1])
-    sin1 = np.sin(thetas, out=f[2])
+    cos1 = np.cos(thetas.ravel(), out=f[1])
+    sin1 = np.sin(thetas.ravel(), out=f[2])
     term = np.empty(thetas.size)
     for k in range(2, k_max + 1):
         cos_prev, sin_prev = f[2 * k - 3], f[2 * k - 2]
@@ -153,12 +124,13 @@ def fourier_basis(thetas, k_max: int) -> np.ndarray:
         cos_k -= np.multiply(sin_prev, sin1, out=term)
         sin_k = np.multiply(sin_prev, cos1, out=f[2 * k])
         sin_k += np.multiply(cos_prev, sin1, out=term)
-    return f.T
+    return f.T.reshape(thetas.shape + (2 * k_max + 1,))
 
 
 def demand_features(theta: float, hist: AngularHistogram, k_max: int) -> np.ndarray:
     """Demand feature vector of length 2*k_max for one direction."""
-    return moment_features(theta, hist, range(1, k_max + 1))
+    return (fourier_basis(theta, k_max)
+            @ _moment_columns(hist, range(1, k_max + 1), k_max))
 
 
 def network_features(
@@ -176,7 +148,7 @@ def network_features(
     if point_symmetric:
         _check_point_symmetry(hist)
     harmonics = range(2, k_max + 1, 2) if point_symmetric else range(1, k_max + 1)
-    return moment_features(theta, hist, harmonics)
+    return fourier_basis(theta, k_max) @ _moment_columns(hist, harmonics, k_max)
 
 
 def _check_point_symmetry(hist: AngularHistogram):
@@ -217,14 +189,53 @@ def model_features(
     """All regressor columns of ``spec`` at ``thetas``, in column order.
 
     Validates both histograms against the spec (bin count, point symmetry
-    when the spec asks for it). Any number of directions is
-    accepted; the last axis of the result indexes the columns.
+    when the spec asks for it). Any number of directions is accepted; the
+    result has shape ``np.shape(thetas) + (parameter_count - 1,)``.
     """
     _check_histograms(demand_hist, network_hist, spec)
-    return np.concatenate([
-        moment_features(thetas, demand_hist, spec.demand_harmonics),
-        moment_features(thetas, network_hist, spec.network_harmonics),
-    ], axis=-1)
+    return (fourier_basis(thetas, spec.k_max)
+            @ moment_matrix(demand_hist, network_hist, spec)[:, 1:])
+
+
+def model_signal(
+    thetas,
+    demand_hist: AngularHistogram,
+    network_hist: AngularHistogram,
+    spec: ModelSpec,
+    params,
+):
+    """``params[0] + model_features(thetas, ...) @ params[1:]``.
+
+    Evaluated as ``F(theta) (M params)``, so X is never formed; the result
+    has the shape of ``thetas``. The same checks as ``model_features`` run.
+    """
+    _check_histograms(demand_hist, network_hist, spec)
+    return (fourier_basis(thetas, spec.k_max)
+            @ (moment_matrix(demand_hist, network_hist, spec) @ params))
+
+
+def _moment_columns(hist: AngularHistogram, harmonics, k_max: int):
+    """The columns of ``hist``'s features in M.
+
+    Shape ``(2 * k_max + 1, 2 * len(harmonics))``: harmonic k's pair in rows
+    2k-1 and 2k, from the moments C_k, S_k of ``hist``; rounding noise of a
+    zero moment is 0.
+    """
+    k = np.asarray(harmonics, dtype=float)
+    kc = np.outer(k, hist.bin_centers())
+    c = np.cos(kc) @ hist.values
+    s = np.sin(kc) @ hist.values
+    noise = (ZERO_MOMENT_ULPS * np.finfo(float).eps
+             * (hist.bin_count + TWO_PI * k))
+    c[np.abs(c) <= noise] = 0.0
+    s[np.abs(s) <= noise] = 0.0
+    m = np.zeros((2 * k_max + 1, 2 * k.size))
+    cos_rows = 2 * k.astype(int) - 1
+    cols = 2 * np.arange(k.size)
+    # C_k cos k theta + S_k sin k theta, then S_k cos k theta - C_k sin k theta
+    m[cos_rows, cols], m[cos_rows + 1, cols] = c, s
+    m[cos_rows, cols + 1], m[cos_rows + 1, cols + 1] = s, -c
+    return m
 
 
 def moment_matrix(
@@ -238,19 +249,13 @@ def moment_matrix(
     the spec's columns. A harmonic's rows are exactly zero in every column
     whose histogram lacks that harmonic.
     """
-    m = np.zeros((2 * spec.k_max + 1, spec.parameter_count))
-    m[0, 0] = 1.0
-    first = 1
-    for hist, harmonics in ((demand_hist, spec.demand_harmonics),
-                            (network_hist, spec.network_harmonics)):
-        c, s = _moments(hist, harmonics)
-        cos_rows = 2 * np.array(harmonics, dtype=int) - 1
-        cols = first + 2 * np.arange(len(harmonics))
-        # C_k cos k theta + S_k sin k theta, then S_k cos k theta - C_k sin k theta
-        m[cos_rows, cols], m[cos_rows + 1, cols] = c, s
-        m[cos_rows, cols + 1], m[cos_rows + 1, cols + 1] = s, -c
-        first += 2 * len(harmonics)
-    return m
+    intercept = np.zeros((2 * spec.k_max + 1, 1))
+    intercept[0] = 1.0
+    return np.hstack([
+        intercept,
+        _moment_columns(demand_hist, spec.demand_harmonics, spec.k_max),
+        _moment_columns(network_hist, spec.network_harmonics, spec.k_max),
+    ])
 
 
 def _targets(paces, directions, spec: ModelSpec):

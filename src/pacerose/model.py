@@ -19,7 +19,7 @@ import numpy as np
 from .angles import AngularHistogram
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import FitResult, t_statistics
-from .features import ModelSpec, model_features
+from .features import ModelSpec, model_signal
 from .files import json_value, write_atomic
 from .special import t_p_value
 
@@ -158,8 +158,8 @@ def predict_pace(
         raise SpecMismatchError(
             "fit and spec disagree on the regression columns"
         )
-    paces = fit.gamma + model_features(
-        theta, demand_hist, network_hist, spec) @ fit.coefficients
+    paces = model_signal(theta, demand_hist, network_hist, spec,
+                         np.concatenate([[fit.gamma], fit.coefficients]))
     return float(paces) if np.ndim(paces) == 0 else paces
 
 
@@ -266,7 +266,7 @@ def load_model(path):
     SpecMismatchError
         On an unknown format or column names that disagree with the spec.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             payload = json.load(f)
         except ValueError as exc:

@@ -9,10 +9,15 @@ bin; paces are the model signal plus Gaussian noise, clamped below at
 Ground-truth coefficients should be canonicalized first: demand and network
 features sharing a harmonic are exactly collinear, so only the projection
 of the coefficient vector onto the design's row space is recoverable by any
-least-squares fit. ``identifiable_coefficients`` computes that projection as
-the estimator's own minimum-norm fit of the noiseless signal, so scenarios
-built from it are recovered exactly by ``fit`` on noiseless data and the
-estimator's rank rule is the only one.
+least-squares fit. The design is [1 X] = F(theta) M with F the Fourier basis,
+so for directions rich enough to give F full column rank that row space is
+the row space of the moment matrix M, and the projection is pinv(M) M.
+``identifiable_coefficients`` computes it in closed form: the two rows of
+harmonic k hold (C, S) and (S, -C) pairs of both histograms' moments, so
+the rows of M are orthogonal, each of squared norm R_d,k^2 + R_n,k^2 (the
+squared moment magnitudes), and pinv(M) is M^T with each row scaled by the
+inverse of that norm, or zeroed where it is exactly 0. Scenarios built from
+the projection are recovered exactly by ``fit`` on noiseless data.
 
 Randomness uses counter-based Philox streams split per purpose, so the same
 seed reproduces the same trips regardless of how generation is batched.
@@ -27,8 +32,7 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from .errors import InputFormatError
-from .estimator import ols_fit
-from .features import ModelSpec, model_features
+from .features import ModelSpec, model_signal, moment_matrix
 from .files import json_value
 from .ingest import TRIP_HEADER_PLANAR
 
@@ -166,20 +170,21 @@ def identifiable_coefficients(
 ):
     """Project (gamma, alpha, beta) onto the recoverable coefficient subspace.
 
-    The projection is ``ols_fit``'s minimum-norm fit of the noiseless signal
-    on a uniform direction grid, whose design row space equals that of any
-    direction sample rich enough to span the model's harmonic function
-    space. The grid has 512 directions, or twice the parameter count when
-    that is more, since the fit needs more rows than parameters. The
-    intercept direction is orthogonal to the feature columns on a full
-    uniform grid, so gamma passes through unchanged up to rounding.
+    The projection is ``pinv(M) M [gamma; alpha; beta]`` with M the
+    ``moment_matrix``, in closed form (see the module docstring): the block
+    of pinv(M) for harmonic k is ``M_k^T / (R_d,k^2 + R_n,k^2)``, or zero
+    when that sum is exactly 0. Gamma passes through unchanged. The
+    projector ``pinv(M) M`` is formed first, so coefficients near the float
+    range are not overflowed by the moments.
     """
+    m = moment_matrix(demand_hist, network_hist, spec)
+    squared_norms = np.einsum("ij,ij->i", m, m)
+    inverse = np.divide(1.0, squared_norms, out=np.zeros_like(squared_norms),
+                        where=squared_norms != 0.0)
+    projector = (m.T * inverse) @ m
     alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    grid_size = max(512, 2 * spec.parameter_count)
-    thetas = (np.arange(grid_size) + 0.5) * (TWO_PI / grid_size)
-    X = model_features(thetas, demand_hist, network_hist, spec)
-    projected = ols_fit(X, gamma + X @ np.concatenate([alpha, beta])).params()
+    projected = projector @ np.concatenate([[gamma], alpha,
+                                            np.asarray(beta, dtype=float)])
     n_alpha = alpha.size
     return (
         float(projected[0]),
@@ -224,10 +229,10 @@ def generate_paces(directions, scenario: SyntheticScenario):
     directions = np.asarray(directions, dtype=float)
     if directions.size == 0:
         raise ValueError("directions must be nonempty")
-    X = model_features(directions, scenario.demand_hist,
-                       scenario.network_hist, scenario.spec)
+    params = np.concatenate([[scenario.gamma], scenario.coefficient_vector()])
     with np.errstate(over="ignore", invalid="ignore"):
-        signal = scenario.gamma + X @ scenario.coefficient_vector()
+        signal = model_signal(directions, scenario.demand_hist,
+                              scenario.network_hist, scenario.spec, params)
         if scenario.noise_std > 0.0:
             _, noise_rng = _rng_streams(scenario.seed, 2)
             signal = signal + noise_rng.normal(0.0, scenario.noise_std,

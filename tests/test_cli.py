@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import time
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import RAW_ALPHA, RAW_BETA
+from pacerose import cli
 from pacerose.cli import RunConfig, build_parser, main, resolve_config
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
@@ -311,6 +318,38 @@ class TestSimulateCommand:
                        "trips is not finite; gamma, alpha, beta or noise_std "
                        "is too large\n")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides, code", [
+        ({"gamma": 1e308}, 0),
+        ({"alpha": [1.7e308, 1.7e308], "demand_hist": [0.0, 1.0]}, 2),
+    ], ids=["gamma", "alpha"])
+    def test_overflowing_scenario_is_canonicalized(self, tmp_path, capsys,
+                                                   overrides, code):
+        # the signal, not the projection onto the identifiable
+        # coefficients, decides whether such a scenario can be simulated
+        payload = {
+            "k_max": 1, "bins": 2, "point_symmetric": True,
+            "gamma": 100.0, "alpha": [1.0, 0.5], "beta": [],
+            "demand_hist": [1.0, 3.0], "network_hist": {"kind": "uniform"},
+            "n_trips": 50, "seed": 3,
+        }
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(payload, **overrides)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--output-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            trips = np.loadtxt(out / "trips.csv", delimiter=",", skiprows=1)
+            assert trips.shape == (50, 6)
+            assert np.all(np.isfinite(trips[:, 4]))
+        else:
+            assert err == ("error: invalid scenario: the pace of 18 of 50 "
+                           "trips is not finite; gamma, alpha, beta or "
+                           "noise_std is too large\n")
+            assert not out.exists()
 
 
 class TestFitCommand:
@@ -654,6 +693,123 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys, marked):
         outputs.append((stdout, {p.name: p.read_bytes()
                                  for p in sorted(out.iterdir())}))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("marked", ["scenario", "model"])
+def test_json_byte_order_mark_is_dropped(tmp_path, capsys, marked):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_payload(n_trips=300)))
+    assert main(["simulate", "--scenario", str(scenario),
+                 "--output-dir", str(tmp_path / "sim")]) == 0
+    model = tmp_path / "fit" / "model.json"
+    assert main(["fit", "--trips", str(tmp_path / "sim" / "trips.csv"),
+                 "--demand-hist", str(tmp_path / "sim" / "demand_hist.csv"),
+                 "--network-hist", str(tmp_path / "sim" / "network_hist.csv"),
+                 "--output-dir", str(model.parent)]) == 0
+    original = {"scenario": scenario, "model": model}[marked]
+    copy = tmp_path / f"marked-{original.name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    outputs = []
+    for path in (original, copy):
+        out = tmp_path / f"out{len(outputs)}"
+        if marked == "scenario":
+            argv = ["simulate", "--scenario", str(path),
+                    "--output-dir", str(out)]
+        else:
+            argv = ["predict", "--model", str(path),
+                    "--theta", "0.3", "--theta", "4.1"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        files = ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                 if out.exists() else {})
+        outputs.append((stdout, files))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def uniform_model(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("model")
+    uniform = uniform_hist_csv(tmp_path)
+    out = tmp_path / "fit"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--trips", str(trips_csv(tmp_path, n=60)),
+                     "--demand-hist", str(uniform),
+                     "--network-hist", str(uniform),
+                     "--output-dir", str(out)]) == 0
+    return str(out / "model.json")
+
+
+THETA_SPELLINGS = ("--theta", "--thet", "--the", "--th", "--t")
+# flags that look like --theta but are not, to argparse
+NEAR_MISSES = ("-t", "--thetas", "--theta-x", "---theta", "--tt")
+THETA_VALUES = st.one_of(
+    st.sampled_from(["1.5", "-2", "-.5", "-7.", "0", "", " 3", "nan", "-inf",
+                     "-1e5", "1e5", "-1_0", "north", "-", "--", "-x",
+                     "--theta", "--degrees"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+FLAGS = st.sampled_from(THETA_SPELLINGS + NEAR_MISSES)
+PREDICT_TOKENS = st.one_of(
+    st.tuples(FLAGS, THETA_VALUES).map(lambda p: [f"{p[0]}={p[1]}"]),
+    st.tuples(FLAGS, THETA_VALUES).map(list),
+    FLAGS.map(lambda flag: [flag]),
+    THETA_VALUES.map(lambda value: [value]),
+    st.sampled_from([["--degrees"], ["--"], ["--bogus"], ["--k"],
+                     ["--k", "8"], ["--k=4"], ["--bins"], ["--bins", "x"],
+                     ["--no-point-symmetric"], ["--model"], ["--config"]]),
+)
+
+
+def _outcome(run, argv):
+    """Exit code, stdout, stderr and the directions ``run(argv)`` predicts."""
+    directions = []
+    original = cli.predict_pace
+
+    def spy(theta, *args):
+        directions.append(theta.tolist())
+        return original(theta, *args)
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with patch.object(cli, "predict_pace", spy), \
+            contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), directions
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_model=st.booleans(),
+       pieces=st.lists(PREDICT_TOKENS, max_size=8))
+# an option left without its value by a --theta after it
+@example(with_model=True, pieces=[["--k"], ["--theta=1"], ["8"]])
+@example(with_model=False, pieces=[["--model"], ["--th", "2"], ["--t=3"],
+                                   ["x.json"]])
+def test_predict_reads_theta_as_argparse_does(uniform_model, with_model,
+                                              pieces):
+    argv = ["predict"] + (["--model", uniform_model] if with_model else [])
+    argv += [token for piece in pieces for token in piece]
+    expected = _outcome(
+        lambda a: cli._run(build_parser().parse_args(a)), argv)
+    assert _outcome(main, argv) == expected
+
+
+def test_many_directions_parse_in_linear_time(uniform_model, capsys):
+    # argparse alone takes about 16 s for 20000 options
+    thetas = [repr(0.0003 * i) for i in range(20000)]
+    argv = ["predict", "--model", uniform_model]
+    for i, theta in enumerate(thetas):
+        argv += [f"--theta={theta}"] if i % 2 else ["--theta", theta]
+    start = time.perf_counter()
+    args = cli._parse_args(argv)
+    elapsed = time.perf_counter() - start
+    assert args.theta == thetas
+    assert elapsed < 2.0
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20000
 
 
 class TestConfigFile:

@@ -21,7 +21,7 @@ from pacerose.features import (
     build_design_matrix,
     demand_features,
     fourier_design,
-    moment_features,
+    model_features,
     network_features,
 )
 from pacerose.synth import generate_paces, harmonic_histogram, sample_directions
@@ -238,16 +238,21 @@ def kernel_cases(draw, point_symmetric):
 @given(data=st.data())
 def test_kernel_matches_brute_force_oracle(point_symmetric, data):
     k_max, hist, thetas = data.draw(kernel_cases(point_symmetric))
-    harmonics = (range(2, k_max + 1, 2) if point_symmetric
-                 else range(1, k_max + 1))
-    expected = np.array([brute_force_features(t, list(hist.values), harmonics)
-                         for t in thetas])
-    got = moment_features(np.array(thetas), hist, harmonics)
+    spec = ModelSpec(k_max=k_max, bins=hist.bin_count,
+                     network_point_symmetric=point_symmetric)
+    values = list(hist.values)
+    expected = np.array([
+        np.concatenate([brute_force_features(t, values, spec.demand_harmonics),
+                        brute_force_features(t, values,
+                                             spec.network_harmonics)])
+        for t in thetas])
+    # the histogram is both the demand and the network histogram
+    got = model_features(np.array(thetas), hist, hist, spec)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
     for t, row in zip(thetas, expected):
         np.testing.assert_allclose(
-            network_features(t, hist, k_max, point_symmetric), row,
-            rtol=0.0, atol=1e-12,
+            network_features(t, hist, k_max, point_symmetric),
+            row[2 * k_max:], rtol=0.0, atol=1e-12,
         )
 
 
