@@ -31,6 +31,7 @@ from .ingest import (
     FilterPolicy,
     directions,
     network_orientation_histogram,
+    parse_histogram,
     parse_network,
     parse_trips,
     percentile_filter,

@@ -38,11 +38,13 @@ from .errors import (
 )
 from .estimator import ols_fit, report_rows, significance_mask
 from .features import ModelSpec, build_design_matrix, fourier_design
-from .files import write_atomic
+from .files import csv_text, write_atomic
 from .ingest import (
+    HISTOGRAM_HEADER,
     FilterPolicy,
     directions,
     network_orientation_histogram,
+    parse_histogram,
     parse_network,
     parse_trips,
     percentile_filter,
@@ -72,8 +74,6 @@ EXIT_INSUFFICIENT = 3
 EXIT_NUMERICAL = 4
 
 SIGNIFICANCE_LEVEL = 0.05
-
-HIST_HEADER = "bin,center_rad,value"
 
 __all__ = ["RunConfig", "main"]
 
@@ -216,62 +216,22 @@ def resolve_config(args: argparse.Namespace) -> tuple:
     return cfg, set(provided) | set(file_keys)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_histogram_csv(path: str, hist: AngularHistogram):
-    centers = hist.bin_centers()
-    lines = [HIST_HEADER]
-    for i, (c, v) in enumerate(zip(centers, hist.values)):
-        lines.append(f"{i},{_format_float(c)},{_format_float(v)}")
-    write_atomic(path, "\n".join(lines) + "\n")
+def _write_histograms(out: str, demand: AngularHistogram,
+                      network: AngularHistogram):
+    for name, hist in (("demand", demand), ("network", network)):
+        rows = zip(range(hist.bin_count), hist.bin_centers(), hist.values)
+        write_atomic(os.path.join(out, f"{name}_hist.csv"),
+                     csv_text(rows, HISTOGRAM_HEADER))
 
 
 def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
-    values = {}
-    with open(path, encoding="utf-8-sig") as f:
-        header = None
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header.lower() != HIST_HEADER:
-                    raise InputFormatError(
-                        f"{path}: expected header {HIST_HEADER!r}"
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InputFormatError(f"{path} row {lineno}: expected 3 fields")
-            try:
-                index, value = int(parts[0]), float(parts[2])
-            except ValueError as exc:
-                raise InputFormatError(f"{path} row {lineno}: {exc}") from exc
-            if index in values:
-                raise InputFormatError(
-                    f"{path} row {lineno}: repeated bin {index}"
-                )
-            if not 0.0 <= value < math.inf:
-                raise InputFormatError(
-                    f"{path} row {lineno}: value must be finite and "
-                    f"nonnegative, got {parts[2].strip()!r}"
-                )
-            values[index] = value
-    if header is None:
-        raise InputFormatError(f"{path}: empty histogram file")
-    if sorted(values) != list(range(bins)):
-        raise InputFormatError(
-            f"{path}: expected bin indices 0..{bins - 1}, got {len(values)} rows"
-        )
-    arr = np.array([values[i] for i in range(bins)])
-    with np.errstate(over="ignore"):
-        total = arr.sum()
-    if not 0.0 < total < math.inf:
-        raise InputFormatError(f"{path}: histogram values sum to {total!r}")
-    return AngularHistogram(bins, arr / total)
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return parse_histogram(f, bins)
+    except InputFormatError as exc:
+        # "<path> row 4: ..." for a row, "<path>: ..." for the whole file
+        sep = " " if str(exc).startswith("row ") else ": "
+        raise InputFormatError(f"{path}{sep}{exc}") from None
 
 
 def _load_trips(cfg: RunConfig):
@@ -349,17 +309,10 @@ def cmd_hist(cfg: RunConfig) -> int:
     means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
 
     out = cfg.output_dir
-    _write_histogram_csv(os.path.join(out, "demand_hist.csv"), demand)
-    _write_histogram_csv(os.path.join(out, "network_hist.csv"), network)
-    centers = demand.bin_centers()
-    lines = ["bin,center_rad,mean_pace,n_trips"]
-    for i in range(cfg.bins):
-        lines.append(
-            f"{i},{_format_float(centers[i])},{_format_float(means[i])},"
-            f"{counts[i]}"
-        )
-    write_atomic(os.path.join(out, "pace_by_direction.csv"),
-                 "\n".join(lines) + "\n")
+    _write_histograms(out, demand, network)
+    rows = zip(range(cfg.bins), demand.bin_centers(), means, counts)
+    write_atomic(os.path.join(out, "pace_by_direction.csv"), csv_text(
+        rows, ("bin", "center_rad", "mean_pace", "n_trips")))
 
     write_atomic(os.path.join(out, "demand_rose.svg"),
                  rose_svg(demand.values, "trip-direction frequencies"))
@@ -383,23 +336,6 @@ def _summary_text(fit) -> str:
     )
 
 
-def _report_csv(fit) -> str:
-    lines = ["name,coefficient,std_err,t_value,p_value,significant_5pct"]
-    for name, coef, se, t, p, sig in report_rows(fit, SIGNIFICANCE_LEVEL):
-        lines.append(
-            f"{name},{_format_float(coef)},{_format_float(se)},"
-            f"{_format_float(t)},{_format_float(p)},{str(sig).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _curve_csv(curve) -> str:
-    lines = ["offset_rad,value"]
-    for t, v in zip(curve.offsets, curve.values):
-        lines.append(f"{_format_float(t)},{_format_float(v)}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_fit(cfg: RunConfig) -> int:
     spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
                       network_point_symmetric=cfg.point_symmetric)
@@ -421,7 +357,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     )
 
     out = cfg.output_dir
-    write_atomic(os.path.join(out, "fit_report.csv"), _report_csv(fit))
+    write_atomic(os.path.join(out, "fit_report.csv"), csv_text(
+        report_rows(fit, SIGNIFICANCE_LEVEL), ("name", "coefficient",
+        "std_err", "t_value", "p_value", "significant_5pct")))
     write_atomic(os.path.join(out, "summary.txt"), _summary_text(fit))
 
     mask = significance_mask(fit, SIGNIFICANCE_LEVEL) if cfg.mask_curves else None
@@ -432,7 +370,8 @@ def cmd_fit(cfg: RunConfig) -> int:
             grid_size=cfg.curve_grid,
         )
         curves[kind] = curve
-        write_atomic(os.path.join(out, f"{kind}_curve.csv"), _curve_csv(curve))
+        write_atomic(os.path.join(out, f"{kind}_curve.csv"), csv_text(
+            zip(curve.offsets, curve.values), ("offset_rad", "value")))
         plot_values = curve.values
         title = f"{kind} influence curve"
         if cfg.baseline == "min":
@@ -448,12 +387,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     if cfg.dump_design:
         X, y = build_design_matrix(paces[kept], theta[kept], demand,
                                    network, spec)
-        lines = [",".join(spec.column_names + ("pace",))]
-        for row, target in zip(X, y):
-            lines.append(",".join(_format_float(v) for v in row)
-                         + f",{_format_float(target)}")
-        write_atomic(os.path.join(out, "design_matrix.csv"),
-                     "\n".join(lines) + "\n")
+        write_atomic(os.path.join(out, "design_matrix.csv"), csv_text(
+            np.column_stack([X, y]), spec.column_names + ("pace",)))
 
     sys.stdout.write(_summary_text(fit))
     print(sign_text)
@@ -486,10 +421,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     manifest = scenario_manifest(scenario, n_clamped)
     write_atomic(os.path.join(out, "manifest.json"),
                  json.dumps(manifest, indent=1) + "\n")
-    _write_histogram_csv(os.path.join(out, "demand_hist.csv"),
-                         scenario.demand_hist)
-    _write_histogram_csv(os.path.join(out, "network_hist.csv"),
-                         scenario.network_hist)
+    _write_histograms(out, scenario.demand_hist, scenario.network_hist)
     print(f"{scenario.n_trips} trips written to {out} "
           f"(seed {scenario.seed}, {n_clamped} clamped)")
     return EXIT_OK
@@ -498,6 +430,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _parse_directions(thetas, degrees: bool) -> np.ndarray:
     values = []
     for raw in thetas:
+        # argparse before Python 3.13 reads --theta=-- as [], "--" dropped
+        raw = "--" if raw == [] else raw
         try:
             value = float(raw)
         except ValueError:
@@ -535,7 +469,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace,
                 f"match the model ({value})"
             )
     paces = predict_pace(theta, demand, network, fit, spec)
-    sys.stdout.write("".join(_format_float(p) + "\n" for p in paces))
+    sys.stdout.write(csv_text(zip(paces)))
     return EXIT_OK
 
 
@@ -657,19 +591,12 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args, explicit)
         raise InputFormatError(f"unknown command {args.command!r}")
-    except (InputFormatError, FileNotFoundError, IsADirectoryError,
+    except (PaceroseError, FileNotFoundError, IsADirectoryError,
             FileExistsError, NotADirectoryError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PaceroseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, InsufficientDataError):
+            return EXIT_INSUFFICIENT
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -337,21 +337,8 @@ def report_rows(fit: FitResult, level: float = 0.05):
 
     The intercept row comes first, then slopes in design order.
     """
-    rows = [(
-        "gamma",
-        fit.gamma,
-        fit.gamma_std_error,
-        fit.gamma_t_value,
-        fit.gamma_p_value,
-        fit.gamma_p_value < level,
-    )]
-    for j, name in enumerate(fit.column_names):
-        rows.append((
-            name,
-            float(fit.coefficients[j]),
-            float(fit.std_errors[j]),
-            float(fit.t_values[j]),
-            float(fit.p_values[j]),
-            bool(fit.p_values[j] < level),
-        ))
-    return rows
+    p_values = [fit.gamma_p_value, *fit.p_values.tolist()]
+    return list(zip(("gamma", *fit.column_names), fit.params().tolist(),
+                    [fit.gamma_std_error, *fit.std_errors.tolist()],
+                    [fit.gamma_t_value, *fit.t_values.tolist()], p_values,
+                    [p < level for p in p_values]))

@@ -1,11 +1,14 @@
-"""Output files written whole or not at all, and JSON values read strictly."""
+"""Output files written whole or not at all, CSV text with one cell format,
+and JSON values read strictly."""
 
 from __future__ import annotations
 
 import os
 import tempfile
 
-__all__ = ["json_value", "write_atomic"]
+import numpy as np
+
+__all__ = ["csv_text", "json_value", "write_atomic"]
 
 _JSON_TYPES = {bool: "boolean", int: "integer"}
 
@@ -46,3 +49,25 @@ def write_atomic(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def csv_text(rows, header=None) -> str:
+    """CSV text of the ``header`` names, if any, and ``rows``, one line each.
+
+    A text cell is written as it is, a bool (checked first: True is an int)
+    as ``true`` or ``false``, an integer with ``str`` and any other number
+    as ``repr(float(x))``, which reads back to the same bits; numpy scalars
+    as the Python values they hold.
+    """
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    return text if header is None else ",".join(header) + "\n" + text

@@ -1,17 +1,19 @@
-"""Trip-log and road-network ingestion into float arrays.
+"""Trip-log, road-network and histogram CSV ingestion into float arrays.
 
 File formats (UTF-8, comma separated, '.' decimal, blank lines and
 '#'-prefixed lines ignored):
 
-* trips:   header ``origin_x,origin_y,dest_x,dest_y,duration_s,distance_km``
-           (planar meters) or, for lon/lat input in degrees,
-           ``origin_lon,origin_lat,dest_lon,dest_lat,duration_s,distance_km``
-* network: header ``ax,ay,bx,by,class[,length_m]``; class is one of
-           motorway, trunk, primary, secondary, other (case-insensitive)
+* trips:     header ``origin_x,origin_y,dest_x,dest_y,duration_s,distance_km``
+             (planar meters) or, for lon/lat input in degrees,
+             ``origin_lon,origin_lat,dest_lon,dest_lat,duration_s,distance_km``
+* network:   header ``ax,ay,bx,by,class[,length_m]``; class is one of
+             motorway, trunk, primary, secondary, other (case-insensitive)
+* histogram: header ``bin,center_rad,value``; ``center_rad`` is not read
 
-``parse_trips`` returns an ``(n, 6)`` float array in header order and
+``parse_trips`` returns an ``(n, 6)`` float array in header order,
 ``parse_network`` an ``(n, 5)`` array ``ax, ay, bx, by, length_m`` of the
-segments in the kept classes. Both read ``BLOCK_ROWS`` source lines at a
+segments in the kept classes, and ``parse_histogram`` the histogram, its
+values divided by their sum. All three read ``BLOCK_ROWS`` source lines at a
 time, so no string fields outlive their block. A clean block, one whose
 every line is a row of the header's width, with no quote, NUL or
 ``\x1c``-``\x1f`` character, is read by one ``np.loadtxt`` call at C
@@ -33,6 +35,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -56,6 +59,7 @@ TRIP_HEADER_PLANAR = ("origin_x", "origin_y", "dest_x", "dest_y",
 TRIP_HEADER_LONLAT = ("origin_lon", "origin_lat", "dest_lon", "dest_lat",
                       "duration_s", "distance_km")
 NETWORK_HEADER = ("ax", "ay", "bx", "by", "class")
+HISTOGRAM_HEADER = ("bin", "center_rad", "value")
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -66,11 +70,16 @@ WARN_ROWS = 5
 # call and converted by one numpy call
 BLOCK_ROWS = 4096
 
+# the blanks float() and int() ignore around a number: str.strip() also
+# drops \x1c-\x1f, which they reject
+_BLANKS = re.compile(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+$")
+
 __all__ = [
     "ROAD_CLASSES",
     "FilterPolicy",
     "directions",
     "network_orientation_histogram",
+    "parse_histogram",
     "parse_network",
     "parse_trips",
     "percentile_filter",
@@ -146,11 +155,13 @@ def _framing_error(lineno: int, lines) -> InputFormatError:
     return InputFormatError(f"row {lineno}: unterminated quoted field")
 
 
-def _header(source, what: str):
+def _header(source, what: str, accepted, shown=None):
     """The header row of ``source`` and the source lines after it.
 
-    Returns the header's line number and stripped fields, and the blocks
-    ``(number of the first line, lines)`` of the rest of the input.
+    The header's stripped, lower-cased fields must be one of the
+    ``accepted`` tuples; the error names ``shown``, or the first of them.
+    Returns those fields and the blocks ``(number of the first line,
+    lines)`` of the rest of the input.
     """
     blocks = _source_blocks(source)
     for first, lines in blocks:
@@ -159,7 +170,13 @@ def _header(source, what: str):
             if not _frames_alone(line):
                 raise _framing_error(lineno, chain([line], _rest(rest)))
             (fields,) = csv.reader([line], strict=True)
-            return lineno, [f.strip() for f in fields], rest
+            fields = [f.strip() for f in fields]
+            got = tuple(f.lower() for f in fields)
+            if got not in accepted:
+                shown = shown or ",".join(accepted[0])
+                raise InputFormatError(f"row {lineno}: expected header "
+                                       f"{shown}, got {','.join(fields)}")
+            return got, rest
     raise InputFormatError(f"{what} file has no header row")
 
 
@@ -221,12 +238,14 @@ def _rows(blocks, width: int, judge, text=None):
     """Yield ``(line numbers, values, kept)`` per block of ``blocks``.
 
     ``judge(values, unparsed, texts)`` gives the ordered rules of a block,
-    after the width rule, and the mask of its rows to keep (see
-    ``_convert`` for the arguments). A block is read by one ``np.loadtxt``
-    call when it can be and breaks no rule; any other block is split by one
-    strict CSV reader and checked with ``_check``. When a row does not end
-    on its own line, the rows before it are checked and yielded and then
-    its InputFormatError is raised.
+    after the width rule, and what the caller keeps of it, such as the
+    mask of its rows to keep (see ``_convert`` for the arguments). A block
+    is read by one ``np.loadtxt`` call when it can be and breaks no rule;
+    any other block is split by one strict CSV reader and checked with
+    ``_check``, so ``judge`` may be called twice on one block and must
+    change no state. When a row does not end on its own line, the rows
+    before it are checked and yielded and then its InputFormatError is
+    raised.
     """
     for first, lines in blocks:
         fast = _loadtxt(lines, width, text)
@@ -253,12 +272,12 @@ def _rows(blocks, width: int, judge, text=None):
                                  chain(lines[bad:], _rest(blocks)))
 
 
-def _is_number(cell: str) -> bool:
+def _parsed(parse, text: str):
+    """``parse(text)``, or None when ``parse`` does not read ``text``."""
     try:
-        float(cell)
+        return parse(text)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _convert(rows, width: int, text=None):
@@ -282,7 +301,8 @@ def _convert(rows, width: int, text=None):
         values = np.array(cells, dtype=float)
         unparsed = np.zeros(values.shape, dtype=bool)
     except ValueError:
-        unparsed = np.array([not _is_number(c) for c in cells], dtype=bool)
+        unparsed = np.array([_parsed(float, c) is None for c in cells],
+                            dtype=bool)
         cells = np.where(unparsed, "nan", np.array(cells, dtype=object))
         values = np.array(cells, dtype=float)
     shape = (len(rows), -1)
@@ -307,14 +327,14 @@ def _check(linenos, rows, rules):
 
     ``rules`` is an ordered list of (mask of the rows that break the rule,
     message template). A row is reported with the first rule it breaks,
-    whose template is formatted with the row's stripped fields as ``row``
-    and their count as ``n``.
+    whose template is formatted with the row's fields, without the blanks
+    around them, as ``row`` and their count as ``n``.
     """
     broken = np.array([mask for mask, _ in rules])
     bad = broken.any(axis=0)
     if bad.any():
         i = int(bad.argmax())
-        fields = [f.strip() for f in rows[i]]
+        fields = [_BLANKS.sub("", f) for f in rows[i]]
         template = rules[int(broken[:, i].argmax())][1]
         raise InputFormatError(
             f"row {linenos[i]}: " + template.format(row=fields, n=len(fields))
@@ -331,12 +351,7 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
     raises InputFormatError naming the row.
     """
     expected = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
-    lineno, fields, blocks = _header(source, "trip")
-    if tuple(f.lower() for f in fields) != expected:
-        raise InputFormatError(
-            f"row {lineno}: expected header {','.join(expected)}, "
-            f"got {','.join(fields)}"
-        )
+    _, blocks = _header(source, "trip", [expected])
 
     def judge(block, unparsed, _):
         duration, distance = block[:, 4], block[:, 5]
@@ -394,13 +409,9 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     """
     class_filter = (set(ROAD_CLASSES) if class_filter is None
                     else road_class_filter(class_filter))
-    lineno, fields, blocks = _header(source, "network")
-    got = tuple(f.lower() for f in fields)
-    if got not in (NETWORK_HEADER, NETWORK_HEADER + ("length_m",)):
-        raise InputFormatError(
-            f"row {lineno}: expected header ax,ay,bx,by,class[,length_m], "
-            f"got {','.join(fields)}"
-        )
+    got, blocks = _header(source, "network",
+                          [NETWORK_HEADER, NETWORK_HEADER + ("length_m",)],
+                          "ax,ay,bx,by,class[,length_m]")
     width = len(got)
 
     def judge(values, unparsed, texts):
@@ -429,6 +440,46 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     if width == 5:
         segments = np.column_stack([segments, _lengths(segments, lonlat)])
     return segments
+
+
+def parse_histogram(source, bins: int) -> AngularHistogram:
+    """Parse a histogram CSV of ``bins`` bins; values are divided by their sum.
+
+    ``source`` is any iterable of lines. A row's bin must be an integer
+    ``int`` reads, its value a number, its bin new and its value finite and
+    nonnegative, in that order; ``center_rad`` is not read. Then the bins
+    must be exactly 0..bins-1 and the values must have a positive finite sum.
+    """
+    _, blocks = _header(source, "histogram", [HISTOGRAM_HEADER])
+    values = {}
+
+    def judge(block, unparsed, texts):
+        index = [_parsed(int, t) for t in texts]
+        earlier, repeated = set(values), []
+        for i in index:
+            repeated.append(i is not None and i in earlier)
+            earlier.add(i)
+        value = block[:, 1]
+        return [
+            (np.array([i is None for i in index], dtype=bool),
+             "field 'bin' is not an integer: {row[0]!r}"),
+            _field_rules(("value",), (2,), block[:, 1:], unparsed[:, 1:])[0],
+            (np.array(repeated, dtype=bool), "repeated bin {row[0]}"),
+            (~((value >= 0.0) & (value < math.inf)),
+             "value must be finite and nonnegative, got {row[2]!r}"),
+        ], index
+
+    for _, block, index in _rows(blocks, 3, judge, text=0):
+        values.update(zip(index, block[:, 1].tolist()))
+    if sorted(values) != list(range(bins)):
+        raise InputFormatError(
+            f"expected bin indices 0..{bins - 1}, got {len(values)} rows")
+    arr = np.array([values[i] for i in range(bins)])
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if not 0.0 < total < math.inf:
+        raise InputFormatError(f"histogram values sum to {total!r}")
+    return AngularHistogram(bins, arr / total)
 
 
 def _cos_mean_lat(rows: np.ndarray) -> np.ndarray:

@@ -788,6 +788,10 @@ def _outcome(run, argv):
 @example(with_model=True, pieces=[["--k"], ["--theta=1"], ["8"]])
 @example(with_model=False, pieces=[["--model"], ["--th", "2"], ["--t=3"],
                                    ["x.json"]])
+# argparse before Python 3.13 hands the action of --theta=-- an empty list;
+# the second argv goes to argparse whole, since "-" is no negative number
+@example(with_model=True, pieces=[["--theta=--"]])
+@example(with_model=True, pieces=[["--theta=--"], ["--theta", "-"]])
 def test_predict_reads_theta_as_argparse_does(uniform_model, with_model,
                                               pieces):
     argv = ["predict"] + (["--model", uniform_model] if with_model else [])

@@ -880,7 +880,8 @@ class TestLoadtxtReader:
                 "0,0,1,1,60,1\n")
         with pytest.raises(InputFormatError) as err:
             trips_from(text)
-        assert str(err.value) == "row 3: field 'origin_y' is not a number: '1'"
+        assert str(err.value) == ("row 3: field 'origin_y' is not a number: "
+                                  f"{'1' + separator!r}")
 
     def test_extra_field_in_a_clean_edge_block(self):
         text = (f"{NET_HEADER},length_m\n0,0,1,1,primary,2\n"
