@@ -588,9 +588,7 @@ def _run(args: argparse.Namespace) -> int:
             return cmd_fit(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args, explicit)
-        raise InputFormatError(f"unknown command {args.command!r}")
+        return cmd_predict(cfg, args, explicit)
     except (PaceroseError, FileNotFoundError, IsADirectoryError,
             FileExistsError, NotADirectoryError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

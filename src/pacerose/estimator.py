@@ -143,8 +143,6 @@ def t_statistics(params, se):
 
 def _dependent_column_names(vt_null: np.ndarray, names) -> tuple:
     """Columns with a nontrivial component in any null-space direction."""
-    if vt_null.size == 0:
-        return ()
     weight = np.max(np.abs(vt_null), axis=0)
     involved = weight > _NULLSPACE_COMPONENT_TOL * weight.max()
     labels = ("intercept",) + tuple(names)

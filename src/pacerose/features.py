@@ -58,7 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Shape of the regression: harmonic depth, bins, and symmetry handling."""
+    """Shape of the regression: harmonic depth, bins, and symmetry handling.
+
+    Counts come from the harmonic ranges in O(1), so a huge ``k_max`` is
+    refused by a count check; column names are built only when asked for.
+    """
 
     k_max: int = 8
     bins: int = 32
@@ -73,14 +77,14 @@ class ModelSpec:
             raise ValueError("point-symmetric network requires an even bin count")
 
     @property
-    def demand_harmonics(self) -> tuple:
-        return tuple(range(1, self.k_max + 1))
+    def demand_harmonics(self) -> range:
+        return range(1, self.k_max + 1)
 
     @property
-    def network_harmonics(self) -> tuple:
+    def network_harmonics(self) -> range:
         if self.network_point_symmetric:
-            return tuple(k for k in range(2, self.k_max + 1, 2))
-        return tuple(range(1, self.k_max + 1))
+            return range(2, self.k_max + 1, 2)
+        return range(1, self.k_max + 1)
 
     @property
     def demand_column_names(self) -> tuple:
@@ -101,22 +105,40 @@ class ModelSpec:
     @property
     def parameter_count(self) -> int:
         """Number of fitted parameters including the intercept."""
-        return len(self.column_names) + 1
+        return 1 + 2 * (len(self.demand_harmonics)
+                        + len(self.network_harmonics))
+
+    def check_histograms(self, demand_hist: AngularHistogram,
+                         network_hist: AngularHistogram):
+        """Raise SpecMismatchError unless both histograms have the spec's
+        bins and the network is point symmetric when the spec asks for it."""
+        for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
+            if hist.bin_count != self.bins:
+                raise SpecMismatchError(
+                    f"{what} histogram has {hist.bin_count} bins, "
+                    f"spec wants {self.bins}"
+                )
+        if self.network_point_symmetric:
+            _check_point_symmetry(network_hist)
 
 
 def fourier_basis(thetas, k_max: int) -> np.ndarray:
     """F(theta) = [1, cos theta, sin theta, ..., cos K theta, sin K theta].
 
-    Shape ``np.shape(thetas) + (2 * k_max + 1,)``. Harmonic k comes from
-    k - 1 by the angle-addition formulas, four products in place of two
-    cos/sin calls; the error grows like k times the rounding unit.
+    Shape ``np.shape(thetas) + (2 * k_max + 1,)``; ``k_max`` 0 gives the
+    constant column alone. Every Fourier series in an angle, a feature, a
+    curve or a planted histogram, is evaluated as this basis times its
+    coefficients in this order. Harmonic k comes from k - 1 by the
+    angle-addition formulas, four products in place of two cos/sin calls;
+    the error grows like k times the rounding unit.
     """
     thetas = np.asarray(thetas, dtype=float)
     # built one basis function per row, so each step runs on contiguous rows
     f = np.empty((2 * k_max + 1, thetas.size))
     f[0] = 1.0
-    cos1 = np.cos(thetas.ravel(), out=f[1])
-    sin1 = np.sin(thetas.ravel(), out=f[2])
+    if k_max:
+        cos1 = np.cos(thetas.ravel(), out=f[1])
+        sin1 = np.sin(thetas.ravel(), out=f[2])
     term = np.empty(thetas.size)
     for k in range(2, k_max + 1):
         cos_prev, sin_prev = f[2 * k - 3], f[2 * k - 2]
@@ -167,19 +189,6 @@ def _check_point_symmetry(hist: AngularHistogram):
         )
 
 
-def _check_histograms(demand_hist: AngularHistogram,
-                      network_hist: AngularHistogram, spec: ModelSpec):
-    """Both histograms have the spec's bins; the network is point symmetric
-    when the spec asks for it."""
-    for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
-        if hist.bin_count != spec.bins:
-            raise SpecMismatchError(
-                f"{what} histogram has {hist.bin_count} bins, spec wants {spec.bins}"
-            )
-    if spec.network_point_symmetric:
-        _check_point_symmetry(network_hist)
-
-
 def model_features(
     thetas,
     demand_hist: AngularHistogram,
@@ -192,7 +201,7 @@ def model_features(
     when the spec asks for it). Any number of directions is accepted; the
     result has shape ``np.shape(thetas) + (parameter_count - 1,)``.
     """
-    _check_histograms(demand_hist, network_hist, spec)
+    spec.check_histograms(demand_hist, network_hist)
     return (fourier_basis(thetas, spec.k_max)
             @ moment_matrix(demand_hist, network_hist, spec)[:, 1:])
 
@@ -209,32 +218,31 @@ def model_signal(
     Evaluated as ``F(theta) (M params)``, so X is never formed; the result
     has the shape of ``thetas``. The same checks as ``model_features`` run.
     """
-    _check_histograms(demand_hist, network_hist, spec)
+    spec.check_histograms(demand_hist, network_hist)
     return (fourier_basis(thetas, spec.k_max)
             @ (moment_matrix(demand_hist, network_hist, spec) @ params))
 
 
-def _moment_columns(hist: AngularHistogram, harmonics, k_max: int):
+def _moment_columns(hist: AngularHistogram, harmonics: range, k_max: int):
     """The columns of ``hist``'s features in M.
 
     Shape ``(2 * k_max + 1, 2 * len(harmonics))``: harmonic k's pair in rows
-    2k-1 and 2k, from the moments C_k, S_k of ``hist``; rounding noise of a
-    zero moment is 0.
+    2k-1 and 2k, from the moments C_k, S_k of ``hist``, which are rows 2k-1
+    and 2k of ``hist.values @ fourier_basis(centers, k_max)``; rounding noise
+    of a zero moment is 0.
     """
-    k = np.asarray(harmonics, dtype=float)
-    kc = np.outer(k, hist.bin_centers())
-    c = np.cos(kc) @ hist.values
-    s = np.sin(kc) @ hist.values
+    k = np.asarray(harmonics, dtype=int)
+    moments = hist.values @ fourier_basis(hist.bin_centers(), k_max)
+    c, s = moments[2 * k - 1], moments[2 * k]
     noise = (ZERO_MOMENT_ULPS * np.finfo(float).eps
              * (hist.bin_count + TWO_PI * k))
     c[np.abs(c) <= noise] = 0.0
     s[np.abs(s) <= noise] = 0.0
     m = np.zeros((2 * k_max + 1, 2 * k.size))
-    cos_rows = 2 * k.astype(int) - 1
     cols = 2 * np.arange(k.size)
     # C_k cos k theta + S_k sin k theta, then S_k cos k theta - C_k sin k theta
-    m[cos_rows, cols], m[cos_rows + 1, cols] = c, s
-    m[cos_rows, cols + 1], m[cos_rows + 1, cols + 1] = s, -c
+    m[2 * k - 1, cols], m[2 * k, cols] = c, s
+    m[2 * k - 1, cols + 1], m[2 * k, cols + 1] = s, -c
     return m
 
 
@@ -300,7 +308,7 @@ def fourier_design(
     The same checks run first; F is made a block of rows at a time.
     """
     y, thetas = _targets(paces, directions, spec)
-    _check_histograms(demand_hist, network_hist, spec)
+    spec.check_histograms(demand_hist, network_hist)
     if not np.all(np.isfinite(thetas)):
         raise ValueError("directions must be finite")
     moments = moment_matrix(demand_hist, network_hist, spec)

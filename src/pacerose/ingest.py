@@ -22,6 +22,7 @@ strict CSV reader and converted by one numpy call, which name the first bad
 row. Each row rule is one entry, a row mask and a message template, of an
 ordered table; a block's first bad row is named with its first broken rule.
 Both readers give the same bits, so which one read a block never shows.
+A line with a NUL is rejected as ``row N: line contains NUL``.
 ``directions`` turns the endpoint columns of either array into bearings, and
 a trip's pace is ``duration_s / distance_km``.
 
@@ -126,9 +127,23 @@ def _rest(blocks):
             for _, line in _content(first, lines))
 
 
+def _without_nul(line: str) -> str:
+    if "\x00" in line:
+        raise csv.Error("line contains NUL")
+    return line
+
+
+def _csv_reader(lines):
+    """A strict ``csv.reader`` of ``lines`` that raises csv.Error("line
+    contains NUL") when it reaches a line with a NUL, on every Python: 3.10's
+    reader rejects that line only once it gets to the NUL, later ones read
+    it."""
+    return csv.reader(map(_without_nul, lines), strict=True)
+
+
 def _frames_alone(line: str) -> bool:
     try:
-        return len(list(csv.reader([line], strict=True))) == 1
+        return len(list(_csv_reader([line]))) == 1
     except csv.Error:
         return False
 
@@ -147,7 +162,7 @@ def _framing_error(lineno: int, lines) -> InputFormatError:
         ended.append(True)
 
     try:
-        next(csv.reader(feed(), strict=True))
+        next(_csv_reader(feed()))
     except csv.Error as exc:
         # at the end of input a strict reader fails only on an open quote
         if not ended:
@@ -169,7 +184,7 @@ def _header(source, what: str, accepted, shown=None):
             rest = chain([(lineno + 1, lines[lineno - first + 1:])], blocks)
             if not _frames_alone(line):
                 raise _framing_error(lineno, chain([line], _rest(rest)))
-            (fields,) = csv.reader([line], strict=True)
+            (fields,) = _csv_reader([line])
             fields = [f.strip() for f in fields]
             got = tuple(f.lower() for f in fields)
             if got not in accepted:
@@ -225,13 +240,13 @@ def _split(lines):
     of the first line that does not end its row (None when all do); the
     rows are those of the lines before it."""
     try:
-        rows = list(csv.reader(lines, strict=True))
+        rows = list(_csv_reader(lines))
         if len(rows) == len(lines):
             return rows, None
     except csv.Error:
         pass
     bad = next(i for i, line in enumerate(lines) if not _frames_alone(line))
-    return list(csv.reader(lines[:bad], strict=True)), bad
+    return list(_csv_reader(lines[:bad])), bad
 
 
 def _rows(blocks, width: int, judge, text=None):

@@ -19,7 +19,7 @@ import numpy as np
 from .angles import AngularHistogram
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import FitResult, t_statistics
-from .features import ModelSpec, model_signal
+from .features import ModelSpec, fourier_basis, model_signal
 from .files import json_value, write_atomic
 from .special import t_p_value
 
@@ -76,27 +76,23 @@ class InfluenceCurve:
         return float(self.offsets[int(np.argmin(self.values))])
 
 
-def _curve_terms(column_names, coefficients, mask, kind):
-    """(harmonic, cos_coeff, sin_coeff) triples for the requested curve."""
+def _curve_series(column_names, coefficients, mask, kind):
+    """The requested curve's coefficients in ``fourier_basis`` order, and
+    the harmonics of its terms."""
     prefix = "a" if kind == "alpha" else "b"
-    terms = {}
+    rows = {}
     for j, name in enumerate(column_names):
         m = _COLUMN_RE.match(name)
         if m is None:
             raise ValueError(f"unrecognized column name {name!r}")
-        if m.group(1) != prefix:
-            continue
-        if mask is not None and not mask[j]:
-            continue
-        k = int(m.group(3))
-        part = m.group(2)
-        c, s = terms.get(k, (0.0, 0.0))
-        if part == "c":
-            c = float(coefficients[j])
-        else:
-            s = float(coefficients[j])
-        terms[k] = (c, s)
-    return sorted(terms.items())
+        if m.group(1) == prefix and (mask is None or mask[j]):
+            # cos k theta is row 2k - 1 of the basis, sin k theta row 2k
+            k = int(m.group(3))
+            rows[2 * k - (m.group(2) == "c")] = float(coefficients[j])
+    harmonics = {(row + 1) // 2 for row in rows}
+    series = np.zeros(2 * max(harmonics, default=0) + 1)
+    series[list(rows)] = list(rows.values())
+    return series, harmonics
 
 
 def reconstruct_curve(
@@ -120,19 +116,15 @@ def reconstruct_curve(
     if len(column_names) != coefficients.size:
         raise ValueError("column_names and coefficients must align")
     offsets = -math.pi + np.arange(grid_size) * (2.0 * math.pi / grid_size)
-    terms = _curve_terms(column_names, coefficients, mask, kind)
+    series, harmonics = _curve_series(column_names, coefficients, mask, kind)
     # with only even harmonics the curve has period pi, so offsets i and
     # i + G/2 tie exactly: the first half is computed and copied, and the
     # extremes are reported at the first of two tied offsets
-    half = grid_size // 2
-    period_pi = grid_size % 2 == 0 and all(k % 2 == 0 for k, _ in terms)
-    computed = offsets[:half] if period_pi else offsets
-    values = np.zeros(grid_size)
-    for k, (c, s) in terms:
-        values[:computed.size] += (c * np.cos(k * computed)
-                                   + s * np.sin(k * computed))
+    period_pi = grid_size % 2 == 0 and all(k % 2 == 0 for k in harmonics)
+    computed = offsets[:grid_size // 2] if period_pi else offsets
+    values = fourier_basis(computed, series.size // 2) @ series
     if period_pi:
-        values[half:] = values[:half]
+        values = np.tile(values, 2)
     return InfluenceCurve(
         offsets=offsets,
         values=values,
@@ -158,8 +150,7 @@ def predict_pace(
         raise SpecMismatchError(
             "fit and spec disagree on the regression columns"
         )
-    paces = model_signal(theta, demand_hist, network_hist, spec,
-                         np.concatenate([[fit.gamma], fit.coefficients]))
+    paces = model_signal(theta, demand_hist, network_hist, spec, fit.params())
     return float(paces) if np.ndim(paces) == 0 else paces
 
 
@@ -295,7 +286,8 @@ def load_model(path):
         raise InputFormatError(f"{path}: invalid model: {exc}") from exc
     if dof_residual < 1:
         raise InputFormatError(f"{path}: model dof_residual must be >= 1")
-    if column_names != spec.column_names:
+    if (len(column_names) != spec.parameter_count - 1
+            or column_names != spec.column_names):
         raise SpecMismatchError("model column names do not match its spec")
     column = {key: _model_numbers(payload, key, (len(column_names),))
               for key in ("coefficients", "std_errors", "t_values", "p_values")}

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
-from .errors import InputFormatError
-from .features import ModelSpec, model_signal, moment_matrix
+from .errors import InputFormatError, SpecMismatchError
+from .features import ModelSpec, fourier_basis, model_signal, moment_matrix
 from .files import json_value
 from .ingest import TRIP_HEADER_PLANAR
 
@@ -79,16 +79,9 @@ class SyntheticScenario:
             raise ValueError("gamma, alpha, beta and noise_std must be finite")
         if alpha.shape != (2 * self.spec.k_max,):
             raise ValueError("alpha must have 2*k_max entries")
-        if beta.shape != (len(self.spec.network_column_names),):
+        if beta.shape != (2 * len(self.spec.network_harmonics),):
             raise ValueError("beta length must match the network columns")
-        for hist, what in ((self.demand_hist, "demand"),
-                           (self.network_hist, "network")):
-            if hist.bin_count != self.spec.bins:
-                raise ValueError(f"{what} histogram must have "
-                                 f"{self.spec.bins} bins")
-        if self.spec.network_point_symmetric:
-            if self.network_hist.point_symmetry_defect() > 1e-12:
-                raise ValueError("network histogram must be point symmetric")
+        self.spec.check_histograms(self.demand_hist, self.network_hist)
         if self.n_trips <= self.spec.parameter_count:
             raise ValueError("n_trips must exceed the parameter count")
         if self.noise_std < 0.0:
@@ -124,10 +117,9 @@ def harmonic_histogram(
     if cos_amplitudes.shape != sin_amplitudes.shape:
         raise ValueError("amplitude vectors must have equal length")
     centers = (np.arange(bins) + 0.5) * (TWO_PI / bins)
-    values = np.ones(bins)
-    for k0, (a, b) in enumerate(zip(cos_amplitudes, sin_amplitudes)):
-        k = k0 + 1
-        values += a * np.cos(k * centers) + b * np.sin(k * centers)
+    series = np.ones(2 * cos_amplitudes.size + 1)
+    series[1::2], series[2::2] = cos_amplitudes, sin_amplitudes
+    values = fourier_basis(centers, cos_amplitudes.size) @ series
     if np.any(values <= 0.0):
         raise ValueError("amplitudes too large: histogram would go nonpositive")
     if point_symmetric:
@@ -349,6 +341,6 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
         )
         if json_value(payload, "canonicalize_coefficients", bool, True):
             scenario = canonicalized(scenario)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SpecMismatchError) as exc:
         raise InputFormatError(f"invalid scenario: {exc}") from exc
     return scenario

@@ -10,14 +10,18 @@ import io
 import json
 import math
 import tempfile
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pacerose.cli import main
+from pacerose.features import ModelSpec
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
+HUGE_K = 10 ** 12
 
 
 def histogram(bins, rows=None):
@@ -74,17 +78,18 @@ PATHS = {
                  "missing.cfg"],
     "--scenario": ["scenario.json", "list.json", "not_json.json",
                    "fractional_trips.json", "missing.json"],
-    "--model": ["fit/model.json", "empty_model.json", "scenario.json",
-                "missing.json"],
+    "--model": ["fit/model.json", "huge_k_model.json", "empty_model.json",
+                "scenario.json", "missing.json"],
     "--output-dir": ["out", "trips.csv", "trips.csv/out"],
 }
 PATHS["--demand-hist"] = PATHS["--network-hist"]
 # a path is drawn as "@" and its name in the work directory
 PATHS = {flag: ["@" + name for name in names] for flag, names in PATHS.items()}
 
-# --bins and --curve-grid stay far below the sizes that exhaust memory
+# --bins and --curve-grid stay far below the sizes that exhaust memory;
+# a huge --k must be refused before anything of its size is built
 VALUES = {
-    "--k": ["1", "2", "3", "0", "-1", "x", "2.5"],
+    "--k": ["1", "2", "3", "0", "-1", "x", "2.5", str(HUGE_K)],
     "--bins": ["8", "4", "2", "1", "0", "-3", "x", "720"],
     "--lower-cut": ["0", "0.05", "0.6", "-0.1", "1", "nan", "x"],
     "--upper-cut": ["0", "0.1", "0.5", "1", "inf", "x"],
@@ -124,6 +129,9 @@ def work(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(in_work(work, ["fit", *BASE["fit"],
                                    "--output-dir", "@fit"])) == 0
+    model = json.loads((work / "fit" / "model.json").read_text())
+    (work / "huge_k_model.json").write_text(json.dumps(dict(model,
+                                                            k_max=HUGE_K)))
     return work
 
 
@@ -159,3 +167,27 @@ def test_every_run_exits_0_2_3_or_4_without_a_traceback(work, command, base,
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fit", *BASE["fit"], "--k", str(HUGE_K), "--output-dir", "@huge"], 3),
+    (["predict", "--model", "@huge_k_model.json", "--theta", "1.0"], 4),
+], ids=["fit-exits-3", "predict-exits-4"])
+def test_huge_k_is_refused_at_once(work, argv, code):
+    # 80 trips are too few for 3e12 parameters, and the model's 6 column
+    # names are not the 3e12 its k_max asks for. Building that many names
+    # would exhaust memory, so doing so fails the test at once instead.
+    def built(spec):
+        raise AssertionError(f"column names built for k_max {spec.k_max}")
+
+    stderr = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr), \
+            mock.patch.object(ModelSpec, "demand_column_names",
+                              property(built)):
+        got = main(in_work(work, argv))
+    elapsed = time.perf_counter() - start
+    assert got == code, stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    assert elapsed < 1.0

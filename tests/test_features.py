@@ -50,6 +50,16 @@ class TestModelSpec:
         spec = ModelSpec(k_max=3, bins=16, network_point_symmetric=False)
         assert spec.parameter_count == 1 + 6 + 6
 
+    def test_shape_questions_do_not_build_names(self):
+        spec = ModelSpec(k_max=10 ** 12)
+
+        def built(spec):
+            raise AssertionError("column names built to count them")
+
+        with patch.object(ModelSpec, "demand_column_names", property(built)):
+            assert spec.network_harmonics == range(2, 10 ** 12 + 1, 2)
+            assert spec.parameter_count == 1 + 2 * (10 ** 12 + 5 * 10 ** 11)
+
     def test_symmetry_needs_even_bins(self):
         with pytest.raises(ValueError):
             ModelSpec(k_max=2, bins=9, network_point_symmetric=True)

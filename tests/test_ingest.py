@@ -158,6 +158,21 @@ class TestParseTrips:
                 trips_from("x,y\n" + text)
             assert str(err.value).startswith("row 1: expected header")
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    @pytest.mark.parametrize("text, message", [
+        (f"{TRIP_HEADER}\n0,0,1,1,60,1\n0,0,1,1,60,1\x00\n0,0,1,x,60,1\n",
+         "row 3: line contains NUL"),
+        (f"{TRIP_HEADER}\n0,0,1,x,60,1\n0,0,1,1,60,1\x00\n",
+         "row 2: field 'dest_y' is not a number: 'x'"),
+        (f"{TRIP_HEADER}\x00\n0,0,1,1,60,1\n", "row 1: line contains NUL"),
+    ], ids=["row", "after-a-bad-row", "header"])
+    def test_nul_line_is_named_in_file_order(self, block_rows, text, message):
+        # on every Python, as the csv module of Python 3.10 does by itself
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            with pytest.raises(InputFormatError) as err:
+                trips_from(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("block_rows", [1, 4096])
     @pytest.mark.parametrize("body, message", [
         ("nan,0,1,1,1e300,x", "row 2: field 'origin_x' must be finite, got 'nan'"),
@@ -890,16 +905,16 @@ class TestLoadtxtReader:
             parse_network(io.StringIO(text))
         assert str(err.value) == "row 3: expected 6 fields, got 7"
 
-    @pytest.mark.parametrize("road_class, shown", [
-        ("primary\x00", "'primary\\x00'"),
-        ("primary" + " " * 9 + "x", "'primary         x'"),
+    @pytest.mark.parametrize("road_class, message", [
+        ("primary\x00", "line contains NUL"),
+        ("primary" + " " * 9 + "x", "unknown road class 'primary         x'"),
     ], ids=["nul", "sixteen-characters-or-more"])
-    def test_class_text_np_loadtxt_would_cut(self, road_class, shown):
+    def test_class_text_np_loadtxt_would_cut(self, road_class, message):
         text = (f"{NET_HEADER}\n0,0,1,1,primary\n0,0,1,1,{road_class}\n"
                 "0,0,1,1,trunk\n")
         with pytest.raises(InputFormatError) as err:
             parse_network(io.StringIO(text))
-        assert str(err.value) == f"row 3: unknown road class {shown}"
+        assert str(err.value) == f"row 3: {message}"
 
     def test_blank_line_keeps_the_row_numbers_of_skipped_trips(self):
         # np.loadtxt skips an empty line without a word

@@ -322,6 +322,23 @@ class TestModelPersistence:
         assert (fit.gamma_t_value, fit.gamma_p_value) == (t, p)
         assert (loaded.gamma_t_value, loaded.gamma_p_value) == (t, p)
 
+    def test_exact_fit_f_statistic_survives_round_trip(self, tmp_path):
+        # y = 1 + x exactly: zero residuals, an infinite F statistic
+        exact = (math.inf, 0.0, 1.0)
+        fit = ols_fit([[0], [0], [0], [1], [1]], [1, 1, 1, 2, 2])
+        assert (fit.f_statistic, fit.prob_f, fit.r_squared) == exact
+        # the same fit beside a zero column, named as a spec names them
+        spec = ModelSpec(k_max=1, bins=4)
+        fit = ols_fit([[0, 0], [0, 0], [0, 0], [1, 0], [1, 0]],
+                      [1, 1, 1, 2, 2], spec.column_names)
+        assert (fit.f_statistic, fit.prob_f, fit.r_squared) == exact
+        hist = AngularHistogram(4, np.full(4, 0.25))
+        path = tmp_path / "model.json"
+        save_model(path, fit, spec, hist, hist)
+        loaded = load_model(path)[0]
+        assert (loaded.f_statistic, loaded.prob_f, loaded.r_squared) == exact
+        np.testing.assert_array_equal(loaded.coefficients, fit.coefficients)
+
     @pytest.mark.parametrize("failure", ["encoding", "rename"])
     def test_failed_save_keeps_the_earlier_model(self, tmp_path, failure):
         class Interrupted(Exception):

@@ -318,6 +318,26 @@ class TestScenarioParsing:
                 network_hist={"kind": "values", "values": list(values)}
             ))
 
+    def network_with_excess(self, excess):
+        """A payload whose network bins 3 and 19 differ by
+        excess / (32 + excess) once normalized."""
+        values = np.ones(32)
+        values[3] += excess
+        return self.payload(network_hist={"kind": "values",
+                                          "values": list(values)})
+
+    def test_network_defect_within_the_features_tolerance_accepted(self):
+        # a defect of 1e-10, inside the features' point-symmetry tolerance
+        scenario = scenario_from_dict(self.network_with_excess(3.2e-9))
+        assert scenario.network_hist.point_symmetry_defect() > 0.0
+
+    def test_asymmetric_network_named_as_the_features_name_it(self):
+        with pytest.raises(InputFormatError) as err:
+            scenario_from_dict(self.network_with_excess(1e-6))
+        assert str(err.value) == ("invalid scenario: network histogram is not "
+                                  "point symmetric: bins 3 and 19 differ by "
+                                  "3.125e-08")
+
 
 class TestHarmonicHistogram:
     def test_moments_are_planted(self):
@@ -328,6 +348,10 @@ class TestHarmonicHistogram:
             assert moment == pytest.approx(expected, abs=1e-12)
         sin2 = float(np.sin(2 * centers) @ hist.values)
         assert sin2 == pytest.approx(0.15, abs=1e-12)
+
+    def test_no_amplitudes_give_the_uniform_histogram(self):
+        hist = harmonic_histogram(8, [], [])
+        np.testing.assert_array_equal(hist.values, np.full(8, 1 / 8))
 
     def test_positivity_guard(self):
         with pytest.raises(ValueError):
