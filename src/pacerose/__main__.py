@@ -1,5 +1,10 @@
 import sys
 
-from .cli import main
+from .options import _parse_args
 
-sys.exit(main())
+# --help and usage errors exit here, before the commands import numpy
+args = _parse_args(None)
+
+from .cli import _run  # noqa: E402
+
+sys.exit(_run(args))

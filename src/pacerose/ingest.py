@@ -486,7 +486,7 @@ def parse_histogram(source, bins: int) -> AngularHistogram:
 
     for _, block, index in _rows(blocks, 3, judge, text=0):
         values.update(zip(index, block[:, 1].tolist()))
-    if sorted(values) != list(range(bins)):
+    if len(values) != bins or any(i not in values for i in range(bins)):
         raise InputFormatError(
             f"expected bin indices 0..{bins - 1}, got {len(values)} rows")
     arr = np.array([values[i] for i in range(bins)])

@@ -40,7 +40,7 @@ def rose_svg(values, title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
         f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
         f"<title>{title}</title>",
-        f"<desc>{_CONVENTION}; {n} bins; max value {vmax!r}</desc>",
+        f"<desc>{_CONVENTION}; {n} bins; max value {float(vmax)!r}</desc>",
         f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
     ]
     for frac in (0.25, 0.5, 0.75, 1.0):

@@ -22,6 +22,8 @@ from pacerose.features import ModelSpec
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 HUGE_K = 10 ** 12
+# 8 PiB of float64, beyond any 64-bit address space: numpy refuses at once
+HUGE_SIZE = str(2 ** 50)
 
 
 def histogram(bins, rows=None):
@@ -189,5 +191,25 @@ def test_huge_k_is_refused_at_once(work, argv, code):
         got = main(in_work(work, argv))
     elapsed = time.perf_counter() - start
     assert got == code, stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["hist", *BASE["hist"], "--bins", HUGE_SIZE],
+    ["fit", "--trips", "@trips.csv", "--network", "@network.csv",
+     "--k", "2", "--bins", HUGE_SIZE],
+    ["fit", *BASE["fit"], "--curve-grid", HUGE_SIZE],
+], ids=["hist-bins", "fit-bins", "fit-curve-grid"])
+def test_size_too_large_to_allocate_exits_2(work, argv):
+    stderr = io.StringIO()
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(dir=work) as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        got = main(in_work(work, argv) + ["--output-dir", out])
+    elapsed = time.perf_counter() - start
+    assert got == 2, stderr.getvalue()
+    assert stderr.getvalue().startswith("error: ")
     assert "Traceback" not in stderr.getvalue()
     assert elapsed < 1.0

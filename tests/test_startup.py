@@ -1,0 +1,44 @@
+"""Usage questions are answered before numpy is imported.
+
+``python -m pacerose`` parses its arguments with ``pacerose.options``,
+which needs only the standard library, and imports the commands (and so
+numpy) only for a command that runs. ``-S`` leaves site-packages, where
+numpy is installed, off the module path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, cwd):
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["fit", "--help"], 0),
+    (["fit", "--bogus"], 2),
+], ids=["help", "fit-help", "fit-usage-error"])
+def test_usage_is_answered_without_site_packages(tmp_path, argv, code):
+    light = run_python("-S", "-m", "pacerose", *argv, cwd=tmp_path)
+    full = run_python("-m", "pacerose", *argv, cwd=tmp_path)
+    assert light.returncode == code, light.stderr.decode()
+    assert full.returncode == code, full.stderr.decode()
+    assert light.stdout == full.stdout
+    assert light.stderr == full.stderr
+
+
+def test_importing_the_package_and_its_options_leaves_numpy_out(tmp_path):
+    proc = run_python("-c", "import sys, pacerose, pacerose.options; "
+                      "print('numpy' in sys.modules)", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["False"]
