@@ -1,10 +1,22 @@
+"""The ``pacerose`` command line, for ``python -m pacerose`` and the
+installed ``pacerose`` script."""
+
 import sys
 
 from .options import _parse_args
 
-# --help and usage errors exit here, before the commands import numpy
-args = _parse_args(None)
 
-from .cli import _run  # noqa: E402
+def main(argv=None) -> int:
+    """Run the command ``argv`` names; returns the exit code.
 
-sys.exit(_run(args))
+    --help and usage errors exit in the parser, before the commands and
+    numpy are imported.
+    """
+    args = _parse_args(argv)
+    from .cli import _run
+
+    return _run(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

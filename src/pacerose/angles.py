@@ -92,7 +92,8 @@ class AngularHistogram:
         if np.any(values < 0.0):
             raise ValueError("histogram values must be nonnegative")
         if abs(values.sum() - 1.0) > 1e-12:
-            raise ValueError(f"histogram must sum to 1, got {values.sum()!r}")
+            raise ValueError(
+                f"histogram must sum to 1, got {float(values.sum())!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .estimator import ols_fit, report_rows, significance_mask
 from .features import ModelSpec, build_design_matrix, fourier_design
-from .files import csv_text, write_atomic
+from .files import csv_text, json_object, write_atomic
 from .ingest import (
     HISTOGRAM_HEADER,
     FilterPolicy,
@@ -220,20 +220,20 @@ def cmd_fit(cfg: RunConfig) -> int:
         rank_policy="strict" if cfg.strict_rank else "min_norm",
     )
 
+    # everything that may fail, even for lack of memory, before any write
+    mask = significance_mask(fit, SIGNIFICANCE_LEVEL) if cfg.mask_curves else None
+    curves = {kind: reconstruct_curve(fit.column_names, fit.coefficients,
+                                      mask=mask, kind=kind,
+                                      grid_size=cfg.curve_grid)
+              for kind in ("alpha", "beta")}
+    sign_text = expected_sign_report(curves["alpha"], curves["beta"])
+
     out = cfg.output_dir
     write_atomic(os.path.join(out, "fit_report.csv"), csv_text(
         report_rows(fit, SIGNIFICANCE_LEVEL), ("name", "coefficient",
         "std_err", "t_value", "p_value", "significant_5pct")))
     write_atomic(os.path.join(out, "summary.txt"), _summary_text(fit))
-
-    mask = significance_mask(fit, SIGNIFICANCE_LEVEL) if cfg.mask_curves else None
-    curves = {}
-    for kind in ("alpha", "beta"):
-        curve = reconstruct_curve(
-            fit.column_names, fit.coefficients, mask=mask, kind=kind,
-            grid_size=cfg.curve_grid,
-        )
-        curves[kind] = curve
+    for kind, curve in curves.items():
         write_atomic(os.path.join(out, f"{kind}_curve.csv"), csv_text(
             zip(curve.offsets, curve.values), ("offset_rad", "value")))
         plot_values = curve.values
@@ -243,8 +243,6 @@ def cmd_fit(cfg: RunConfig) -> int:
             title += " (baseline: minimum)"
         write_atomic(os.path.join(out, f"{kind}_curve.svg"),
                      curve_svg(curve.offsets, plot_values, title))
-
-    sign_text = expected_sign_report(curves["alpha"], curves["beta"])
     write_atomic(os.path.join(out, "sign_report.txt"), sign_text + "\n")
     save_model(os.path.join(out, "model.json"), fit, spec, demand, network)
 
@@ -267,12 +265,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.scenario:
         raise InputFormatError("simulate needs --scenario")
-    try:
-        with open(cfg.scenario, encoding="utf-8-sig") as f:
-            payload = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid scenario JSON: {exc}") from exc
-    scenario = scenario_from_dict(payload)
+    scenario = scenario_from_dict(json_object(cfg.scenario))
     if cfg.seed is not None:
         scenario = _validated(replace, scenario, seed=cfg.seed)
 

@@ -1,31 +1,69 @@
 """Output files written whole or not at all, CSV text with one cell format,
-and JSON values read strictly."""
+and JSON files and values read strictly."""
 
 from __future__ import annotations
 
+import json
+import numbers
 import os
 import tempfile
+from typing import get_args
 
 import numpy as np
 
-__all__ = ["csv_text", "json_value", "write_atomic"]
+from .errors import InputFormatError
 
-_JSON_TYPES = {bool: "boolean", int: "integer"}
+__all__ = ["csv_text", "json_object", "json_value", "write_atomic"]
+
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               dict: "object", list[float]: "array of numbers",
+               list[str]: "array of strings"}
 
 
-def json_value(payload: dict, key: str, kind: type, default=None):
+def _is_kind(value, kind) -> bool:
+    if get_args(kind):  # list[x]: a list of x
+        return isinstance(value, list) and all(
+            _is_kind(entry, get_args(kind)[0]) for entry in value)
+    if kind is float:  # True is an int, so a numbers.Real, but not a number
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is kind
+
+
+def json_object(path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``, with or without a byte
+    order mark. ``Infinity`` reads as a float: an exact fit's model holds
+    infinite t values. Raises InputFormatError naming ``path`` otherwise."""
+    with open(path, encoding="utf-8-sig") as f:
+        try:
+            payload = json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise InputFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{path}: expected a JSON object, got "
+                               f"{type(payload).__name__}")
+    return payload
+
+
+def json_value(payload: dict, key: str, kind, default=None):
     """``payload[key]``, or ``default`` when given and the key is absent.
 
-    The value must be a JSON value of ``kind``, bool or int: ``true`` is not
-    an integer and ``50.0`` is not one either. Raises KeyError for a missing
-    key without a default and ValueError naming the key for a value of
-    another type.
+    ``kind`` is a key of ``_JSON_NAMES``. ``true`` is not a number and
+    ``50.0`` not an integer. A number (a numpy one too) is returned as a
+    float and a ``list[float]`` as a float ndarray. Raises ValueError naming
+    the key when it is missing without a default or of another kind.
     """
-    value = payload[key] if default is None else payload.get(key, default)
-    if type(value) is not kind:
+    if key not in payload and default is None:
+        raise ValueError(f"missing key {key}")
+    value = payload.get(key, default)
+    if not _is_kind(value, kind):
         raise ValueError(
-            f"{key} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
-    return value
+            f"{key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    try:
+        if kind is float:
+            return float(value)
+        return np.array(value, dtype=float) if kind == list[float] else value
+    except OverflowError:  # an integer such as 1 followed by 400 zeros
+        raise ValueError(f"{key} is beyond the float range") from None
 
 
 def write_atomic(path, text: str):

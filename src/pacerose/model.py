@@ -20,7 +20,7 @@ from .angles import AngularHistogram
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import FitResult, t_statistics
 from .features import ModelSpec, fourier_basis, model_signal
-from .files import json_value, write_atomic
+from .files import json_object, json_value, write_atomic
 from .special import t_p_value
 
 MODEL_FORMAT = "pacerose-model/1"
@@ -217,29 +217,20 @@ def save_model(
     write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
-_MODEL_KEYS = (
-    "format", "k_max", "bins", "point_symmetric", "column_names", "gamma",
-    "gamma_std_error", "coefficients", "std_errors", "t_values", "p_values",
-    "r_squared", "f_statistic", "prob_f", "n_samples", "dof_residual", "rank",
-    "demand_hist", "network_hist",
-)
 # an exact fit (zero residuals) has infinite t values and F statistic
 _MAY_BE_INFINITE = ("t_values", "f_statistic")
 
 
-def _model_numbers(payload: dict, key: str, shape: tuple) -> np.ndarray:
-    """Entry ``key`` as a float array of ``shape``, checked for finiteness."""
-    try:
-        values = np.asarray(payload[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"model {key}: not numeric ({exc})") from exc
-    if values.shape != shape:
-        raise InputFormatError(
-            f"model {key}: expected shape {shape}, got {values.shape}"
-        )
+def _model_numbers(payload: dict, key: str, shape: tuple):
+    """Entry ``key``, a number for shape () or else a float array of
+    ``shape``, checked for finiteness."""
+    values = json_value(payload, key, list[float] if shape else float)
+    if np.shape(values) != shape:
+        raise ValueError(
+            f"{key}: expected shape {shape}, got {np.shape(values)}")
     bad = np.isnan(values) if key in _MAY_BE_INFINITE else ~np.isfinite(values)
     if np.any(bad):
-        raise InputFormatError(f"model {key}: values must be finite")
+        raise ValueError(f"{key}: values must be finite")
     return values
 
 
@@ -251,26 +242,18 @@ def load_model(path):
     Raises
     ------
     InputFormatError
-        If the file is not JSON, lacks a key, or holds an array whose
-        length disagrees with the spec's columns or bins, a non-finite
-        value, or an invalid spec or histogram.
+        If the file is not a JSON object, lacks a key, or holds a value of
+        the wrong JSON type, an array whose length disagrees with the spec's
+        columns or bins, a non-finite value, or an invalid spec or
+        histogram.
     SpecMismatchError
         On an unknown format or column names that disagree with the spec.
     """
-    with open(path, encoding="utf-8-sig") as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:
-            raise InputFormatError(f"{path}: not a JSON model: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise InputFormatError(f"{path}: model must be a JSON object")
+    payload = json_object(path)
     if payload.get("format") != MODEL_FORMAT:
         raise SpecMismatchError(
             f"unsupported model format {payload.get('format')!r}"
         )
-    missing = [key for key in _MODEL_KEYS if key not in payload]
-    if missing:
-        raise InputFormatError(f"{path}: model lacks keys {', '.join(missing)}")
     try:
         spec = ModelSpec(
             k_max=json_value(payload, "k_max", int),
@@ -278,46 +261,39 @@ def load_model(path):
             network_point_symmetric=json_value(payload, "point_symmetric",
                                                bool),
         )
-        column_names = tuple(payload["column_names"])
-        n_samples = json_value(payload, "n_samples", int)
+        column_names = tuple(json_value(payload, "column_names", list[str]))
         dof_residual = json_value(payload, "dof_residual", int)
-        rank = json_value(payload, "rank", int)
-    except (TypeError, ValueError) as exc:
+        if dof_residual < 1:
+            raise ValueError("dof_residual must be >= 1")
+        if (len(column_names) != spec.parameter_count - 1
+                or column_names != spec.column_names):
+            raise SpecMismatchError("model column names do not match its spec")
+        columns = (len(column_names),)
+        gamma = _model_numbers(payload, "gamma", ())
+        gamma_se = _model_numbers(payload, "gamma_std_error", ())
+        gamma_t = float(t_statistics(gamma, gamma_se))
+        fit = FitResult(
+            column_names=column_names,
+            gamma=gamma,
+            coefficients=_model_numbers(payload, "coefficients", columns),
+            std_errors=_model_numbers(payload, "std_errors", columns),
+            t_values=_model_numbers(payload, "t_values", columns),
+            p_values=_model_numbers(payload, "p_values", columns),
+            gamma_std_error=gamma_se,
+            gamma_t_value=gamma_t,
+            gamma_p_value=t_p_value(abs(gamma_t), dof_residual),
+            r_squared=_model_numbers(payload, "r_squared", ()),
+            f_statistic=_model_numbers(payload, "f_statistic", ()),
+            prob_f=_model_numbers(payload, "prob_f", ()),
+            n_samples=json_value(payload, "n_samples", int),
+            dof_residual=dof_residual,
+            rank=json_value(payload, "rank", int),
+        )
+        demand_hist = AngularHistogram(
+            spec.bins, _model_numbers(payload, "demand_hist", (spec.bins,)))
+        network_hist = AngularHistogram(
+            spec.bins, _model_numbers(payload, "network_hist", (spec.bins,)))
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a dof_residual beyond the float range
         raise InputFormatError(f"{path}: invalid model: {exc}") from exc
-    if dof_residual < 1:
-        raise InputFormatError(f"{path}: model dof_residual must be >= 1")
-    if (len(column_names) != spec.parameter_count - 1
-            or column_names != spec.column_names):
-        raise SpecMismatchError("model column names do not match its spec")
-    column = {key: _model_numbers(payload, key, (len(column_names),))
-              for key in ("coefficients", "std_errors", "t_values", "p_values")}
-    scalar = {key: float(_model_numbers(payload, key, ()))
-              for key in ("gamma", "gamma_std_error", "r_squared",
-                          "f_statistic", "prob_f")}
-    gamma, gamma_se = scalar["gamma"], scalar["gamma_std_error"]
-    gamma_t = float(t_statistics(gamma, gamma_se))
-    fit = FitResult(
-        column_names=column_names,
-        gamma=gamma,
-        coefficients=column["coefficients"],
-        std_errors=column["std_errors"],
-        t_values=column["t_values"],
-        p_values=column["p_values"],
-        gamma_std_error=gamma_se,
-        gamma_t_value=gamma_t,
-        gamma_p_value=t_p_value(abs(gamma_t), dof_residual),
-        r_squared=scalar["r_squared"],
-        f_statistic=scalar["f_statistic"],
-        prob_f=scalar["prob_f"],
-        n_samples=n_samples,
-        dof_residual=dof_residual,
-        rank=rank,
-    )
-    demand_values = _model_numbers(payload, "demand_hist", (spec.bins,))
-    network_values = _model_numbers(payload, "network_hist", (spec.bins,))
-    try:
-        demand_hist = AngularHistogram(spec.bins, demand_values)
-        network_hist = AngularHistogram(spec.bins, network_values)
-    except ValueError as exc:
-        raise InputFormatError(f"{path}: invalid model histogram: {exc}") from exc
     return fit, spec, demand_hist, network_hist

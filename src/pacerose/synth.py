@@ -276,32 +276,34 @@ def scenario_manifest(scenario: SyntheticScenario, n_clamped: int) -> dict:
     }
 
 
-def _histogram_from_spec(entry, bins: int, point_symmetric: bool):
-    if isinstance(entry, (list, tuple)):
-        entry = {"kind": "values", "values": list(entry)}
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise InputFormatError("histogram spec must be a list or a kind object")
-    kind = entry["kind"]
+def _histogram_from_spec(payload: dict, key: str, spec: ModelSpec):
+    """The histogram ``payload[key]`` describes: bin values or a kind."""
+    bins = spec.bins
+    if isinstance(payload.get(key), list):  # the bin values alone
+        payload = {key: {"kind": "values", "values": payload[key]}}
+    entry = json_value(payload, key, dict)
+    kind = json_value(entry, "kind", str)
     if kind == "values":
-        values = np.asarray(entry["values"], dtype=float)
+        values = json_value(entry, "values", list[float])
         total = values.sum()
         if total <= 0.0:
-            raise InputFormatError("histogram values must have positive total")
+            raise ValueError("histogram values must have positive total")
         return AngularHistogram(bins, values / total)
     if kind == "uniform":
         return AngularHistogram(bins, np.full(bins, 1.0 / bins))
     if kind == "harmonic":
         return harmonic_histogram(
             bins,
-            entry.get("cos", []),
-            entry.get("sin", []),
-            point_symmetric=point_symmetric,
+            json_value(entry, "cos", list[float], []),
+            json_value(entry, "sin", list[float], []),
+            point_symmetric=(key == "network_hist"
+                             and spec.network_point_symmetric),
         )
     if kind == "rotated_grid":
         return make_rotated_grid_network(
-            float(entry.get("rotation_rad", 0.0)), bins
+            json_value(entry, "rotation_rad", float, 0.0), bins
         )
-    raise InputFormatError(f"unknown histogram kind {kind!r}")
+    raise ValueError(f"unknown histogram kind {kind!r}")
 
 
 def scenario_from_dict(payload: dict) -> SyntheticScenario:
@@ -311,11 +313,6 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
     coefficients are projected onto the identifiable subspace; the manifest
     then records the projected ground truth.
     """
-    if not isinstance(payload, dict):
-        raise InputFormatError(
-            f"invalid scenario: expected a JSON object, got "
-            f"{type(payload).__name__}"
-        )
     try:
         spec = ModelSpec(
             k_max=json_value(payload, "k_max", int, 8),
@@ -325,22 +322,17 @@ def scenario_from_dict(payload: dict) -> SyntheticScenario:
         )
         scenario = SyntheticScenario(
             spec=spec,
-            gamma=float(payload["gamma"]),
-            alpha=np.asarray(payload["alpha"], dtype=float),
-            beta=np.asarray(payload["beta"], dtype=float),
-            demand_hist=_histogram_from_spec(
-                payload["demand_hist"], spec.bins, point_symmetric=False
-            ),
-            network_hist=_histogram_from_spec(
-                payload["network_hist"], spec.bins,
-                point_symmetric=spec.network_point_symmetric,
-            ),
+            gamma=json_value(payload, "gamma", float),
+            alpha=json_value(payload, "alpha", list[float]),
+            beta=json_value(payload, "beta", list[float]),
+            demand_hist=_histogram_from_spec(payload, "demand_hist", spec),
+            network_hist=_histogram_from_spec(payload, "network_hist", spec),
             n_trips=json_value(payload, "n_trips", int),
-            noise_std=float(payload.get("noise_std", 0.0)),
+            noise_std=json_value(payload, "noise_std", float, 0.0),
             seed=json_value(payload, "seed", int, 0),
         )
         if json_value(payload, "canonicalize_coefficients", bool, True):
             scenario = canonicalized(scenario)
-    except (KeyError, TypeError, ValueError, SpecMismatchError) as exc:
+    except (ValueError, SpecMismatchError) as exc:
         raise InputFormatError(f"invalid scenario: {exc}") from exc
     return scenario

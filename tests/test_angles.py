@@ -181,6 +181,12 @@ class TestAngularHistogramType:
         with pytest.raises(ValueError):
             AngularHistogram(2, [0.6, 0.6])
 
+    def test_normalization_error_writes_the_sum_as_a_float(self):
+        # numpy 2 writes a float64 scalar's repr as np.float64(8.0)
+        with pytest.raises(ValueError) as err:
+            AngularHistogram(4, [2.0, 2.0, 2.0, 2.0])
+        assert str(err.value) == "histogram must sum to 1, got 8.0"
+
     def test_values_read_only(self):
         h = AngularHistogram(2, [0.5, 0.5])
         with pytest.raises(ValueError):

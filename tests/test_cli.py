@@ -292,6 +292,86 @@ class TestSimulateCommand:
                 f"got {value!r}") in err
         assert not out.exists()
 
+    @staticmethod
+    def edited_scenario(key, value):
+        """A scenario whose number ``key``, or the first entry of its array
+        ``key``, is ``value``."""
+        if key in ("gamma", "noise_std"):
+            return scenario_payload(**{key: value})
+        if key == "alpha":
+            return scenario_payload(alpha=[value] + RAW_ALPHA[1:].tolist())
+        if key == "rotation_rad":
+            return scenario_payload(network_hist={"kind": "rotated_grid",
+                                                  "rotation_rad": value})
+        hist = {"values": {"kind": "values", "values": [1.0] * 32},
+                "cos": {"kind": "harmonic", "cos": [0.06] * 8,
+                        "sin": [0.05] * 8}}[key]
+        hist[key][0] = value
+        return scenario_payload(demand_hist=hist)
+
+    @pytest.mark.parametrize("value", ["240", True, None],
+                             ids=["string", "true", "null"])
+    @pytest.mark.parametrize("key, kind", [
+        ("gamma", "number"), ("noise_std", "number"),
+        ("alpha", "array of numbers"), ("values", "array of numbers"),
+        ("cos", "array of numbers"), ("rotation_rad", "number"),
+    ])
+    def test_scenario_numbers_are_strict(self, tmp_path, capsys, key, kind,
+                                         value):
+        payload = self.edited_scenario(key, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        got = value
+        if key == "alpha":
+            got = payload["alpha"]
+        elif key in ("values", "cos"):
+            got = payload["demand_hist"][key]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: invalid scenario: {key} must be a "
+                                f"JSON {kind}, got {got!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["gamma", "alpha", "n_trips",
+                                     "network_hist"])
+    def test_missing_scenario_key_is_named(self, tmp_path, capsys, key):
+        payload = scenario_payload()
+        del payload[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: invalid scenario: missing key {key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"gamma": 1' + "0" * 400 + "}", "invalid scenario: gamma is beyond "
+         "the float range"),
+        ("[" * 100000 + "]" * 100000, "bad.json: not valid JSON: "),
+        ('"scenario"', "expected a JSON object, got str"),
+    ], ids=["integer-beyond-float", "deep-nesting", "string"])
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys, text,
+                                         message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, count", [
         ({"noise_std": 1e308}, 4),
         ({"gamma": 1e308, "alpha": [1e308, 0.0]}, 19),
@@ -658,6 +738,88 @@ class TestPredictCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"invalid model: {key} must be a JSON" in captured.err
+
+    @staticmethod
+    def set_model_entry(payload, key, value):
+        if key in ("coefficients", "demand_hist"):
+            return dict(payload, **{key: [value] + payload[key][1:]})
+        return dict(payload, **{key: value})
+
+    @pytest.mark.parametrize("value", ["1e0", True, None],
+                             ids=["string", "true", "null"])
+    @pytest.mark.parametrize("key, kind", [
+        ("gamma", "number"), ("r_squared", "number"),
+        ("coefficients", "array of numbers"),
+        ("demand_hist", "array of numbers"),
+        ("column_names", "array of strings"),
+    ])
+    def test_model_numbers_are_strict(self, tmp_path, capsys, key, kind,
+                                      value):
+        model = self.make_uniform_model(tmp_path)
+        payload = self.set_model_entry(json.loads(model.read_text()), key,
+                                       value)
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {model}: invalid model: {key} must "
+                                f"be a JSON {kind}, got {payload[key]!r}\n")
+
+    @pytest.mark.parametrize("names", ["ab", [0, 1, 2, 3, 4, 5]],
+                             ids=["string", "integers"])
+    def test_model_column_names_are_strings(self, tmp_path, capsys, names):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        model.write_text(json.dumps(dict(payload, column_names=names)))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {model}: invalid model: column_names "
+                                f"must be a JSON array of strings, got "
+                                f"{names!r}\n")
+
+    @pytest.mark.parametrize("key", ["k_max", "column_names", "coefficients",
+                                     "gamma", "network_hist"])
+    def test_missing_model_key_is_named(self, tmp_path, capsys, key):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        del payload[key]
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {model}: invalid model: missing key "
+                                f"{key}\n")
+
+    @pytest.mark.parametrize("key, message", [
+        ("gamma_std_error", "gamma_std_error is beyond the float range"),
+        ("dof_residual", "int too large to convert to float"),
+    ])
+    def test_model_integer_beyond_float_exits_2(self, tmp_path, capsys, key,
+                                                message):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        model.write_text(json.dumps(dict(payload, **{key: 10 ** 400})))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {model}: invalid model: {message}\n"
+
+    def test_model_histogram_sum_is_a_plain_float(self, tmp_path, capsys):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["demand_hist"] = [0.25] * len(payload["demand_hist"])
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {model}: invalid model: histogram "
+                                "must sum to 1, got 8.0\n")
 
     def test_missing_model_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),

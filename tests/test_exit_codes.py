@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 import time
 from unittest import mock
@@ -62,6 +63,10 @@ FILES = {
         "beta": [1.0, -1.0], "demand_hist": {"kind": "uniform"},
         "network_hist": {"kind": "rotated_grid", "rotation_rad": 0.3},
         "n_trips": 200, "noise_std": 2.0, "seed": 3}),
+    "huge_trips.json": json.dumps({
+        "k_max": 2, "bins": 8, "gamma": 120.0, "alpha": [3.0, -2.0, 1.0, 0.5],
+        "beta": [1.0, -1.0], "demand_hist": {"kind": "uniform"},
+        "network_hist": {"kind": "uniform"}, "n_trips": 2 ** 50}),
     "list.json": "[1, 2]",
     "not_json.json": "{",
     "fractional_trips.json": '{"k_max": 2, "bins": 8, "n_trips": 50.5}',
@@ -200,7 +205,8 @@ def test_huge_k_is_refused_at_once(work, argv, code):
     ["fit", "--trips", "@trips.csv", "--network", "@network.csv",
      "--k", "2", "--bins", HUGE_SIZE],
     ["fit", *BASE["fit"], "--curve-grid", HUGE_SIZE],
-], ids=["hist-bins", "fit-bins", "fit-curve-grid"])
+    ["simulate", "--scenario", "@huge_trips.json"],
+], ids=["hist-bins", "fit-bins", "fit-curve-grid", "simulate-n-trips"])
 def test_size_too_large_to_allocate_exits_2(work, argv):
     stderr = io.StringIO()
     start = time.perf_counter()
@@ -208,8 +214,10 @@ def test_size_too_large_to_allocate_exits_2(work, argv):
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(stderr):
         got = main(in_work(work, argv) + ["--output-dir", out])
+        written = os.listdir(out)
     elapsed = time.perf_counter() - start
     assert got == 2, stderr.getvalue()
     assert stderr.getvalue().startswith("error: ")
     assert "Traceback" not in stderr.getvalue()
+    assert written == []
     assert elapsed < 1.0

@@ -7,10 +7,8 @@ import pytest
 
 import pacerose
 
-# __main__ runs the command line when imported
 MODULES = sorted(f"pacerose.{info.name}"
-                 for info in pkgutil.iter_modules(pacerose.__path__)
-                 if info.name != "__main__")
+                 for info in pkgutil.iter_modules(pacerose.__path__))
 
 
 def test_modules_found():

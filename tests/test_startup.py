@@ -7,6 +7,7 @@ numpy is installed, off the module path.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,25 @@ def test_importing_the_package_and_its_options_leaves_numpy_out(tmp_path):
                       "print('numpy' in sys.modules)", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["False"]
+
+
+def script_target():
+    """The ``module:function`` the installed ``pacerose`` script calls."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^pacerose\s*=\s*"([\w.]+:\w+)"', scripts, re.M)
+    return target.split(":")
+
+
+def test_installed_script_answers_help_without_numpy(tmp_path):
+    # what the console script setuptools writes does: sys.exit(function())
+    module, function = script_target()
+    script = (f"import sys\nfrom {module} import {function}\n"
+              f"try:\n    {function}()\n"
+              "except SystemExit as exc:\n"
+              "    assert 'numpy' not in sys.modules\n    raise\n")
+    light = run_python("-S", "-c", script, "--help", cwd=tmp_path)
+    full = run_python("-m", "pacerose", "--help", cwd=tmp_path)
+    assert light.returncode == 0, light.stderr.decode()
+    assert light.stdout == full.stdout
+    assert light.stderr == full.stderr == b""
