@@ -273,8 +273,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     paces, n_clamped = generate_paces(theta, scenario)
 
     out = cfg.output_dir
-    write_atomic(os.path.join(out, "trips.csv"),
-                 "\n".join(trip_csv_lines(theta, paces)) + "\n")
+    write_atomic(os.path.join(out, "trips.csv"), trip_csv_lines(theta, paces))
     manifest = scenario_manifest(scenario, n_clamped)
     write_atomic(os.path.join(out, "manifest.json"),
                  json.dumps(manifest, indent=1) + "\n")

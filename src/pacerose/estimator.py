@@ -49,6 +49,7 @@ __all__ = [
     "ols_fit",
     "report_rows",
     "require_samples",
+    "row_blocks",
     "significance_mask",
     "t_statistics",
 ]
@@ -124,8 +125,14 @@ class FactoredDesign:
 
     def blocks(self):
         """(start, stop) of each block of BLOCK_ROWS rows."""
-        for start in range(0, self.rows, BLOCK_ROWS):
-            yield start, min(start + BLOCK_ROWS, self.rows)
+        return row_blocks(self.rows)
+
+
+def row_blocks(rows: int):
+    """(start, stop) of each block of BLOCK_ROWS of ``rows`` rows: the one
+    block size of every loop over N rows, the fit's and the model's."""
+    for start in range(0, rows, BLOCK_ROWS):
+        yield start, min(start + BLOCK_ROWS, rows)
 
 
 def t_statistics(params, se):
@@ -133,10 +140,11 @@ def t_statistics(params, se):
 
     Where a standard error is 0 (an exact fit, or an exactly zero column),
     the t statistic is 0 for a zero parameter and infinite with the
-    parameter's sign otherwise.
+    parameter's sign otherwise. A ratio beyond the float range is infinite
+    too, with no warning.
     """
     params, se = np.asarray(params, dtype=float), np.asarray(se, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(se > 0.0, params / np.where(se > 0.0, se, 1.0),
                         np.where(params == 0.0, 0.0, np.inf * np.sign(params)))
 

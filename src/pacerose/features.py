@@ -11,8 +11,9 @@ design factors as [1 X] = F(theta) M(d, n): the Fourier basis F(theta) =
 [1, cos theta, sin theta, ..., cos K theta, sin K theta] times the moment
 matrix M of both histograms. Every evaluation goes through that product:
 ``model_features`` is F M without the intercept column, ``model_signal``
-evaluates a model as F (M [gamma; c]) without forming X, and
-``fourier_design`` hands the solver F and M, so the fit never forms X.
+evaluates a model as F (M [gamma; c]) a block of directions at a time,
+without forming X, and ``fourier_design`` hands the solver F and M, so the
+fit never forms X.
 Rotating data and histograms together leaves every feature unchanged, and
 demand and network columns sharing a k both lie in the span of cos(k theta)
 and sin(k theta): the design is collinear whenever both carry mass at k.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram
 from .errors import SpecMismatchError
-from .estimator import FactoredDesign, require_samples
+from .estimator import FactoredDesign, require_samples, row_blocks
 
 POINT_SYMMETRY_TOL = 1e-9
 # C_k or S_k within ZERO_MOMENT_ULPS * eps * (B + 2*pi*k) of zero is the
@@ -215,12 +216,20 @@ def model_signal(
 ):
     """``params[0] + model_features(thetas, ...) @ params[1:]``.
 
-    Evaluated as ``F(theta) (M params)``, so X is never formed; the result
-    has the shape of ``thetas``. The same checks as ``model_features`` run.
+    Evaluated as ``F(theta) w`` with ``w = M params``, one block of
+    ``BLOCK_ROWS`` directions at a time, so neither X nor more than a block
+    of F is held; the result has the shape of ``thetas``. The same checks as
+    ``model_features`` run.
     """
     spec.check_histograms(demand_hist, network_hist)
-    return (fourier_basis(thetas, spec.k_max)
-            @ (moment_matrix(demand_hist, network_hist, spec) @ params))
+    weights = moment_matrix(demand_hist, network_hist, spec) @ params
+    thetas = np.asarray(thetas, dtype=float)
+    flat = thetas.ravel()
+    signal = np.empty(flat.size)
+    for start, stop in row_blocks(flat.size):
+        signal[start:stop] = fourier_basis(flat[start:stop],
+                                           spec.k_max) @ weights
+    return signal.reshape(thetas.shape)
 
 
 def _moment_columns(hist: AngularHistogram, harmonics: range, k_max: int):

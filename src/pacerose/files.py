@@ -66,12 +66,15 @@ def json_value(payload: dict, key: str, kind, default=None):
         raise ValueError(f"{key} is beyond the float range") from None
 
 
-def write_atomic(path, text: str):
+def write_atomic(path, text):
     """Write ``text`` to ``path`` through a temporary file and a rename.
 
-    ``path`` holds either its earlier content or all of ``text``; the
-    temporary file is removed when the write fails. The file gets the mode
-    ``open()`` would give it under the process umask, not mkstemp's 0600.
+    ``text`` is a string or an iterable of string chunks, each written as
+    it arrives, so a generator's text is never held whole. ``path`` holds
+    either its earlier content or all of ``text``; the temporary file is
+    removed when the write fails, also when the iterable raises. The file
+    gets the mode ``open()`` would give it under the process umask, not
+    mkstemp's 0600.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -80,7 +83,7 @@ def write_atomic(path, text: str):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:

@@ -32,11 +32,14 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from .errors import InputFormatError, SpecMismatchError
+from .estimator import row_blocks
 from .features import ModelSpec, fourier_basis, model_signal, moment_matrix
 from .files import json_value
 from .ingest import TRIP_HEADER_PLANAR
 
 PACE_FLOOR_S_PER_KM = 1.0
+# one trips.csv line: origin, destination, duration (the pace), distance
+_TRIP_ROW = "0,0,%r,%r,%r,1.0\n"
 
 __all__ = [
     "PACE_FLOOR_S_PER_KM",
@@ -242,17 +245,24 @@ def generate_paces(directions, scenario: SyntheticScenario):
 
 
 def trip_csv_lines(directions, paces):
-    """Trip CSV lines in the ingest format, full float precision.
+    """Trip CSV text in the ingest format, full float precision.
 
-    Every synthetic trip starts at the origin and covers exactly 1 km, so
-    the written duration equals the pace and the re-ingested bearing equals
-    the direction to the last bit that atan2 allows.
+    Yields the header line, then the lines of each block of ``BLOCK_ROWS``
+    trips as one string, so the whole text is never held. Every synthetic
+    trip starts at the origin and covers exactly 1 km, so the written
+    duration equals the pace and the re-ingested bearing equals the
+    direction to the last bit that atan2 allows. ``%r`` of a float is its
+    ``repr``, the shortest text that reads back to the same bits.
     """
-    yield ",".join(TRIP_HEADER_PLANAR)
-    for theta, p in zip(directions, paces):
-        dx = 1000.0 * math.cos(theta)
-        dy = 1000.0 * math.sin(theta)
-        yield f"0,0,{dx!r},{dy!r},{float(p)!r},1.0"
+    yield ",".join(TRIP_HEADER_PLANAR) + "\n"
+    directions = np.asarray(directions, dtype=float)
+    paces = np.asarray(paces, dtype=float)
+    for start, stop in row_blocks(directions.size):
+        cells = []
+        for theta, pace in zip(directions[start:stop].tolist(),
+                               paces[start:stop].tolist()):
+            cells += (1000.0 * math.cos(theta), 1000.0 * math.sin(theta), pace)
+        yield _TRIP_ROW * (stop - start) % tuple(cells)
 
 
 def scenario_manifest(scenario: SyntheticScenario, n_clamped: int) -> dict:
@@ -277,11 +287,22 @@ def scenario_manifest(scenario: SyntheticScenario, n_clamped: int) -> dict:
 
 
 def _histogram_from_spec(payload: dict, key: str, spec: ModelSpec):
-    """The histogram ``payload[key]`` describes: bin values or a kind."""
-    bins = spec.bins
+    """The histogram ``payload[key]`` describes: bin values or a kind.
+
+    A ValueError about the entry's content is prefixed with ``key``, as in
+    ``network_hist: unknown histogram kind 'nope'``.
+    """
     if isinstance(payload.get(key), list):  # the bin values alone
         payload = {key: {"kind": "values", "values": payload[key]}}
     entry = json_value(payload, key, dict)
+    try:
+        return _histogram(entry, spec.bins, point_symmetric=(
+            key == "network_hist" and spec.network_point_symmetric))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _histogram(entry: dict, bins: int, point_symmetric: bool):
     kind = json_value(entry, "kind", str)
     if kind == "values":
         values = json_value(entry, "values", list[float])
@@ -296,8 +317,7 @@ def _histogram_from_spec(payload: dict, key: str, spec: ModelSpec):
             bins,
             json_value(entry, "cos", list[float], []),
             json_value(entry, "sin", list[float], []),
-            point_symmetric=(key == "network_hist"
-                             and spec.network_point_symmetric),
+            point_symmetric=point_symmetric,
         )
     if kind == "rotated_grid":
         return make_rotated_grid_network(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -325,15 +326,38 @@ class TestSimulateCommand:
         code = main(["simulate", "--scenario", str(bad),
                      "--output-dir", str(out)])
         captured = capsys.readouterr()
-        got = value
+        got, where = value, ""
         if key == "alpha":
             got = payload["alpha"]
         elif key in ("values", "cos"):
-            got = payload["demand_hist"][key]
+            got, where = payload["demand_hist"][key], "demand_hist: "
+        elif key == "rotation_rad":
+            where = "network_hist: "
         assert code == 2
         assert captured.out == ""
-        assert captured.err == (f"error: invalid scenario: {key} must be a "
-                                f"JSON {kind}, got {got!r}\n")
+        assert captured.err == (f"error: invalid scenario: {where}{key} must "
+                                f"be a JSON {kind}, got {got!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["demand_hist", "network_hist"])
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "nope"}, "unknown histogram kind 'nope'"),
+        ({"kind": "values", "values": [0.0] * 32},
+         "histogram values must have positive total"),
+        ([0.0] * 32, "histogram values must have positive total"),
+        ({"values": [1.0] * 32}, "missing key kind"),
+    ], ids=["kind", "zero-total", "zero-total-list", "no-kind"])
+    def test_histogram_errors_name_the_histogram(self, tmp_path, capsys,
+                                                 key, entry, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario_payload(**{key: entry})))
+        out = tmp_path / "o"
+        code = main(["simulate", "--scenario", str(bad),
+                     "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: invalid scenario: {key}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["gamma", "alpha", "n_trips",
@@ -430,6 +454,27 @@ class TestSimulateCommand:
                            "trips is not finite; gamma, alpha, beta or "
                            "noise_std is too large\n")
             assert not out.exists()
+
+    def test_memory_per_trip_is_bounded(self, tmp_path, capsys):
+        # Bound: the traced peak of the whole command stays below 64 B per
+        # trip. Directions, paces and the noise draw take 8 B each; neither
+        # the N x (2K+1) Fourier basis (136 B/trip at K=8) nor the text of
+        # trips.csv (about 60 B/trip) may be held whole.
+        n = 200_000
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_payload(n_trips=n,
+                                                        noise_std=5.0)))
+        argv = ["simulate", "--scenario", str(scenario),
+                "--output-dir", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / n < 64
+        capsys.readouterr()
 
 
 class TestFitCommand:
@@ -647,6 +692,47 @@ class TestPredictCommand:
         fit, spec, d, n = load_model(fit_out / "model.json")
         expected = [predict_pace(t, d, n, fit, spec) for t in thetas]
         assert [float(v) for v in lines] == pytest.approx(expected)
+
+    @staticmethod
+    def fit_simulated(tmp_path, simulated):
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--trips", str(simulated / "trips.csv"),
+                     "--demand-hist", str(simulated / "demand_hist.csv"),
+                     "--network-hist", str(simulated / "network_hist.csv"),
+                     "--output-dir", str(fit_out)]) == 0
+        return fit_out / "model.json"
+
+    def test_more_directions_than_a_block(self, tmp_path, simulated, capsys):
+        model = self.fit_simulated(tmp_path, simulated)
+        thetas = np.random.default_rng(3).uniform(-7.0, 7.0, 2 * 1024 + 5)
+        argv = ["predict", "--model", str(model)]
+        argv += [f"--theta={t!r}" for t in thetas.tolist()]
+        capsys.readouterr()
+        assert main(argv) == 0
+        got = np.array(capsys.readouterr().out.split(), dtype=float)
+
+        from pacerose.features import model_features
+        from pacerose.model import load_model, predict_pace
+
+        fit, spec, d, n = load_model(model)
+        np.testing.assert_array_equal(got, predict_pace(thetas, d, n, fit,
+                                                        spec))
+        one_product = fit.gamma + model_features(thetas, d, n,
+                                                 spec) @ fit.coefficients
+        np.testing.assert_allclose(got, one_product, rtol=1e-13)
+
+    def test_overflowing_t_value_warns_nothing(self, tmp_path, simulated,
+                                               capsys):
+        model = self.fit_simulated(tmp_path, simulated)
+        payload = json.loads(model.read_text())
+        # gamma / gamma_std_error is beyond the float range: t is -inf
+        assert payload["gamma_std_error"] < 1.0
+        model.write_text(json.dumps(dict(payload, gamma=-1e308)))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert float(captured.out) == pytest.approx(-1e308)
 
     def test_degrees_flag(self, tmp_path, capsys):
         model = self.make_uniform_model(tmp_path)

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_features
-from conftest import standard_demand, standard_network, standard_scenario
+from conftest import (
+    RAW_ALPHA,
+    RAW_BETA,
+    RAW_GAMMA,
+    STANDARD_SPEC,
+    standard_demand,
+    standard_network,
+    standard_scenario,
+)
 from pacerose.angles import TWO_PI, AngularHistogram
 from pacerose import estimator
 from pacerose.errors import (
@@ -20,8 +28,11 @@ from pacerose.features import (
     ModelSpec,
     build_design_matrix,
     demand_features,
+    fourier_basis,
     fourier_design,
     model_features,
+    model_signal,
+    moment_matrix,
     network_features,
 )
 from pacerose.synth import generate_paces, harmonic_histogram, sample_directions
@@ -411,3 +422,24 @@ def test_fourier_fit_matches_the_dense_design_fit(case):
         np.append(fast.p_values, fast.gamma_p_value),
         np.append(dense.p_values, dense.gamma_p_value), rtol=0.0,
         atol=max(1e-7, slack))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 1024])
+def test_model_signal_in_blocks_matches_one_product(block_rows):
+    # BLAS rounds a row's dot product by where the row falls in the
+    # matrix, so a block may differ from the one product by a few ulp
+    demand, network = standard_demand(), standard_network()
+    params = np.concatenate([[RAW_GAMMA], RAW_ALPHA, RAW_BETA])
+    thetas = np.random.default_rng(block_rows).uniform(-TWO_PI, TWO_PI, 4097)
+    weights = moment_matrix(demand, network, STANDARD_SPEC) @ params
+    expected = fourier_basis(thetas, STANDARD_SPEC.k_max) @ weights
+    with patch.object(estimator, "BLOCK_ROWS", block_rows):
+        got = model_signal(thetas, demand, network, STANDARD_SPEC, params)
+        square = model_signal(thetas[:4096].reshape(64, 64), demand, network,
+                              STANDARD_SPEC, params)
+        one = model_signal(thetas[5], demand, network, STANDARD_SPEC, params)
+    np.testing.assert_allclose(got, expected, rtol=2e-15, atol=0.0)
+    np.testing.assert_allclose(square, expected[:4096].reshape(64, 64),
+                               rtol=2e-15, atol=0.0)
+    assert one.shape == ()
+    np.testing.assert_allclose(one, expected[5], rtol=2e-15, atol=0.0)

@@ -1,8 +1,11 @@
 import io
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     RAW_ALPHA,
@@ -13,9 +16,10 @@ from conftest import (
     standard_network,
     standard_scenario,
 )
+from pacerose import estimator
 from pacerose.angles import TWO_PI, AngularHistogram, bin_index
 from pacerose.errors import InputFormatError
-from pacerose.estimator import ols_fit
+from pacerose.estimator import BLOCK_ROWS, ols_fit
 from pacerose.features import ModelSpec, build_design_matrix, model_features
 from pacerose.ingest import directions, parse_trips
 from pacerose.synth import (
@@ -218,11 +222,54 @@ class TestRotatedGridNetwork:
         np.testing.assert_array_equal(turned.values, np.roll(base.values, 4))
 
 
+# paces the writer must keep to the bit: signed zeros, subnormals, the
+# smallest normal and values far beyond any real pace
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e-310, 1e300, -1e300, 1.7976931348623157e308, 0.1]
+
+
+@st.composite
+def trip_columns(draw):
+    """Directions and paces of n trips with special values planted, and a
+    block size for the writer."""
+    n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS,
+                              BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.uniform(-TWO_PI, 2 * TWO_PI, n)
+    paces = rng.normal(110.0, 30.0, n)
+    if n:
+        planted = st.floats(allow_nan=False, allow_infinity=False) | \
+            st.sampled_from(SPECIAL_FLOATS)
+        for column in (thetas, paces):
+            for i, value in draw(st.lists(st.tuples(
+                    st.integers(0, n - 1), planted), max_size=8)):
+                column[i] = value
+    block_rows = draw(st.sampled_from([1, 2, 3, 7, BLOCK_ROWS]))
+    return thetas, paces, block_rows
+
+
+class TestTripCsvWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(case=trip_columns())
+    def test_chunks_join_to_the_per_line_reference(self, case):
+        thetas, paces, block_rows = case
+        with patch.object(estimator, "BLOCK_ROWS", block_rows):
+            chunks = list(trip_csv_lines(thetas, paces))
+        reference = "".join(
+            f"0,0,{1000*math.cos(t)!r},{1000*math.sin(t)!r},{float(p)!r},1.0\n"
+            for t, p in zip(thetas, paces))
+        assert chunks[0] == ("origin_x,origin_y,dest_x,dest_y,duration_s,"
+                             "distance_km\n")
+        assert "".join(chunks[1:]) == reference
+        # one chunk per block: the text is never held whole
+        assert len(chunks) == 1 + -(-thetas.size // block_rows)
+
+
 class TestTripCsvRoundTrip:
     def test_full_pipeline_round_trip(self, scenario):
         thetas = sample_directions(scenario)
         paces, _ = generate_paces(thetas, scenario)
-        text = "\n".join(trip_csv_lines(thetas, paces)) + "\n"
+        text = "".join(trip_csv_lines(thetas, paces))
         trips = parse_trips(io.StringIO(text))
         assert len(trips) == scenario.n_trips
         re_thetas, moving = directions(trips, lonlat=False)
