@@ -220,10 +220,17 @@ def save_model(
 # an exact fit (zero residuals) has infinite t values and F statistic
 _MAY_BE_INFINITE = ("t_values", "f_statistic")
 
+# the closed range of each statistic that has one
+_RANGES = {
+    "std_errors": (0.0, math.inf), "gamma_std_error": (0.0, math.inf),
+    "p_values": (0.0, 1.0), "prob_f": (0.0, 1.0), "r_squared": (0.0, 1.0),
+    "f_statistic": (0.0, math.inf),
+}
+
 
 def _model_numbers(payload: dict, key: str, shape: tuple):
     """Entry ``key``, a number for shape () or else a float array of
-    ``shape``, checked for finiteness."""
+    ``shape``, checked for finiteness and against its ``_RANGES`` entry."""
     values = json_value(payload, key, list[float] if shape else float)
     if np.shape(values) != shape:
         raise ValueError(
@@ -231,6 +238,9 @@ def _model_numbers(payload: dict, key: str, shape: tuple):
     bad = np.isnan(values) if key in _MAY_BE_INFINITE else ~np.isfinite(values)
     if np.any(bad):
         raise ValueError(f"{key}: values must be finite")
+    low, high = _RANGES.get(key, (-math.inf, math.inf))
+    if np.any((values < low) | (values > high)):
+        raise ValueError(f"{key}: values must be in [{low:g}, {high:g}]")
     return values
 
 
@@ -244,7 +254,10 @@ def load_model(path):
     InputFormatError
         If the file is not a JSON object, lacks a key, or holds a value of
         the wrong JSON type, an array whose length disagrees with the spec's
-        columns or bins, a non-finite value, or an invalid spec or
+        columns or bins, a non-finite value, a statistic outside its range
+        (a rank outside [1, parameter count], n_samples other than
+        rank + dof_residual, a negative standard error or F statistic, a
+        p-value, prob_f or r_squared outside [0, 1]), or an invalid spec or
         histogram.
     SpecMismatchError
         On an unknown format or column names that disagree with the spec.
@@ -289,6 +302,12 @@ def load_model(path):
             dof_residual=dof_residual,
             rank=json_value(payload, "rank", int),
         )
+        if not 1 <= fit.rank <= spec.parameter_count:
+            raise ValueError(f"rank must be in [1, {spec.parameter_count}], "
+                             f"got {fit.rank}")
+        if fit.n_samples != fit.rank + dof_residual:
+            raise ValueError(f"n_samples must be rank + dof_residual = "
+                             f"{fit.rank + dof_residual}, got {fit.n_samples}")
         demand_hist = AngularHistogram(
             spec.bins, _model_numbers(payload, "demand_hist", (spec.bins,)))
         network_hist = AngularHistogram(

@@ -5,102 +5,90 @@ defaults; the defaults reproduce the standard preprocessing setup (K=8,
 32 bins, drop the slowest 10% and fastest 5% of paces, major road classes,
 point-symmetric network).
 
-Each option is stated once, as a ``RunConfig`` field: its config key,
-default, flag, help text, choices and the commands that read it. A command
+Each option is stated once, as a row of ``_OPTIONS``: its config key,
+default, reader, the commands that read it, help text, flag and choices.
+``RunConfig`` is the namedtuple of those keys and defaults. A command
 offers only the flags it reads, so any other flag is a usage error (exit
-2); a config file may set any field on every command.
+2); a config file may set any option on every command.
 
-Nothing here imports numpy, so ``python -m pacerose --help`` and usage
-errors are answered before the commands in ``cli`` are imported.
+Nothing here imports numpy, ``dataclasses`` or ``inspect``, so
+``python -m pacerose --help`` and usage errors are answered before the
+commands in ``cli`` are imported, and without the cost of a dataclass.
 """
-
-from __future__ import annotations
 
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 
 from .errors import InputFormatError
 
 __all__ = ["RunConfig", "build_parser", "resolve_config"]
 
-
-def _option(default, commands, help=None, *, flag=None, choices=None):
-    """A RunConfig field that is also a command-line option.
-
-    The flag is ``flag``, or ``--`` and the field name with dashes; only
-    ``commands`` accept it.
-    """
-    return field(default=default, metadata={
-        "commands": commands, "help": help, "flag": flag, "choices": choices,
-    })
-
-
-def _flag(option) -> str:
-    """The command-line flag of a RunConfig field."""
-    return option.metadata["flag"] or "--" + option.name.replace("_", "-")
-
+# ``kind`` reads a flag or config value: int, float or str, or bool for a
+# --flag/--no-flag pair; the flag is ``flag``, or ``--`` and the name with
+# dashes; only ``commands`` accept it
+_Option = namedtuple("_Option", "name default kind commands help flag choices",
+                     defaults=(None, None, None))
 
 _INGEST = ("hist", "fit")
 
+_OPTIONS = (
+    _Option("trips", None, str, _INGEST, "trip CSV path"),
+    _Option("network", None, str, _INGEST, "network edge CSV path"),
+    _Option("network_hist", None, str, _INGEST,
+            "precomputed network histogram CSV"),
+    _Option("demand_hist", None, str, _INGEST,
+            "precomputed demand histogram CSV"),
+    _Option("k_max", 8, int, ("fit", "predict"), "max harmonic degree",
+            flag="--k"),
+    _Option("bins", 32, int, ("hist", "fit", "predict"), "circular bin count"),
+    _Option("lower_cut", 0.05, float, _INGEST,
+            "fraction of fastest paces to drop"),
+    _Option("upper_cut", 0.10, float, _INGEST,
+            "fraction of slowest paces to drop"),
+    _Option("class_filter", "motorway,trunk,primary,secondary", str, _INGEST,
+            "comma-separated road classes to keep"),
+    _Option("point_symmetric", True, bool, ("fit", "predict")),
+    _Option("length_weighted", False, bool, _INGEST),
+    _Option("compass", False, bool, _INGEST,
+            "treat raw bearings as compass (0=N, clockwise)"),
+    _Option("lonlat", False, bool, _INGEST, "coordinates are lon/lat degrees"),
+    _Option("demand_from", "all", str, _INGEST,
+            "build d() from all trips or post-filter trips",
+            choices=("all", "filtered")),
+    _Option("output_dir", ".", str, ("hist", "fit", "simulate"),
+            "output directory"),
+    _Option("seed", None, int, ("simulate",), "seed override for simulate"),
+    _Option("strict_rank", False, bool, ("fit",),
+            "fail on rank-deficient designs instead of min-norm"),
+    _Option("mask_curves", True, bool, ("fit",),
+            "restrict curves to 5%%-significant terms", flag="--mask"),
+    _Option("baseline", "none", str, ("fit",), "curve plot baseline",
+            choices=("none", "min")),
+    _Option("curve_grid", 256, int, ("fit",),
+            "points per reconstructed curve"),
+    _Option("dump_design", False, bool, ("fit",),
+            "also write the design matrix CSV"),
+    _Option("scenario", None, str, ("simulate",), "scenario JSON path"),
+    _Option("model", None, str, ("predict",), "model.json written by fit"),
+)
 
-@dataclass
-class RunConfig:
-    """Resolved run configuration; defaults mirror the standard setup.
+_FIELDS = {option.name: option for option in _OPTIONS}
 
-    Each field states its option once: ``build_parser`` makes the flags
-    (in field order) and ``_coerce`` reads config-file values from them.
-    """
-
-    trips: str | None = _option(None, _INGEST, "trip CSV path")
-    network: str | None = _option(None, _INGEST, "network edge CSV path")
-    network_hist: str | None = _option(
-        None, _INGEST, "precomputed network histogram CSV")
-    demand_hist: str | None = _option(
-        None, _INGEST, "precomputed demand histogram CSV")
-    k_max: int = _option(8, ("fit", "predict"), "max harmonic degree",
-                         flag="--k")
-    bins: int = _option(32, ("hist", "fit", "predict"), "circular bin count")
-    lower_cut: float = _option(0.05, _INGEST,
-                               "fraction of fastest paces to drop")
-    upper_cut: float = _option(0.10, _INGEST,
-                               "fraction of slowest paces to drop")
-    class_filter: str = _option("motorway,trunk,primary,secondary", _INGEST,
-                                "comma-separated road classes to keep")
-    point_symmetric: bool = _option(True, ("fit", "predict"))
-    length_weighted: bool = _option(False, _INGEST)
-    compass: bool = _option(False, _INGEST,
-                            "treat raw bearings as compass (0=N, clockwise)")
-    lonlat: bool = _option(False, _INGEST, "coordinates are lon/lat degrees")
-    demand_from: str = _option(
-        "all", _INGEST, "build d() from all trips or post-filter trips",
-        choices=("all", "filtered"))
-    output_dir: str = _option(".", ("hist", "fit", "simulate"),
-                              "output directory")
-    seed: int | None = _option(None, ("simulate",),
-                               "seed override for simulate")
-    strict_rank: bool = _option(
-        False, ("fit",), "fail on rank-deficient designs instead of min-norm")
-    mask_curves: bool = _option(True, ("fit",),
-                                "restrict curves to 5%%-significant terms",
-                                flag="--mask")
-    baseline: str = _option("none", ("fit",), "curve plot baseline",
-                            choices=("none", "min"))
-    curve_grid: int = _option(256, ("fit",), "points per reconstructed curve")
-    dump_design: bool = _option(False, ("fit",),
-                                "also write the design matrix CSV")
-    scenario: str | None = _option(None, ("simulate",), "scenario JSON path")
-    model: str | None = _option(None, ("predict",), "model.json written by fit")
+RunConfig = namedtuple("RunConfig", _FIELDS,
+                       defaults=[option.default for option in _OPTIONS])
+RunConfig.__doc__ = """Resolved run configuration: one field per row of
+``_OPTIONS``, in table order, each defaulting to the standard setup."""
 
 
-_FIELDS = {f.name: f for f in fields(RunConfig)}
+def _flag(option) -> str:
+    """The command-line flag of an option."""
+    return option.flag or "--" + option.name.replace("_", "-")
 
-# how a flag or config value is read, by field annotation; booleans are
-# BooleanOptionalAction flags and _BOOL_VALUES in config files
-_READERS = {"int": int, "int | None": int, "float": float,
-            "str": str, "str | None": str}
 
+# config-file spellings of a bool option; on the command line it is a
+# BooleanOptionalAction flag
 _BOOL_VALUES = {
     "true": True, "1": True, "yes": True, "on": True,
     "false": False, "0": False, "no": False, "off": False,
@@ -108,18 +96,20 @@ _BOOL_VALUES = {
 
 
 def _coerce(option, value: str):
-    """``value`` from a config file, read as the field ``option``."""
-    choices = option.metadata["choices"]
-    if choices and value not in choices:
-        raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
-    if option.type == "bool":
+    """``value`` from a config file, read as ``option``."""
+    if option.choices and value not in option.choices:
+        raise ValueError(
+            f"expected one of {', '.join(option.choices)}, got {value!r}")
+    if option.kind is bool:
         v = _BOOL_VALUES.get(value.lower())
         if v is None:
             raise ValueError(f"not a boolean: {value!r}")
         return v
-    if option.type == "int | None" and value.lower() == "none":
+    # an int option that is unset by default may be set back to unset
+    if (option.kind is int and option.default is None
+            and value.lower() == "none"):
         return None
-    return _READERS[option.type](value)
+    return option.kind(value)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -155,12 +145,8 @@ def resolve_config(args: argparse.Namespace) -> tuple:
     """
     provided = {name: getattr(args, name) for name in _FIELDS
                 if getattr(args, name, None) is not None}
-    cfg = RunConfig()
-    file_keys = {}
-    if args.config:
-        file_keys = _parse_config_file(args.config)
-        cfg = replace(cfg, **file_keys)
-    cfg = replace(cfg, **provided)
+    file_keys = _parse_config_file(args.config) if args.config else {}
+    cfg = RunConfig()._replace(**file_keys)._replace(**provided)
     return cfg, set(provided) | set(file_keys)
 
 
@@ -179,16 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
-        for option in _FIELDS.values():
-            meta = option.metadata
-            if name not in meta["commands"]:
+        for option in _OPTIONS:
+            if name not in option.commands:
                 continue
-            if option.type == "bool":
+            if option.kind is bool:
                 kind = {"action": argparse.BooleanOptionalAction}
             else:
-                kind = {"type": _READERS[option.type],
-                        "choices": meta["choices"]}
-            p.add_argument(_flag(option), dest=option.name, help=meta["help"],
+                kind = {"type": option.kind, "choices": option.choices}
+            p.add_argument(_flag(option), dest=option.name, help=option.help,
                            **kind)
         if name == "predict":
             p.add_argument("--theta", action="append", default=None,

@@ -208,10 +208,13 @@ def sample_directions(scenario: SyntheticScenario) -> np.ndarray:
     hist = scenario.demand_hist
     cdf = np.cumsum(hist.values)
     cdf[-1] = 1.0
-    u = rng.random(n)
-    bins = np.searchsorted(cdf, u, side="right")
+    # the bin draws, then the jitter draws; (bins + jitter) * width, formed
+    # in the jitter array, so at most two N-arrays are alive at once
+    bins = np.searchsorted(cdf, rng.random(n), side="right")
     jitter = rng.random(n)
-    return (bins + jitter) * hist.bin_width
+    jitter += bins
+    jitter *= hist.bin_width
+    return jitter
 
 
 def generate_paces(directions, scenario: SyntheticScenario):

@@ -1192,7 +1192,7 @@ def _flag(field_name):
 
 class TestOptionTable:
     def test_every_field_has_a_flag_and_a_value(self):
-        assert sorted(FIELD_VALUES) == sorted(RunConfig.__dataclass_fields__)
+        assert sorted(FIELD_VALUES) == sorted(RunConfig._fields)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_each_command_offers_the_flags_it_reads(self, capsys, command):

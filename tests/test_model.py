@@ -279,13 +279,30 @@ class TestModelPersistence:
         (lambda p: dict(p, gamma=math.nan), "gamma"),
         (lambda p: dict(p, network_hist=p["network_hist"] + [0.0]),
          "network_hist"),
+        (lambda p: dict(p, rank=-5), "rank must be in"),
+        (lambda p: dict(p, rank=10**6), "rank must be in"),
+        (lambda p: dict(p, n_samples=0), "n_samples must be"),
+        (lambda p: dict(p, r_squared=7.5), "r_squared: values must be in"),
+        (lambda p: dict(p, prob_f=-3.0), "prob_f: values must be in"),
+        (lambda p: dict(p, f_statistic=-1.0),
+         "f_statistic: values must be in"),
+        (lambda p: dict(p, p_values=[2.0] + p["p_values"][1:]),
+         "p_values: values must be in"),
+        (lambda p: dict(p, std_errors=[-1.0] + p["std_errors"][1:]),
+         "std_errors: values must be in"),
+        (lambda p: dict(p, gamma_std_error=-2.0),
+         "gamma_std_error: values must be in"),
     ], ids=["missing-key", "short-coefficients", "nan-gamma",
-            "long-histogram"])
+            "long-histogram", "negative-rank", "rank-above-parameters",
+            "zero-samples", "r-squared-above-1", "negative-prob-f",
+            "negative-f", "p-value-above-1", "negative-std-error",
+            "negative-gamma-std-error"])
     def test_schema_violation_is_input_error(self, tmp_path, edit, named):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(edit(self.saved_payload(tmp_path))))
-        with pytest.raises(InputFormatError, match=named):
+        with pytest.raises(InputFormatError, match=named) as err:
             load_model(path)
+        assert str(err.value).startswith(f"{path}: invalid model: ")
 
     @pytest.mark.parametrize("key, value, kind", [
         ("point_symmetric", "false", "boolean"),

@@ -3,7 +3,9 @@
 ``python -m pacerose`` parses its arguments with ``pacerose.options``,
 which needs only the standard library, and imports the commands (and so
 numpy) only for a command that runs. ``-S`` leaves site-packages, where
-numpy is installed, off the module path.
+numpy is installed, off the module path. The options are a namedtuple
+table, so the parse path imports neither ``dataclasses`` nor the
+``inspect`` it pulls in.
 """
 
 import os
@@ -15,6 +17,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# modules a usage question must not import: the commands' numpy, and the
+# dataclasses and inspect a dataclass option table would cost
+HEAVY = ("numpy", "dataclasses", "inspect")
 
 
 def run_python(*args, cwd):
@@ -39,10 +45,27 @@ def test_usage_is_answered_without_site_packages(tmp_path, argv, code):
 
 
 def test_importing_the_package_and_its_options_leaves_numpy_out(tmp_path):
-    proc = run_python("-c", "import sys, pacerose, pacerose.options; "
-                      "print('numpy' in sys.modules)", cwd=tmp_path)
+    proc = run_python("-S", "-c", "import sys, pacerose, pacerose.options; "
+                      f"print([m for m in {HEAVY!r} if m in sys.modules])",
+                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().split() == ["False"]
+    assert proc.stdout.decode().split() == ["[]"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["fit", "--bogus"], 2),
+], ids=["help", "fit-usage-error"])
+def test_usage_imports_no_heavy_module(tmp_path, argv, code):
+    # -X importtime writes one stderr line per module the run imports
+    proc = run_python("-S", "-X", "importtime", "-m", "pacerose", *argv,
+                      cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr.decode()
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+    assert "pacerose.options" in imported
+    assert imported.isdisjoint(HEAVY)
 
 
 def script_target():

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -24,6 +25,7 @@ from pacerose.features import ModelSpec, build_design_matrix, model_features
 from pacerose.ingest import directions, parse_trips
 from pacerose.synth import (
     SyntheticScenario,
+    _rng_streams,
     canonicalized,
     generate_paces,
     harmonic_histogram,
@@ -94,6 +96,37 @@ class TestSampleDirections:
         a = standard_scenario(n_trips=500, seed=1)
         b = standard_scenario(n_trips=500, seed=2)
         assert not np.array_equal(sample_directions(a), sample_directions(b))
+
+    @pytest.mark.parametrize("seed, n_trips", [(1, 26), (7, 1000),
+                                               (99, 40_000)])
+    def test_matches_the_reference_bitwise(self, seed, n_trips):
+        # reference: all bin draws, then all jitter draws, then
+        # (bin + jitter) * bin width
+        scenario = standard_scenario(n_trips=n_trips, seed=seed)
+        rng, _ = _rng_streams(seed, 2)
+        cdf = np.cumsum(scenario.demand_hist.values)
+        cdf[-1] = 1.0
+        bins = np.searchsorted(cdf, rng.random(n_trips), side="right")
+        expected = ((bins + rng.random(n_trips))
+                    * scenario.demand_hist.bin_width)
+        assert sample_directions(scenario).tobytes() == expected.tobytes()
+
+    def test_memory_per_trip_is_bounded(self):
+        # Bound: below 20 B per trip. The bin indices and the jitter take
+        # 8 B each; neither the bins' uniform draw nor bins + jitter may
+        # outlive the step that needs it.
+        n = 200_000
+        scenario = standard_scenario(n_trips=n)
+        # numpy's first seeded generator of a process allocates about 1 MB
+        # of one-off state, which this bound is not about
+        sample_directions(standard_scenario(n_trips=100))
+        tracemalloc.start()
+        try:
+            sample_directions(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 20
 
 
 class TestGeneratePaces:
