@@ -541,22 +541,38 @@ def directions(rows: np.ndarray, *, lonlat: bool, compass: bool = False):
 def percentile_filter(paces, policy: FilterPolicy) -> np.ndarray:
     """Indices retained after dropping the extreme pace fractions.
 
-    Sorts by pace ascending (a stable sort, so ties keep the original index
-    order and the cut is deterministic), drops the lowest floor(lower*N) and
-    highest floor(upper*N) entries, and returns the retained original
-    indices in ascending order as an int array.
+    The indices a stable sort by pace ascending keeps (ties in the original
+    index order, so the cut is deterministic; NaN last) after dropping the
+    lowest floor(lower*N) and highest floor(upper*N) entries, in ascending
+    order as an int array. Found in O(N) without the sort: one partition
+    gives the paces at the first and last kept rank, every pace strictly
+    between them is kept, and each threshold's ties are kept in index order
+    for the ranks they cover.
     """
     paces = np.asarray(paces, dtype=float)
     n = paces.size
     if n == 0:
         raise InsufficientDataError("no samples to filter")
-    order = np.argsort(paces, kind="stable")
-    n_low = math.floor(policy.lower_fraction * n)
-    n_high = math.floor(policy.upper_fraction * n)
-    kept = np.sort(order[n_low:n - n_high])
-    if not kept.size:
+    first = math.floor(policy.lower_fraction * n)
+    stop = n - math.floor(policy.upper_fraction * n)
+    if first >= stop:
         raise InsufficientDataError("filter removed all samples")
-    return kept
+    low, high = np.partition(paces, [first, stop - 1])[[first, stop - 1]]
+    keep = (paces > low) & _sorts_before(paces, high)
+    for threshold in (low, high):
+        ties = np.flatnonzero(_ties(paces, threshold))
+        rank = np.count_nonzero(_sorts_before(paces, threshold))
+        keep[ties[max(first - rank, 0):stop - rank]] = True
+    return np.flatnonzero(keep)
+
+
+def _sorts_before(paces, threshold):
+    """Where a sort puts the pace before ``threshold``; NaN sorts last."""
+    return ~np.isnan(paces) if math.isnan(threshold) else paces < threshold
+
+
+def _ties(paces, threshold):
+    return np.isnan(paces) if math.isnan(threshold) else paces == threshold
 
 
 def network_orientation_histogram(

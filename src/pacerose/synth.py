@@ -233,18 +233,18 @@ def generate_paces(directions, scenario: SyntheticScenario):
                               scenario.network_hist, scenario.spec, params)
         if scenario.noise_std > 0.0:
             _, noise_rng = _rng_streams(scenario.seed, 2)
-            signal = signal + noise_rng.normal(0.0, scenario.noise_std,
-                                               directions.size)
+            signal += noise_rng.normal(0.0, scenario.noise_std,
+                                       directions.size)
     finite = np.isfinite(signal)
     if not finite.all():
         raise InputFormatError(
             f"invalid scenario: the pace of {int((~finite).sum())} of "
             f"{signal.size} trips is not finite; gamma, alpha, beta or "
             "noise_std is too large")
-    clamped = signal < PACE_FLOOR_S_PER_KM
-    n_clamped = int(clamped.sum())
-    paces = np.where(clamped, PACE_FLOOR_S_PER_KM, signal)
-    return paces, n_clamped
+    n_clamped = int(np.count_nonzero(signal < PACE_FLOOR_S_PER_KM))
+    # in place: signal is model_signal's own array
+    np.maximum(signal, PACE_FLOOR_S_PER_KM, out=signal)
+    return signal, n_clamped
 
 
 def trip_csv_lines(directions, paces):

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacerose import ingest
@@ -327,6 +327,39 @@ class TestPace:
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def stable_argsort_kept(paces, policy):
+    """The cut as a stable argsort makes it: the reference for the filter."""
+    paces = np.asarray(paces, dtype=float)
+    n = paces.size
+    order = np.argsort(paces, kind="stable")
+    return np.sort(order[math.floor(policy.lower_fraction * n):
+                         n - math.floor(policy.upper_fraction * n)])
+
+
+@st.composite
+def paces_and_cut(draw):
+    """Paces with many ties, all equal, or any floats (NaN, infinities and
+    -0.0 included), and a cut of given fractions, none, or one that leaves
+    exactly one trip."""
+    paces = draw(st.one_of(
+        st.lists(st.floats(0.0, 30.0).map(lambda p: round(p, 1)),
+                 min_size=1, max_size=300),
+        st.builds(lambda pace, n: [pace] * n, st.floats(allow_nan=False),
+                  st.integers(1, 300)),
+        st.lists(st.floats(), min_size=1, max_size=100)))
+    n = len(paces)
+    how = draw(st.sampled_from(["fractions", "none", "one left"]))
+    if how == "none":
+        return paces, FilterPolicy(0.0, 0.0), how
+    if how == "one left":
+        low = draw(st.integers(0, n - 1))
+        # a quarter past each count keeps floor() off a rounding edge
+        return paces, FilterPolicy((low + 0.25) / n,
+                                   (n - 1 - low + 0.25) / n), how
+    return paces, FilterPolicy(draw(st.floats(0.0, 0.45)),
+                               draw(st.floats(0.0, 0.45))), how
+
+
 class TestPercentileFilter:
     def test_nearest_rank_example(self):
         paces = list(range(1, 21))  # 1..20
@@ -365,6 +398,27 @@ class TestPercentileFilter:
         kept = percentile_filter([float(p) for p in paces],
                                  FilterPolicy(lower, upper))
         assert kept.tolist() == expected
+
+    @given(paces_and_cut())
+    @example(([2.0, math.nan, 1.0, -0.0, math.inf, 0.0, math.nan, 2.0],
+              FilterPolicy(0.0, 0.0), "none"))
+    @example(([math.nan, 3.0, math.nan, 1.0, math.nan, 2.0],
+              FilterPolicy(0.2, 0.2), "fractions"))
+    def test_matches_the_stable_argsort(self, case):
+        paces, policy, how = case
+        kept = percentile_filter(paces, policy)
+        assert kept.dtype == np.intp
+        assert kept.tolist() == stable_argsort_kept(paces, policy).tolist()
+        if how == "none":
+            assert kept.tolist() == list(range(len(paces)))
+        if how == "one left":
+            assert kept.size == 1
+
+    def test_matches_the_stable_argsort_on_many_ties(self):
+        paces = np.round(np.random.default_rng(3).normal(300, 40, 100_000), 1)
+        policy = FilterPolicy(0.05, 0.10)
+        assert (percentile_filter(paces, policy).tolist()
+                == stable_argsort_kept(paces, policy).tolist())
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):

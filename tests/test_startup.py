@@ -8,6 +8,8 @@ table, so the parse path imports neither ``dataclasses`` nor the
 ``inspect`` it pulls in.
 """
 
+import gc
+import json
 import os
 import re
 import subprocess
@@ -88,3 +90,80 @@ def test_installed_script_answers_help_without_numpy(tmp_path):
     assert light.returncode == 0, light.stderr.decode()
     assert light.stdout == full.stdout
     assert light.stderr == full.stderr == b""
+
+
+# A command that runs imports the commands with the cyclic garbage collector
+# off and then freezes what the imports made; the collector is on again
+# when the command starts, and usage questions never reach that code.
+
+SCENARIO = {"k_max": 8, "bins": 32, "gamma": 240.0,
+            "alpha": [3.0] * 16, "beta": [2.0] * 8,
+            "demand_hist": {"kind": "uniform"},
+            "network_hist": {"kind": "rotated_grid", "rotation_rad": 0.3},
+            "n_trips": 200, "noise_std": 8.0, "seed": 5}
+
+# runs pacerose.__main__.main on argv, then prints the exit code (or the
+# ImportError raised), whether the collector is on and how many objects
+# are frozen
+GC_AFTER_MAIN = """
+import gc, sys
+from pacerose.__main__ import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+except ImportError:
+    code = "ImportError"
+print(code, gc.isenabled(), gc.get_freeze_count())
+"""
+
+
+def simulate_argv(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    return ["simulate", "--scenario", str(scenario),
+            "--output-dir", str(tmp_path / "out")]
+
+
+def gc_after_main(tmp_path, argv, prelude=""):
+    """``[code, enabled, frozen]`` as the child printed them."""
+    proc = run_python("-c", prelude + GC_AFTER_MAIN, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().splitlines()[-1].split()
+
+
+def test_a_command_that_runs_freezes_its_imports(tmp_path):
+    code, enabled, frozen = gc_after_main(tmp_path, simulate_argv(tmp_path))
+    assert (code, enabled) == ("0", "True")
+    assert int(frozen) > 0
+    assert (tmp_path / "out" / "trips.csv").is_file()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], "0"),
+    (["fit", "--bogus"], "2"),
+], ids=["help", "fit-usage-error"])
+def test_usage_freezes_nothing(tmp_path, argv, code):
+    assert gc_after_main(tmp_path, argv) == [code, "True", "0"]
+
+
+def test_a_failed_import_leaves_the_collector_on(tmp_path):
+    # numpy set to None in sys.modules makes importing the commands fail
+    prelude = "import sys\nsys.modules['numpy'] = None\n"
+    assert gc_after_main(tmp_path, simulate_argv(tmp_path), prelude) == [
+        "ImportError", "True", "0"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_in_process_main_leaves_the_collector_alone(tmp_path, enabled):
+    from pacerose import cli
+
+    frozen = gc.get_freeze_count()
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(simulate_argv(tmp_path)) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert gc.get_freeze_count() == frozen
