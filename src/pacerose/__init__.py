@@ -19,8 +19,7 @@ _MODULE_EXPORTS = {
     "errors": ("InputFormatError", "InsufficientDataError", "NumericalError",
                "PaceroseError", "RankDeficiencyError", "SpecMismatchError"),
     "estimator": ("FitResult", "ols_fit", "report_rows", "significance_mask"),
-    "features": ("ModelSpec", "build_design_matrix", "demand_features",
-                 "network_features"),
+    "features": ("ModelSpec", "build_design_matrix", "network_features"),
     "ingest": ("FilterPolicy", "directions", "network_orientation_histogram",
                "parse_histogram", "parse_network", "parse_trips",
                "percentile_filter"),

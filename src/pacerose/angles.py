@@ -109,13 +109,6 @@ class AngularHistogram:
         return AngularHistogram(self.bin_count,
                                 np.roll(self.values, shift_bins))
 
-    def point_symmetry_defect(self) -> float:
-        """Max |values[i] - values[i + B/2]| over all bin pairs (B even)."""
-        if self.bin_count % 2 != 0:
-            raise ValueError("point symmetry is defined for even bin counts")
-        half = self.bin_count // 2
-        return float(np.max(np.abs(self.values - np.roll(self.values, half))))
-
 
 def build_histogram(angles, weights=None, bin_count: int = 32) -> AngularHistogram:
     """Normalized angular histogram of ``angles`` with optional weights.

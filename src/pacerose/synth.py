@@ -233,8 +233,10 @@ def generate_paces(directions, scenario: SyntheticScenario):
                               scenario.network_hist, scenario.spec, params)
         if scenario.noise_std > 0.0:
             _, noise_rng = _rng_streams(scenario.seed, 2)
-            signal += noise_rng.normal(0.0, scenario.noise_std,
-                                       directions.size)
+            # a block at a time: the same bits as one draw of all of them
+            for start, stop in row_blocks(signal.size):
+                signal[start:stop] += noise_rng.normal(
+                    0.0, scenario.noise_std, stop - start)
     finite = np.isfinite(signal)
     if not finite.all():
         raise InputFormatError(

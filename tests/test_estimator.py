@@ -46,7 +46,7 @@ class TestOlsBasics:
         assert fit.dof_residual == 45
         assert fit.parameter_count == 5
         assert len(fit.coefficients) == 4
-        assert fit.full_rank
+        assert fit.rank == fit.parameter_count
 
     def test_t_is_coef_over_se(self):
         rng = np.random.default_rng(3)
@@ -142,7 +142,7 @@ class TestRankDeficiency:
         y = 2.0 + x[:, 0] * 4.0
         fit = ols_fit(X, y, column_names=("left", "right"))
         assert fit.rank == 2
-        assert not fit.full_rank
+        assert fit.rank != fit.parameter_count
         assert set(fit.dependent_columns) >= {"left", "right"}
         # min-norm splits the slope evenly between the twin columns
         np.testing.assert_allclose(fit.coefficients, [2.0, 2.0], atol=1e-8)

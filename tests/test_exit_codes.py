@@ -6,6 +6,7 @@ malformed values, config files and malformed input files it is given.
 """
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -25,6 +26,8 @@ TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 HUGE_K = 10 ** 12
 # 8 PiB of float64, beyond any 64-bit address space: numpy refuses at once
 HUGE_SIZE = str(2 ** 50)
+# a file name longer than any file system allows (ENAMETOOLONG)
+TOO_LONG = "x" * 5000
 
 
 def histogram(bins, rows=None):
@@ -221,3 +224,65 @@ def test_size_too_large_to_allocate_exits_2(work, argv):
     assert "Traceback" not in stderr.getvalue()
     assert written == []
     assert elapsed < 1.0
+
+
+def run_in(work, argv):
+    """Exit code, stderr and the files written of ``main(argv)`` run in
+    ``work``, with a fresh output directory for every command but predict,
+    given before ``argv`` so that an ``--output-dir`` in it wins."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory(dir=work) as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        if argv[0] != "predict":
+            argv = argv[:1] + ["--output-dir", out] + argv[1:]
+        code = main(in_work(work, argv))
+        written = os.listdir(out)
+    return code, stderr.getvalue(), written
+
+
+def assert_input_error(code, stderr):
+    assert code == 2, stderr
+    assert stderr.startswith("error: ")
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", *BASE["fit"], "--trips", TOO_LONG],
+    ["fit", *BASE["fit"], "--output-dir", TOO_LONG],
+    ["fit", *BASE["fit"], "--config", TOO_LONG],
+    ["predict", "--model", TOO_LONG, "--theta", "1.0"],
+    ["simulate", "--scenario", TOO_LONG],
+], ids=["fit-trips", "fit-output-dir", "fit-config", "predict-model",
+        "simulate-scenario"])
+def test_a_path_too_long_exits_2(work, argv):
+    code, stderr, written = run_in(work, argv)
+    assert_input_error(code, stderr)
+    assert "File name too long" in stderr
+    assert written == []
+
+
+@pytest.mark.parametrize("error", [
+    PermissionError(errno.EACCES, "Permission denied"),
+    OSError(errno.ENOSPC, "No space left on device"),
+], ids=["permission", "disk-full"])
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_an_os_error_opening_an_input_exits_2(work, command, error):
+    def refused(*args, **kwargs):
+        raise error
+
+    with mock.patch("builtins.open", refused):
+        code, stderr, written = run_in(work, [command, *BASE[command]])
+    assert_input_error(code, stderr)
+    assert os.strerror(error.errno) in stderr
+    assert written == []
+
+
+@pytest.mark.parametrize("command", ["hist", "fit", "simulate"])
+def test_a_full_disk_while_writing_exits_2(work, command):
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    with mock.patch("tempfile.mkstemp", side_effect=full):
+        code, stderr, written = run_in(work, [command, *BASE[command]])
+    assert_input_error(code, stderr)
+    assert "No space left on device" in stderr
+    assert written == []

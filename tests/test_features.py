@@ -27,7 +27,6 @@ from pacerose.estimator import ols_fit
 from pacerose.features import (
     ModelSpec,
     build_design_matrix,
-    demand_features,
     fourier_basis,
     fourier_design,
     model_features,
@@ -84,13 +83,15 @@ class TestModelSpec:
 
 class TestDemandFeatures:
     def test_uniform_vanishes(self):
-        f = demand_features(1.234, uniform_histogram(), 8)
+        f = network_features(1.234, uniform_histogram(), 8,
+                             point_symmetric=False)
         assert f.shape == (16,)
         assert np.max(np.abs(f)) < 1e-12
 
     def test_delta_at_own_direction(self):
         d = delta_histogram(32, 5)
-        f = demand_features(d.bin_centers()[5], d, 2)
+        f = network_features(d.bin_centers()[5], d, 2,
+                             point_symmetric=False)
         np.testing.assert_allclose(f, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
 
     def test_two_mass_hand_value(self):
@@ -98,7 +99,8 @@ class TestDemandFeatures:
         values[0] = 0.5
         values[8] = 0.5
         d = AngularHistogram(32, values)
-        f = demand_features(d.bin_centers()[0], d, 1)
+        f = network_features(d.bin_centers()[0], d, 1,
+                             point_symmetric=False)
         np.testing.assert_allclose(f, [0.5, 0.5], atol=1e-12)
 
     def test_matches_brute_force(self):
@@ -108,14 +110,15 @@ class TestDemandFeatures:
         for theta in rng.uniform(0.0, TWO_PI, 10):
             expected = brute_force_features(theta, list(d.values), range(1, 9))
             np.testing.assert_allclose(
-                demand_features(theta, d, 8), expected, atol=1e-12
+                network_features(theta, d, 8, point_symmetric=False),
+                expected, atol=1e-12
             )
 
     def test_delta_offset_gives_cos_k_delta(self):
         d = delta_histogram(32, 9)
         theta = d.bin_centers()[4]
         delta = d.bin_centers()[9] - theta
-        f = demand_features(theta, d, 6)
+        f = network_features(theta, d, 6, point_symmetric=False)
         for k in range(1, 7):
             assert f[2 * k - 2] == pytest.approx(math.cos(k * delta), abs=1e-12)
             assert f[2 * k - 1] == pytest.approx(math.sin(k * delta), abs=1e-12)

@@ -21,7 +21,12 @@ from pacerose import estimator
 from pacerose.angles import TWO_PI, AngularHistogram, bin_index
 from pacerose.errors import InputFormatError
 from pacerose.estimator import BLOCK_ROWS, ols_fit
-from pacerose.features import ModelSpec, build_design_matrix, model_features
+from pacerose.features import (
+    ModelSpec,
+    build_design_matrix,
+    model_features,
+    model_signal,
+)
 from pacerose.ingest import directions, parse_trips
 from pacerose.synth import (
     SyntheticScenario,
@@ -167,6 +172,27 @@ class TestGeneratePaces:
         p2, _ = generate_paces(thetas, scenario)
         np.testing.assert_array_equal(p1, p2)
 
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    @pytest.mark.parametrize("n_trips", [1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                                         BLOCK_ROWS + 1, 100_000, 250_001])
+    def test_blocked_noise_matches_one_draw_bitwise(self, seed, n_trips):
+        # reference: the signal plus one draw of all the noise, clamped;
+        # generate_paces draws the noise a block of BLOCK_ROWS at a time.
+        # A scenario needs more trips than parameters; the paces of fewer
+        # directions come from the same noise stream.
+        scenario = standard_scenario(n_trips=max(n_trips, 100),
+                                     noise_std=30.0, seed=seed)
+        thetas = sample_directions(scenario)[:n_trips]
+        params = np.concatenate([[scenario.gamma],
+                                 scenario.coefficient_vector()])
+        signal = model_signal(thetas, scenario.demand_hist,
+                              scenario.network_hist, scenario.spec, params)
+        _, noise_rng = _rng_streams(seed, 2)
+        expected = np.maximum(
+            signal + noise_rng.normal(0.0, scenario.noise_std, n_trips), 1.0)
+        paces, _ = generate_paces(thetas, scenario)
+        assert paces.tobytes() == expected.tobytes()
+
 
 class TestIdentifiableCoefficients:
     def test_projection_is_idempotent(self):
@@ -246,7 +272,7 @@ class TestRotatedGridNetwork:
     def test_point_symmetry_exact(self):
         for rotation in (0.0, 0.1, 1.0, 2.5, 5.0):
             hist = make_rotated_grid_network(rotation, 32)
-            assert hist.point_symmetry_defect() == 0.0
+            assert np.array_equal(hist.values, np.roll(hist.values, 16))
 
     def test_quarter_turn_is_four_bin_shift(self):
         # pi/4 spans 4 bins of width 2*pi/32
@@ -409,7 +435,8 @@ class TestScenarioParsing:
     def test_network_defect_within_the_features_tolerance_accepted(self):
         # a defect of 1e-10, inside the features' point-symmetry tolerance
         scenario = scenario_from_dict(self.network_with_excess(3.2e-9))
-        assert scenario.network_hist.point_symmetry_defect() > 0.0
+        values = scenario.network_hist.values
+        assert not np.array_equal(values, np.roll(values, 16))
 
     def test_asymmetric_network_named_as_the_features_name_it(self):
         with pytest.raises(InputFormatError) as err:
