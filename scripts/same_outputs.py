@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Check that two source trees give byte-identical CLI results.
+
+    python scripts/same_outputs.py OLD_SRC NEW_SRC [SEED ...] [--smoke]
+
+OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``pacerose``
+package. Make one from any revision with
+
+    mkdir -p /tmp/old && git archive <rev> src | tar -x -C /tmp/old
+
+and pass ``/tmp/old/src``. For each seed (default 5, 7 and 11) the inputs
+of every benchmark workload are written once with
+``perfbench/workloads.prepare``. Each workload command, and each ``fit``
+command again with ``--dump-design``, then runs as ``python -m pacerose``
+once under each tree, in the same work directory and with the same paths.
+Every file under the command's output directory, its stdout, its stderr
+and its exit code are compared. The script prints one line for each that
+differs and exits 1, or exits 0 when all are identical.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def outcome(src, argv, work, out_dir):
+    """Exit code, stdout, stderr and output files of one command."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pacerose", *argv], cwd=work,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True, timeout=600)
+    result = {"exit code": proc.returncode, "stdout": proc.stdout,
+              "stderr": proc.stderr}
+    for path in sorted(Path(out_dir).rglob("*")):
+        if path.is_file():
+            result[str(path.relative_to(out_dir))] = path.read_bytes()
+    return result
+
+
+def differences(old_src, new_src, workload, seed, smoke):
+    """Lines naming what differs between the trees on one workload."""
+    found = []
+    with tempfile.TemporaryDirectory() as work:
+        case = workloads.prepare(workload, work, seed, smoke)
+        runs = [(cmd.argv[0], cmd.argv, cmd.out_dir) for cmd in case.commands]
+        runs += [("fit --dump-design", argv + ["--dump-design"], out_dir)
+                 for name, argv, out_dir in runs if name == "fit"]
+        for name, argv, out_dir in runs:
+            old, new = (outcome(src, argv, work, out_dir)
+                        for src in (old_src, new_src))
+            found += [f"{workload} seed {seed} [{name}]: {key} differs"
+                      for key in sorted(old.keys() | new.keys())
+                      if old.get(key) != new.get(key)]
+    return found
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("seeds", nargs="*", type=int, default=[5, 7, 11])
+    parser.add_argument("--smoke", action="store_true",
+                        help="the benchmark's smoke-test input sizes")
+    opts = parser.parse_args()
+    found = [line for seed in opts.seeds
+             for workload in workloads.WORKLOADS
+             for line in differences(opts.old_src, opts.new_src, workload,
+                                     seed, opts.smoke)]
+    print("\n".join(found) if found else "no differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,9 +85,9 @@ __all__ = ["RunConfig", "main"]
 def _write_histograms(out: str, demand: AngularHistogram,
                       network: AngularHistogram):
     for name, hist in (("demand", demand), ("network", network)):
-        rows = zip(range(hist.bin_count), hist.bin_centers(), hist.values)
+        columns = (range(hist.bin_count), hist.bin_centers(), hist.values)
         write_atomic(os.path.join(out, f"{name}_hist.csv"),
-                     csv_text(rows, HISTOGRAM_HEADER))
+                     csv_text(columns, HISTOGRAM_HEADER))
 
 
 def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
@@ -176,9 +176,9 @@ def cmd_hist(cfg: RunConfig) -> int:
 
     out = cfg.output_dir
     _write_histograms(out, demand, network)
-    rows = zip(range(cfg.bins), demand.bin_centers(), means, counts)
+    columns = (range(cfg.bins), demand.bin_centers(), means, counts)
     write_atomic(os.path.join(out, "pace_by_direction.csv"), csv_text(
-        rows, ("bin", "center_rad", "mean_pace", "n_trips")))
+        columns, ("bin", "center_rad", "mean_pace", "n_trips")))
 
     write_atomic(os.path.join(out, "demand_rose.svg"),
                  rose_svg(demand.values, "trip-direction frequencies"))
@@ -207,8 +207,8 @@ def _design_csv(design, y, column_names):
     without its intercept column, one block of rows at a time."""
     yield csv_text((), column_names + ("pace",))
     for start, stop in design.blocks():
-        yield csv_text(np.column_stack([
-            design.basis(start, stop) @ design.moments[:, 1:], y[start:stop]]))
+        block = design.basis(start, stop) @ design.moments[:, 1:]
+        yield csv_text([*block.T, y[start:stop]])
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -241,12 +241,12 @@ def cmd_fit(cfg: RunConfig) -> int:
 
     out = cfg.output_dir
     write_atomic(os.path.join(out, "fit_report.csv"), csv_text(
-        report_rows(fit, SIGNIFICANCE_LEVEL), ("name", "coefficient",
+        zip(*report_rows(fit, SIGNIFICANCE_LEVEL)), ("name", "coefficient",
         "std_err", "t_value", "p_value", "significant_5pct")))
     write_atomic(os.path.join(out, "summary.txt"), _summary_text(fit))
     for kind, curve in curves.items():
         write_atomic(os.path.join(out, f"{kind}_curve.csv"), csv_text(
-            zip(curve.offsets, curve.values), ("offset_rad", "value")))
+            (curve.offsets, curve.values), ("offset_rad", "value")))
         plot_values = curve.values
         title = f"{kind} influence curve"
         if cfg.baseline == "min":
@@ -334,7 +334,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace,
                 f"match the model ({value})"
             )
     paces = predict_pace(theta, demand, network, fit, spec)
-    sys.stdout.write(csv_text(zip(paces)))
+    sys.stdout.write(csv_text((paces,)))
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from .errors import InputFormatError
 
 __all__ = ["csv_text", "json_object", "json_value", "write_atomic"]
 
+_FORMATS = {"f": repr, "b": ("false", "true").__getitem__}  # others: str
 _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
                dict: "object", list[float]: "array of numbers",
                list[str]: "array of strings"}
@@ -92,23 +93,27 @@ def write_atomic(path, text):
         raise
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    return repr(float(value))
+def _cells(values):
+    """The text of each cell of an ndarray or list, by its dtype's rule. A
+    list's text is written as given: numpy's str dtype drops trailing NULs."""
+    array = np.asarray(values)
+    if array.dtype.kind in _FORMATS:
+        return map(_FORMATS[array.dtype.kind], array.tolist())
+    return map(str, values if isinstance(values, list) else array.tolist())
 
 
-def csv_text(rows, header=None) -> str:
-    """CSV text of the ``header`` names, if any, and ``rows``, one line each.
+def csv_text(columns, header=None) -> str:
+    """CSV text of the ``header`` names, if any, and the rows of ``columns``.
 
-    A text cell is written as it is, a bool (checked first: True is an int)
-    as ``true`` or ``false``, an integer with ``str`` and any other number
-    as ``repr(float(x))``, which reads back to the same bits; numpy scalars
-    as the Python values they hold.
+    A column is a ``str``, written in every row, or a 1-D sequence such as
+    an ndarray, ``range`` or one-shot iterator, all of one length (else
+    ValueError). By the column's numpy dtype, a float cell is the ``repr``
+    of its ``.tolist()`` value, which reads back to the same bits, a bool
+    ``true`` or ``false``, and any other cell its ``str``.
     """
-    text = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    columns = [c if isinstance(c, (str, np.ndarray)) else list(c)
+               for c in columns]
+    rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
+    cells = [[c] * rows if isinstance(c, str) else _cells(c) for c in columns]
+    text = "".join(",".join(row) + "\n" for row in zip(*cells, strict=True))
     return text if header is None else ",".join(header) + "\n" + text

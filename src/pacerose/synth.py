@@ -34,12 +34,10 @@ from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import row_blocks
 from .features import ModelSpec, fourier_basis, model_signal, moment_matrix
-from .files import json_value
+from .files import csv_text, json_value
 from .ingest import TRIP_HEADER_PLANAR
 
 PACE_FLOOR_S_PER_KM = 1.0
-# one trips.csv line: origin, destination, duration (the pace), distance
-_TRIP_ROW = "0,0,%r,%r,%r,1.0\n"
 
 __all__ = [
     "PACE_FLOOR_S_PER_KM",
@@ -250,24 +248,20 @@ def generate_paces(directions, scenario: SyntheticScenario):
 
 
 def trip_csv_lines(directions, paces):
-    """Trip CSV text in the ingest format, full float precision.
-
-    Yields the header line, then the lines of each block of ``BLOCK_ROWS``
-    trips as one string, so the whole text is never held. Every synthetic
-    trip starts at the origin and covers exactly 1 km, so the written
-    duration equals the pace and the re-ingested bearing equals the
-    direction to the last bit that atan2 allows. ``%r`` of a float is its
-    ``repr``, the shortest text that reads back to the same bits.
-    """
-    yield ",".join(TRIP_HEADER_PLANAR) + "\n"
+    """Trip CSV text in the ingest format: the header line, then one string
+    per block of ``BLOCK_ROWS`` trips, so the whole text is never held.
+    Every trip starts at the origin and covers exactly 1 km, so the duration
+    is the pace and the re-ingested bearing is the direction to the last bit
+    atan2 allows. ``math.cos`` and ``sin`` place the destination: numpy's
+    may differ from them in the last bit."""
+    yield csv_text((), TRIP_HEADER_PLANAR)
     directions = np.asarray(directions, dtype=float)
     paces = np.asarray(paces, dtype=float)
     for start, stop in row_blocks(directions.size):
-        cells = []
-        for theta, pace in zip(directions[start:stop].tolist(),
-                               paces[start:stop].tolist()):
-            cells += (1000.0 * math.cos(theta), 1000.0 * math.sin(theta), pace)
-        yield _TRIP_ROW * (stop - start) % tuple(cells)
+        thetas = directions[start:stop].tolist()
+        yield csv_text(("0", "0", [1000.0 * math.cos(t) for t in thetas],
+                        [1000.0 * math.sin(t) for t in thetas],
+                        paces[start:stop], "1.0"))
 
 
 def scenario_manifest(scenario: SyntheticScenario, n_clamped: int) -> dict:

@@ -15,7 +15,6 @@ from conftest import RAW_ALPHA, RAW_BETA
 from pacerose import cli, estimator
 from pacerose.cli import RunConfig, build_parser, main, resolve_config
 from pacerose.features import ModelSpec, build_design_matrix
-from pacerose.files import csv_text
 from pacerose.ingest import directions, parse_histogram, parse_trips
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
@@ -546,9 +545,61 @@ class TestFitCommand:
         spec = ModelSpec()
         X, y = build_design_matrix(trips[:, 4] / trips[:, 5], theta, *hists,
                                    spec)
-        expected = csv_text(np.column_stack([X, y]),
-                            spec.column_names + ("pace",))
+        # built apart from files.csv_text, the writer under test
+        expected = ",".join(spec.column_names + ("pace",)) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n"
+            for row in np.column_stack([X, y]).tolist())
         assert (out / "design_matrix.csv").read_text() == expected
+
+    def test_doubled_durations_double_the_estimates_exactly(self, tmp_path):
+        # scaling by a power of two is exact in floating point: the paces,
+        # the coefficients, their standard errors and the curves double to
+        # the bit, the cut keeps the same trips, and t, p and the summary
+        # do not change at all
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_payload(noise_std=5.0,
+                                                        seed=3)))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--output-dir", str(sim)]) == 0
+        header, *rows = (sim / "trips.csv").read_text().splitlines()
+        with open(tmp_path / "doubled.csv", "w") as f:
+            f.write(header + "\n")
+            for cells in (row.split(",") for row in rows):
+                cells[4] = repr(2.0 * float(cells[4]))  # duration_s
+                f.write(",".join(cells) + "\n")
+
+        def fit_tables(trips):
+            out = tmp_path / trips.stem
+            assert main(["fit", "--trips", str(trips),
+                         "--network-hist", str(sim / "network_hist.csv"),
+                         "--output-dir", str(out)]) == 0
+            tables = {name: [line.split(",") for line in
+                             (out / name).read_text().splitlines()]
+                      for name in ("fit_report.csv", "alpha_curve.csv",
+                                   "beta_curve.csv")}
+            return tables, (out / "summary.txt").read_text()
+
+        one, summary = fit_tables(sim / "trips.csv")
+        two, summary2 = fit_tables(tmp_path / "doubled.csv")
+        assert summary == summary2
+        assert one["fit_report.csv"][0] == two["fit_report.csv"][0]
+        report = list(zip(one["fit_report.csv"][1:], two["fit_report.csv"][1:],
+                          strict=True))
+        for (name, coef, se, *rest), (name2, coef2, se2, *rest2) in report:
+            assert name == name2
+            assert float(coef2) == 2.0 * float(coef), name
+            assert float(se2) == 2.0 * float(se), name
+            assert rest2 == rest, name  # t, p and significance, byte for byte
+        assert {row[0][-1] for row in report} == {"true", "false"}
+        for name in ("alpha_curve.csv", "beta_curve.csv"):
+            assert one[name][0] == two[name][0]
+            curve = list(zip(one[name][1:], two[name][1:], strict=True))
+            assert len(curve) == 256
+            assert any(float(value) != 0.0 for (_, value), _ in curve)
+            for (offset, value), (offset2, value2) in curve:
+                assert offset == offset2
+                assert float(value2) == 2.0 * float(value), name
 
     def test_strict_rank_exits_4_naming_columns(self, tmp_path, simulated,
                                                 capsys):

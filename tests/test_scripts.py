@@ -1,6 +1,7 @@
 """The example scripts run end to end on the current package."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,23 @@ def test_recovery_sweep_runs_one_cell(tmp_path):
     assert header.split() == ["n_trips", "noise=1"]
     size, rmse = row.split()
     assert size == "500" and 0.0 < float(rmse) < 10.0
+
+
+def test_same_outputs_names_a_changed_cell(tmp_path):
+    src = str(ROOT / "src")
+    proc = run_script("same_outputs.py", src, src, "5", "--smoke",
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "no differences\n"
+    # a copy of the package that writes one other header cell
+    shutil.copytree(ROOT / "src" / "pacerose", tmp_path / "src" / "pacerose",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "pacerose" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"mean_pace"') == 1
+    cli.write_text(text.replace('"mean_pace"', '"mean_pace_s"'))
+    proc = run_script("same_outputs.py", src, str(tmp_path / "src"), "5",
+                      "--smoke", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == ("hist-lonlat seed 5 [hist]: pace_by_direction.csv "
+                           "differs\n")
