@@ -28,7 +28,7 @@ from .errors import (
     PaceroseError,
     SpecMismatchError,
 )
-from .estimator import ols_fit, report_rows, significance_mask
+from .estimator import ols_fit, report_rows, row_blocks, significance_mask
 # build_design_matrix is not called here, but the benchmark's traced run
 # hooks it through this module and reports 3 of its metrics from that hook
 from .features import ModelSpec, build_design_matrix, fourier_design
@@ -164,6 +164,7 @@ def cmd_hist(cfg: RunConfig) -> int:
         raise InputFormatError(
             f"invalid option: bins must be >= 1, got {cfg.bins}"
         )
+    os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
     theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, theta, kept)
@@ -206,7 +207,7 @@ def _design_csv(design, y, column_names):
     """The text of design_matrix.csv, ``[X y]`` with X the fit's design
     without its intercept column, one block of rows at a time."""
     yield csv_text((), column_names + ("pace",))
-    for start, stop in design.blocks():
+    for start, stop in row_blocks(design.rows):
         block = design.basis(start, stop) @ design.moments[:, 1:]
         yield csv_text([*block.T, y[start:stop]])
 
@@ -216,10 +217,11 @@ def cmd_fit(cfg: RunConfig) -> int:
                       network_point_symmetric=cfg.point_symmetric)
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
     classes = _class_filter(cfg)
-    if cfg.curve_grid < 8:
-        raise InputFormatError(
-            f"invalid option: curve grid must be >= 8, got {cfg.curve_grid}"
-        )
+    # an odd grid has no offset 0 to read alpha(0) and beta(0) at
+    if cfg.curve_grid < 8 or cfg.curve_grid % 2:
+        raise InputFormatError("invalid option: curve grid must be an even "
+                               f"number >= 8, got {cfg.curve_grid}")
+    os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
     theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)
     demand = _demand_histogram(cfg, theta, kept)

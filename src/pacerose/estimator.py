@@ -119,10 +119,6 @@ class FactoredDesign:
             return np.column_stack([np.ones(stop - start), X[start:stop]])
         return cls(X.shape[0], np.eye(X.shape[1] + 1), basis)
 
-    def blocks(self):
-        """(start, stop) of each block of BLOCK_ROWS rows."""
-        return row_blocks(self.rows)
-
 
 def row_blocks(rows: int):
     """(start, stop) of each block of BLOCK_ROWS of ``rows`` rows: the one
@@ -166,24 +162,24 @@ def require_samples(n: int, p: int):
 
 
 def _r_factor(design: FactoredDesign, y: np.ndarray):
-    """R of [G y], one block of G at a time, and G's columns that are not 0.
+    """R of [G y], one block of G at a time.
 
     Each block is stacked under the R so far and factored again, so no
-    more than one block of G exists at once.
+    more than one block of G exists at once. A Householder step leaves an
+    all-zero column all zero, so a column of G that is 0 in every block is
+    an exactly zero column of R.
     """
     q = design.moments.shape[0]
     r = np.zeros((0, q + 1))
-    nonzero = np.zeros(q, dtype=bool)
-    for start, stop in design.blocks():
+    for start, stop in row_blocks(design.rows):
         g = design.basis(start, stop)
-        nonzero |= g.any(axis=0)
         # filled transposed, so LAPACK reads the stack in column order
         stacked = np.empty((q + 1, len(r) + stop - start))
         stacked[:, :len(r)] = r.T
         stacked[:q, len(r):] = g.T
         stacked[q, len(r):] = y[start:stop]
         r = np.linalg.qr(stacked.T, mode="r")
-    return r, nonzero
+    return r
 
 
 def _sums_of_squares(design: FactoredDesign, y, params, ybar: float):
@@ -194,7 +190,7 @@ def _sums_of_squares(design: FactoredDesign, y, params, ybar: float):
     """
     basis_coefficients = design.moments @ params
     rss = tss = 0.0
-    for start, stop in design.blocks():
+    for start, stop in row_blocks(design.rows):
         residuals = y[start:stop] - design.basis(start, stop) @ basis_coefficients
         deviations = y[start:stop] - ybar
         rss += float(residuals @ residuals)
@@ -245,7 +241,7 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
         raise ValueError(f"unknown rank policy {rank_policy!r}")
     require_samples(n, p)
 
-    r, basis_nonzero = _r_factor(design, y)
+    r = _r_factor(design, y)
     # [1 X] = Q B with orthonormal Q: B has the singular values and right
     # singular vectors of [1 X], and the y column z of R stands in for y.
     # The full vt spans all p parameters when B has fewer rows than p.
@@ -268,10 +264,11 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
     uty = u[:, :rank].T @ r[:, q]
     params = vt[:rank].T @ (uty / s[:rank])
     cov_unscaled = (vt[:rank].T / s[:rank] ** 2) @ vt[:rank]
-    # an exactly zero column (every term of it has a zero moment or an
-    # all-zero basis column) carries no information: its coefficient and
-    # standard error are 0 by definition, not the rounding noise of the SVD
-    zero = ~((design.moments != 0.0) & basis_nonzero[:, None]).any(axis=0)
+    # a column of B that is exactly 0 (each of its terms has a zero moment
+    # or a zero column of R; see _r_factor) carries no information: its
+    # coefficient and standard error are 0 by definition, not the rounding
+    # noise of the SVD
+    zero = ~b.any(axis=0)
     params[zero] = 0.0
 
     ybar = float(y.mean())

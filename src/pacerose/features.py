@@ -10,10 +10,10 @@ with the histogram's moments C_k, S_k = sum_j h_j cos/sin(k c_j). So the
 design factors as [1 X] = F(theta) M(d, n): the Fourier basis F(theta) =
 [1, cos theta, sin theta, ..., cos K theta, sin K theta] times the moment
 matrix M of both histograms. Every evaluation goes through that product:
-``model_features`` is F M without the intercept column, ``model_signal``
-evaluates a model as F (M [gamma; c]) a block of directions at a time,
-without forming X, and ``fourier_design`` hands the solver F and M, so the
-fit never forms X.
+``fourier_design`` hands the solver F and M, so the fit never forms X;
+``build_design_matrix`` is that design made dense, F M without the
+intercept column; and ``model_signal`` evaluates a model as
+F (M [gamma; c]) a block of directions at a time, without forming X.
 Rotating data and histograms together leaves every feature unchanged, and
 demand and network columns sharing a k both lie in the span of cos(k theta)
 and sin(k theta): the design is collinear whenever both carry mass at k.
@@ -49,7 +49,6 @@ __all__ = [
     "build_design_matrix",
     "fourier_basis",
     "fourier_design",
-    "model_features",
     "model_signal",
     "moment_matrix",
     "network_features",
@@ -183,23 +182,6 @@ def _check_point_symmetry(hist: AngularHistogram):
         )
 
 
-def model_features(
-    thetas,
-    demand_hist: AngularHistogram,
-    network_hist: AngularHistogram,
-    spec: ModelSpec,
-) -> np.ndarray:
-    """All regressor columns of ``spec`` at ``thetas``, in column order.
-
-    Validates both histograms against the spec (bin count, point symmetry
-    when the spec asks for it). Any number of directions is accepted; the
-    result has shape ``np.shape(thetas) + (parameter_count - 1,)``.
-    """
-    spec.check_histograms(demand_hist, network_hist)
-    return (fourier_basis(thetas, spec.k_max)
-            @ moment_matrix(demand_hist, network_hist, spec)[:, 1:])
-
-
 def model_signal(
     thetas,
     demand_hist: AngularHistogram,
@@ -207,12 +189,12 @@ def model_signal(
     spec: ModelSpec,
     params,
 ):
-    """``params[0] + model_features(thetas, ...) @ params[1:]``.
+    """``params[0] + X @ params[1:]`` with X the spec's columns at ``thetas``.
 
     Evaluated as ``F(theta) w`` with ``w = M params``, one block of
     ``BLOCK_ROWS`` directions at a time, so neither X nor more than a block
-    of F is held; the result has the shape of ``thetas``. The same checks as
-    ``model_features`` run.
+    of F is held; the result has the shape of ``thetas``. Both histograms
+    are checked against the spec first.
     """
     spec.check_histograms(demand_hist, network_hist)
     weights = moment_matrix(demand_hist, network_hist, spec) @ params
@@ -268,34 +250,6 @@ def moment_matrix(
     ])
 
 
-def _targets(paces, directions, spec: ModelSpec):
-    """Paces and directions as float arrays, enough of them for ``spec``."""
-    y = np.asarray(paces, dtype=float)
-    thetas = np.asarray(directions, dtype=float)
-    if y.shape != thetas.shape or y.ndim != 1:
-        raise ValueError("paces and directions must be 1-D and equally long")
-    require_samples(y.size, spec.parameter_count)
-    return y, thetas
-
-
-def build_design_matrix(
-    paces,
-    directions,
-    demand_hist: AngularHistogram,
-    network_hist: AngularHistogram,
-    spec: ModelSpec,
-):
-    """Design matrix X (N x (p-1)) and target vector y for the regression.
-
-    Row i concatenates the demand and network features of trip i's
-    direction; y_i is its pace in seconds per kilometer. The intercept is
-    appended later by the estimator.
-    """
-    y, thetas = _targets(paces, directions, spec)
-    X = model_features(thetas, demand_hist, network_hist, spec)
-    return X, y.copy()
-
-
 def fourier_design(
     paces,
     directions,
@@ -303,13 +257,18 @@ def fourier_design(
     network_hist: AngularHistogram,
     spec: ModelSpec,
 ):
-    """The regression of ``build_design_matrix`` without its N x p matrix.
+    """The regression of ``paces`` on the spec's columns at ``directions``.
 
     Returns (design, y) for ``ols_fit``: ``[1 X] = F(theta) M`` as a
     ``FactoredDesign`` with F ``fourier_basis`` and M ``moment_matrix``.
-    The same checks run first; F is made a block of rows at a time.
+    Every check runs first, the cheap shape and sample-count checks before
+    the histograms'; F is made a block of rows at a time.
     """
-    y, thetas = _targets(paces, directions, spec)
+    y = np.asarray(paces, dtype=float)
+    thetas = np.asarray(directions, dtype=float)
+    if y.shape != thetas.shape or y.ndim != 1:
+        raise ValueError("paces and directions must be 1-D and equally long")
+    require_samples(y.size, spec.parameter_count)
     spec.check_histograms(demand_hist, network_hist)
     if not np.all(np.isfinite(thetas)):
         raise ValueError("directions must be finite")
@@ -319,3 +278,21 @@ def fourier_design(
         return fourier_basis(thetas[start:stop], spec.k_max)
 
     return FactoredDesign(thetas.size, moments, basis), y
+
+
+def build_design_matrix(
+    paces,
+    directions,
+    demand_hist: AngularHistogram,
+    network_hist: AngularHistogram,
+    spec: ModelSpec,
+):
+    """``fourier_design`` made dense: X (N x (p-1)) and a copy of y.
+
+    Row i holds the demand and network features of trip i's direction, the
+    one product F(theta) M without the intercept column, which the
+    estimator adds. The checks are ``fourier_design``'s.
+    """
+    design, y = fourier_design(paces, directions, demand_hist, network_hist,
+                               spec)
+    return design.basis(0, design.rows) @ design.moments[:, 1:], y.copy()

@@ -635,11 +635,13 @@ class TestFitCommand:
         ("--k", "0"),
         ("--lower-cut", "0.7", "--upper-cut", "0.5"),
         ("--curve-grid", "4"),
+        ("--curve-grid", "9"),
         ("--class-filter", "footpath"),
         ("--class-filter", ""),
         ("--class-filter", " , "),
-    ], ids=["k-zero", "cuts-overlap", "curve-grid-4", "class-filter-footpath",
-            "class-filter-empty", "class-filter-blank"])
+    ], ids=["k-zero", "cuts-overlap", "curve-grid-4", "curve-grid-odd",
+            "class-filter-footpath", "class-filter-empty",
+            "class-filter-blank"])
     def test_invalid_option_exits_2_before_writing(self, tmp_path, simulated,
                                                    capsys, extra):
         code, out = self.fit(tmp_path, simulated, *extra)
@@ -725,6 +727,86 @@ class TestFitCommand:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["hist", "fit"])
+def test_unusable_output_dir_exits_2_before_reading_trips(tmp_path, capsys,
+                                                          command):
+    trips = trips_csv(tmp_path)
+    network = grid_network_csv(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def unread(*args, **kwargs):
+        raise AssertionError("trips parsed before the output dir was made")
+
+    with patch.object(cli, "parse_trips", unread):
+        code = main([command, "--trips", str(trips), "--network", str(network),
+                     "--output-dir", str(blocker / "x")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def turned_city(path, seed, quarter_turns):
+    """Write trips.csv and network.csv of a seeded planar city, turned by
+    ``quarter_turns`` times (x, y) -> (-y, x), which is exact on every
+    coordinate; return the directory."""
+    rng = np.random.default_rng(seed)
+    theta = rng.vonmises(0.4, 0.8, 3000)
+    km = rng.uniform(0.5, 8.0, 3000)
+    pace = 150.0 + 25.0 * np.cos(2.0 * theta - 0.3)
+    pace += rng.normal(0.0, 6.0, 3000)
+    x, y = rng.uniform(0.0, 2e4, (2, 3000))
+    trips = np.column_stack([x, y, x + 900.0 * km * np.cos(theta),
+                             y + 900.0 * km * np.sin(theta), pace * km, km])
+    phi = 0.3 + 0.5 * math.pi * rng.integers(0, 4, 2000)
+    phi += rng.normal(0.0, 0.1, 2000)
+    ax, ay = rng.uniform(0.0, 2e4, (2, 2000))
+    length = rng.uniform(20.0, 500.0, 2000)
+    edges = np.column_stack([ax, ay, ax + length * np.cos(phi),
+                             ay + length * np.sin(phi)])
+    for _ in range(quarter_turns):
+        for points in (trips[:, 0:4], edges):
+            points[:, 0::2], points[:, 1::2] = (-points[:, 1::2],
+                                                points[:, 0::2].copy())
+    classes = rng.choice(["primary", "trunk", "other"], 2000)
+    path.mkdir()
+    (path / "trips.csv").write_text(TRIP_HEADER + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in trips.tolist()))
+    (path / "network.csv").write_text(NET_HEADER + "\n" + "".join(
+        ",".join(map(repr, row)) + f",{name}\n"
+        for row, name in zip(edges.tolist(), classes)))
+    return path
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quarter_turn_of_trips_and_network_leaves_the_fit(tmp_path, seed):
+    # with 4 | bins a 90 degree turn maps bins onto bins, so both histograms
+    # turn by bins / 4 and every feature is unchanged up to rounding: the
+    # curves must agree within 1e-9 of their largest magnitude, and the
+    # summary and the sign report, printed to 3 and 4 decimals, exactly
+    outputs = []
+    for turns in (0, 1):
+        city = turned_city(tmp_path / f"city{turns}", seed, turns)
+        out = tmp_path / f"fit{turns}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fit", "--trips", str(city / "trips.csv"),
+                         "--network", str(city / "network.csv"),
+                         "--output-dir", str(out)]) == 0
+        outputs.append(out)
+    plain, turned = outputs
+    # the histograms in model.json turned with the data
+    assert ((turned / "model.json").read_bytes()
+            != (plain / "model.json").read_bytes())
+    for name in ("summary.txt", "sign_report.txt"):
+        assert (turned / name).read_bytes() == (plain / name).read_bytes()
+    for name in ("alpha_curve.csv", "beta_curve.csv"):
+        one, two = (np.loadtxt(out / name, delimiter=",", skiprows=1)
+                    for out in outputs)
+        np.testing.assert_array_equal(two[:, 0], one[:, 0])
+        scale = np.max(np.abs(one[:, 1]))
+        assert scale > 0.0
+        assert np.max(np.abs(two[:, 1] - one[:, 1])) <= 1e-9 * scale, name
+
+
 class TestPredictCommand:
     def make_uniform_model(self, tmp_path):
         trips = trips_csv(tmp_path, n=60, pace_s_per_km=133.0)
@@ -786,14 +868,16 @@ class TestPredictCommand:
         assert main(argv) == 0
         got = np.array(capsys.readouterr().out.split(), dtype=float)
 
-        from pacerose.features import model_features
+        from pacerose.features import fourier_basis, moment_matrix
         from pacerose.model import load_model, predict_pace
 
         fit, spec, d, n = load_model(model)
         np.testing.assert_array_equal(got, predict_pace(thetas, d, n, fit,
                                                         spec))
-        one_product = fit.gamma + model_features(thetas, d, n,
-                                                 spec) @ fit.coefficients
+        spec.check_histograms(d, n)
+        X = (fourier_basis(thetas, spec.k_max)
+             @ moment_matrix(d, n, spec)[:, 1:])
+        one_product = fit.gamma + X @ fit.coefficients
         np.testing.assert_allclose(got, one_product, rtol=1e-13)
 
     def test_overflowing_t_value_warns_nothing(self, tmp_path, simulated,

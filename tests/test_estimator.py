@@ -4,7 +4,15 @@ import pytest
 from oracles import normal_equations_fit
 from fixtures import ALL_CASES, PARAMETER_COUNT
 from pacerose.errors import InsufficientDataError, RankDeficiencyError
-from pacerose.estimator import FitResult, ols_fit, report_rows, significance_mask
+from pacerose.estimator import (
+    BLOCK_ROWS,
+    FactoredDesign,
+    FitResult,
+    _r_factor,
+    ols_fit,
+    report_rows,
+    significance_mask,
+)
 from pacerose.special import t_p_value
 
 
@@ -169,6 +177,20 @@ class TestRankDeficiency:
                     fit.p_values[j]) == (0.0, 0.0, 0.0, 1.0)
         assert fit.rank == 5
         assert not significance_mask(fit)[[2, 4]].any()
+
+    def test_all_zero_columns_stay_exactly_zero_in_r(self):
+        # the zero rule reads exactly zero columns from B = R M: it rests on
+        # each Householder step and each TSQR merge keeping a column of G
+        # that is 0 in every block an exactly zero column of R
+        rng = np.random.default_rng(2)
+        n = 3 * BLOCK_ROWS + 17
+        X = rng.normal(size=(n, 5))
+        X[:, [1, 3]] = 0.0
+        r = _r_factor(FactoredDesign.dense(X), rng.normal(size=n))
+        # the columns of R are those of [1 X y]
+        assert r.shape == (7, 7)
+        assert not r[:, [2, 4]].any()
+        assert np.all(np.abs(np.diag(r)[[0, 1, 3, 5, 6]]) > 1.0)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):

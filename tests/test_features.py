@@ -29,7 +29,6 @@ from pacerose.features import (
     build_design_matrix,
     fourier_basis,
     fourier_design,
-    model_features,
     model_signal,
     moment_matrix,
     network_features,
@@ -214,6 +213,20 @@ class TestDesignMatrix:
             build_design_matrix(np.full(n, 100.0), thetas,
                                 standard_demand(), standard_network(), spec)
 
+    @pytest.mark.parametrize("thetas, message", [
+        (np.append(np.linspace(0.1, 6.0, 39), np.nan),
+         "directions must be finite"),
+        (np.linspace(0.1, 6.0, 39),
+         "paces and directions must be 1-D and equally long"),
+    ], ids=["nan", "one-short"])
+    def test_bad_directions_rejected(self, thetas, message):
+        # the checks are fourier_design's, so a NaN direction is refused
+        # rather than giving a NaN row
+        with pytest.raises(ValueError, match=message):
+            build_design_matrix(np.full(40, 100.0), thetas,
+                                standard_demand(), standard_network(),
+                                ModelSpec())
+
     def test_bin_count_mismatch_rejected(self):
         spec = ModelSpec(bins=32)
         thetas = np.linspace(0.1, 6.0, 40)
@@ -271,7 +284,9 @@ def test_kernel_matches_brute_force_oracle(point_symmetric, data):
                                              spec.network_harmonics)])
         for t in thetas])
     # the histogram is both the demand and the network histogram
-    got = model_features(np.array(thetas), hist, hist, spec)
+    spec.check_histograms(hist, hist)
+    got = (fourier_basis(np.array(thetas), k_max)
+           @ moment_matrix(hist, hist, spec)[:, 1:])
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
     for t, row in zip(thetas, expected):
         np.testing.assert_allclose(

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -51,3 +53,22 @@ def test_same_outputs_names_a_changed_cell(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout == ("hist-lonlat seed 5 [hist]: pace_by_direction.csv "
                            "differs\n")
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0),
+                                        (["fit", "--bogus"], 2)],
+                         ids=["help", "usage-error"])
+def test_maxrss_prints_the_childs_peak_and_exits_with_its_code(tmp_path,
+                                                               argv, code):
+    # -S leaves site-packages, where numpy is installed, off the launcher's
+    # path, so the launch fails if the script imports numpy; the child runs
+    # without -S
+    proc = subprocess.run(
+        [sys.executable, "-S", str(ROOT / "scripts" / "maxrss.py"), *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    *child, last = proc.stdout.splitlines()
+    assert int(last) > 0
+    assert ("usage:" in "\n".join(child)) == (code == 0)
+    assert ("usage:" in proc.stderr) == (code == 2)

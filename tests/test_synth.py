@@ -24,8 +24,9 @@ from pacerose.estimator import BLOCK_ROWS, ols_fit
 from pacerose.features import (
     ModelSpec,
     build_design_matrix,
-    model_features,
+    fourier_basis,
     model_signal,
+    moment_matrix,
 )
 from pacerose.ingest import directions, parse_trips
 from pacerose.synth import (
@@ -43,6 +44,13 @@ from pacerose.synth import (
 )
 
 
+def features(thetas, demand, network, spec):
+    """The spec's columns at ``thetas``: F(theta) M without the intercept."""
+    spec.check_histograms(demand, network)
+    return (fourier_basis(thetas, spec.k_max)
+            @ moment_matrix(demand, network, spec)[:, 1:])
+
+
 def svd_projection(spec, demand, network, gamma, alpha, beta):
     """Reference: the row-space projection Vr Vr^T of [gamma, alpha, beta].
 
@@ -51,7 +59,7 @@ def svd_projection(spec, demand, network, gamma, alpha, beta):
     """
     thetas = (np.arange(512) + 0.5) * (TWO_PI / 512)
     A = np.column_stack([np.ones(512),
-                         model_features(thetas, demand, network, spec)])
+                         features(thetas, demand, network, spec)])
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     basis = vt[s > 1e-10 * s[0]]
     return basis.T @ (basis @ np.concatenate([[gamma], alpha, beta]))
@@ -218,7 +226,7 @@ class TestIdentifiableCoefficients:
         raw = standard_scenario(canonical=False)
         canon = canonicalized(raw)
         thetas = np.linspace(0.0, TWO_PI, 123, endpoint=False)
-        X = model_features(thetas, raw.demand_hist, raw.network_hist, raw.spec)
+        X = features(thetas, raw.demand_hist, raw.network_hist, raw.spec)
         raw_signal = raw.gamma + X @ raw.coefficient_vector()
         canon_signal = canon.gamma + X @ canon.coefficient_vector()
         np.testing.assert_allclose(canon_signal, raw_signal, atol=1e-9)
@@ -256,7 +264,7 @@ class TestIdentifiableCoefficients:
         g, a, b = identifiable_coefficients(spec, demand, network,
                                             200.0, alpha, beta)
         thetas = rng.uniform(0.0, TWO_PI, 50)
-        X = model_features(thetas, demand, network, spec)
+        X = features(thetas, demand, network, spec)
         np.testing.assert_allclose(
             g + X @ np.concatenate([a, b]),
             200.0 + X @ np.concatenate([alpha, beta]), rtol=1e-9)
