@@ -45,6 +45,7 @@ from .ingest import (
     road_class_filter,
 )
 from .model import (
+    check_grid_size,
     expected_sign_report,
     load_model,
     predict_pace,
@@ -90,10 +91,12 @@ def _write_histograms(out: str, demand: AngularHistogram,
                      csv_text(columns, HISTOGRAM_HEADER))
 
 
-def _read_histogram_csv(path: str, bins: int) -> AngularHistogram:
+def _read_csv(path: str, parse, *args):
+    """``parse(file, *args)`` of the CSV file at ``path``; its input errors
+    name the file."""
     try:
         with open(path, encoding="utf-8-sig") as f:
-            return parse_histogram(f, bins)
+            return parse(f, *args)
     except InputFormatError as exc:
         # "<path> row 4: ..." for a row, "<path>: ..." for the whole file
         sep = " " if str(exc).startswith("row ") else ": "
@@ -104,8 +107,7 @@ def _load_trips(cfg: RunConfig):
     """Directions and paces of the trips in ``cfg.trips``."""
     if not cfg.trips:
         raise InputFormatError("no trip file given (--trips)")
-    with open(cfg.trips, encoding="utf-8-sig") as f:
-        trips = parse_trips(f, lonlat=cfg.lonlat)
+    trips = _read_csv(cfg.trips, parse_trips, cfg.lonlat)
     theta, moving = directions(trips, lonlat=cfg.lonlat, compass=cfg.compass)
     skipped = len(trips) - theta.size
     if skipped:
@@ -126,13 +128,12 @@ def _class_filter(cfg: RunConfig) -> set:
 
 def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
     if cfg.network_hist:
-        return _read_histogram_csv(cfg.network_hist, cfg.bins)
+        return _read_csv(cfg.network_hist, parse_histogram, cfg.bins)
     if not cfg.network:
         raise InputFormatError(
             "need a network input (--network or --network-hist)"
         )
-    with open(cfg.network, encoding="utf-8-sig") as f:
-        segments = parse_network(f, class_filter=classes, lonlat=cfg.lonlat)
+    segments = _read_csv(cfg.network, parse_network, classes, cfg.lonlat)
     return network_orientation_histogram(
         segments,
         bins=cfg.bins,
@@ -144,7 +145,7 @@ def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
 
 def _demand_histogram(cfg: RunConfig, theta, kept) -> AngularHistogram:
     if cfg.demand_hist:
-        return _read_histogram_csv(cfg.demand_hist, cfg.bins)
+        return _read_csv(cfg.demand_hist, parse_histogram, cfg.bins)
     source = theta if cfg.demand_from == "all" else theta[kept]
     return build_histogram(source, bin_count=cfg.bins)
 
@@ -217,10 +218,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                       network_point_symmetric=cfg.point_symmetric)
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
     classes = _class_filter(cfg)
-    # an odd grid has no offset 0 to read alpha(0) and beta(0) at
-    if cfg.curve_grid < 8 or cfg.curve_grid % 2:
-        raise InputFormatError("invalid option: curve grid must be an even "
-                               f"number >= 8, got {cfg.curve_grid}")
+    _validated(check_grid_size, cfg.curve_grid)
     os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
     theta, paces = _load_trips(cfg)
     kept = percentile_filter(paces, policy)

@@ -24,8 +24,9 @@ histogram lacks gives exactly zero columns rather than rounding noise.
 Column layout is fixed: demand columns a_c1, a_s1, ..., a_cK, a_sK, then
 network columns in ascending harmonic, cos before sin. When the network
 histogram is point symmetric, odd network harmonics vanish identically and
-only even-k columns are emitted. Every model has an intercept; it is not a
-column here, the estimator adds it.
+only even-k columns are emitted. Every model has an intercept: column 0 of
+``moment_matrix``, which ``build_design_matrix``'s dense X leaves out for
+the estimator to add.
 """
 
 from __future__ import annotations

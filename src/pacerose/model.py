@@ -29,6 +29,7 @@ _COLUMN_RE = re.compile(r"^([ab])_([cs])(\d+)$")
 
 __all__ = [
     "InfluenceCurve",
+    "check_grid_size",
     "expected_sign_report",
     "load_model",
     "predict_pace",
@@ -95,6 +96,14 @@ def _curve_series(column_names, coefficients, mask, kind):
     return series, harmonics
 
 
+def check_grid_size(grid_size: int):
+    """Refuse a curve grid other than an even number >= 8: an odd grid has
+    no offset 0 to read alpha(0) and beta(0) at."""
+    if grid_size < 8 or grid_size % 2:
+        raise ValueError(
+            f"curve grid must be an even number >= 8, got {grid_size}")
+
+
 def reconstruct_curve(
     column_names,
     coefficients,
@@ -108,8 +117,7 @@ def reconstruct_curve(
     terms; masked-out terms contribute zero. With no mask every coefficient
     of the requested kind enters.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be >= 8")
+    check_grid_size(grid_size)
     if kind not in ("alpha", "beta"):
         raise ValueError("kind must be 'alpha' or 'beta'")
     coefficients = np.asarray(coefficients, dtype=float)
@@ -120,7 +128,7 @@ def reconstruct_curve(
     # with only even harmonics the curve has period pi, so offsets i and
     # i + G/2 tie exactly: the first half is computed and copied, and the
     # extremes are reported at the first of two tied offsets
-    period_pi = grid_size % 2 == 0 and all(k % 2 == 0 for k in harmonics)
+    period_pi = all(k % 2 == 0 for k in harmonics)
     computed = offsets[:grid_size // 2] if period_pi else offsets
     values = fourier_basis(computed, series.size // 2) @ series
     if period_pi:
@@ -185,6 +193,27 @@ def expected_sign_report(alpha: InfluenceCurve, beta: InfluenceCurve) -> str:
     return "\n".join(lines)
 
 
+# the statistics of model.json, in file order: key, shape (_COLUMNS: one
+# value per column; (): a number; int: a count, checked by load_model
+# against the spec and the other counts), and a number's closed range and
+# whether it may be infinite, as an exact fit's t values and F statistic are
+_COLUMNS = "one value per column"
+_STATISTICS = (
+    ("gamma", (), -math.inf, math.inf, False),
+    ("gamma_std_error", (), 0.0, math.inf, False),
+    ("coefficients", _COLUMNS, -math.inf, math.inf, False),
+    ("std_errors", _COLUMNS, 0.0, math.inf, False),
+    ("t_values", _COLUMNS, -math.inf, math.inf, True),
+    ("p_values", _COLUMNS, 0.0, 1.0, False),
+    ("r_squared", (), 0.0, 1.0, False),
+    ("f_statistic", (), 0.0, math.inf, True),
+    ("prob_f", (), 0.0, 1.0, False),
+    ("n_samples", int, None, None, False),
+    ("dof_residual", int, None, None, False),
+    ("rank", int, None, None, False),
+)
+
+
 def save_model(
     path,
     fit: FitResult,
@@ -199,46 +228,28 @@ def save_model(
         "bins": spec.bins,
         "point_symmetric": spec.network_point_symmetric,
         "column_names": list(fit.column_names),
-        "gamma": fit.gamma,
-        "gamma_std_error": fit.gamma_std_error,
-        "coefficients": [float(v) for v in fit.coefficients],
-        "std_errors": [float(v) for v in fit.std_errors],
-        "t_values": [float(v) for v in fit.t_values],
-        "p_values": [float(v) for v in fit.p_values],
-        "r_squared": fit.r_squared,
-        "f_statistic": fit.f_statistic,
-        "prob_f": fit.prob_f,
-        "n_samples": fit.n_samples,
-        "dof_residual": fit.dof_residual,
-        "rank": fit.rank,
-        "demand_hist": [float(v) for v in demand_hist.values],
-        "network_hist": [float(v) for v in network_hist.values],
+        **{key: np.asarray(getattr(fit, key)).tolist()
+           for key, *_ in _STATISTICS},
+        "demand_hist": demand_hist.values.tolist(),
+        "network_hist": network_hist.values.tolist(),
     }
     write_atomic(path, json.dumps(payload, indent=1) + "\n")
 
 
-# an exact fit (zero residuals) has infinite t values and F statistic
-_MAY_BE_INFINITE = ("t_values", "f_statistic")
-
-# the closed range of each statistic that has one
-_RANGES = {
-    "std_errors": (0.0, math.inf), "gamma_std_error": (0.0, math.inf),
-    "p_values": (0.0, 1.0), "prob_f": (0.0, 1.0), "r_squared": (0.0, 1.0),
-    "f_statistic": (0.0, math.inf),
-}
-
-
-def _model_numbers(payload: dict, key: str, shape: tuple):
-    """Entry ``key``, a number for shape () or else a float array of
-    ``shape``, checked for finiteness and against its ``_RANGES`` entry."""
+def _model_numbers(payload: dict, key: str, shape, low=-math.inf,
+                   high=math.inf, may_be_infinite=False):
+    """Entry ``key``: an integer for shape int, a number for shape () or
+    else a float array of ``shape``, whose values are finite, unless
+    ``may_be_infinite``, and lie in [low, high]."""
+    if shape is int:
+        return json_value(payload, key, int)
     values = json_value(payload, key, list[float] if shape else float)
     if np.shape(values) != shape:
         raise ValueError(
             f"{key}: expected shape {shape}, got {np.shape(values)}")
-    bad = np.isnan(values) if key in _MAY_BE_INFINITE else ~np.isfinite(values)
+    bad = np.isnan(values) if may_be_infinite else ~np.isfinite(values)
     if np.any(bad):
         raise ValueError(f"{key}: values must be finite")
-    low, high = _RANGES.get(key, (-math.inf, math.inf))
     if np.any((values < low) | (values > high)):
         raise ValueError(f"{key}: values must be in [{low:g}, {high:g}]")
     return values
@@ -254,11 +265,9 @@ def load_model(path):
     InputFormatError
         If the file is not a JSON object, lacks a key, or holds a value of
         the wrong JSON type, an array whose length disagrees with the spec's
-        columns or bins, a non-finite value, a statistic outside its range
-        (a rank outside [1, parameter count], n_samples other than
-        rank + dof_residual, a negative standard error or F statistic, a
-        p-value, prob_f or r_squared outside [0, 1]), or an invalid spec or
-        histogram.
+        columns or bins, a statistic outside its ``_STATISTICS`` row, a
+        dof_residual below 1, a rank outside [1, parameter count], n_samples
+        other than rank + dof_residual, or an invalid spec or histogram.
     SpecMismatchError
         On an unknown format or column names that disagree with the spec.
     """
@@ -282,26 +291,15 @@ def load_model(path):
                 or column_names != spec.column_names):
             raise SpecMismatchError("model column names do not match its spec")
         columns = (len(column_names),)
-        gamma = _model_numbers(payload, "gamma", ())
-        gamma_se = _model_numbers(payload, "gamma_std_error", ())
-        gamma_t = float(t_statistics(gamma, gamma_se))
-        fit = FitResult(
-            column_names=column_names,
-            gamma=gamma,
-            coefficients=_model_numbers(payload, "coefficients", columns),
-            std_errors=_model_numbers(payload, "std_errors", columns),
-            t_values=_model_numbers(payload, "t_values", columns),
-            p_values=_model_numbers(payload, "p_values", columns),
-            gamma_std_error=gamma_se,
-            gamma_t_value=gamma_t,
-            gamma_p_value=t_p_value(abs(gamma_t), dof_residual),
-            r_squared=_model_numbers(payload, "r_squared", ()),
-            f_statistic=_model_numbers(payload, "f_statistic", ()),
-            prob_f=_model_numbers(payload, "prob_f", ()),
-            n_samples=json_value(payload, "n_samples", int),
-            dof_residual=dof_residual,
-            rank=json_value(payload, "rank", int),
-        )
+        stats = {key: _model_numbers(payload, key,
+                                     columns if shape is _COLUMNS else shape,
+                                     low, high, may_be_infinite)
+                 for key, shape, low, high, may_be_infinite in _STATISTICS}
+        gamma_t = float(t_statistics(stats["gamma"],
+                                     stats["gamma_std_error"]))
+        fit = FitResult(column_names=column_names, **stats,
+                        gamma_t_value=gamma_t,
+                        gamma_p_value=t_p_value(abs(gamma_t), dof_residual))
         if not 1 <= fit.rank <= spec.parameter_count:
             raise ValueError(f"rank must be in [1, {spec.parameter_count}], "
                              f"got {fit.rank}")

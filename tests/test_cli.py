@@ -745,6 +745,24 @@ def test_unusable_output_dir_exits_2_before_reading_trips(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad, row, message", [
+    ("trips", "0,0,1,1,x,1.0", "field 'duration_s' is not a number: 'x'"),
+    ("network", "0,100,y,100,primary", "field 'bx' is not a number: 'y'"),
+], ids=["trips", "network"])
+def test_bad_trip_or_edge_row_names_its_file(tmp_path, capsys, bad, row,
+                                             message):
+    paths = {"trips": trips_csv(tmp_path),
+             "network": grid_network_csv(tmp_path)}
+    lines = paths[bad].read_text().splitlines()
+    lines[2] = row
+    paths[bad].write_text("\n".join(lines) + "\n")
+    code = main(["hist", "--trips", str(paths["trips"]),
+                 "--network", str(paths["network"]),
+                 "--output-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {paths[bad]} row 3: {message}\n"
+
+
 def turned_city(path, seed, quarter_turns):
     """Write trips.csv and network.csv of a seeded planar city, turned by
     ``quarter_turns`` times (x, y) -> (-y, x), which is exact on every
@@ -1381,6 +1399,14 @@ class TestOptionTable:
         assert getattr(from_flag, field_name) == value
         assert value != getattr(RunConfig(), field_name)
         assert flag_keys == file_keys == {field_name}
+
+    def test_config_seed_none_resets_the_seed(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=5\nseed=none\n")
+        cfg, keys = resolve_config(build_parser().parse_args(
+            ["simulate", "--config", str(config)]))
+        assert cfg.seed is None
+        assert keys == {"seed"}
 
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_unread_flags_exit_2_writing_nothing(self, tmp_path, capsys,

@@ -45,6 +45,34 @@ class TestOlsBasics:
         with pytest.raises(InsufficientDataError):
             ols_fit(np.ones((3, 3)), np.ones(3))
 
+    def test_one_dimensional_x_is_one_column(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        y = np.array([3.0, 5.0, 7.0, 9.0])
+        fit = ols_fit(x, y)
+        column = ols_fit(x.reshape(-1, 1), y)
+        assert fit.column_names == column.column_names == ("x1",)
+        assert fit.gamma == column.gamma
+        np.testing.assert_array_equal(fit.coefficients, column.coefficients)
+
+    @pytest.mark.parametrize("X, y, message", [
+        (np.ones((5, 1, 1)), np.ones(5), "X must be N x m and y length N"),
+        ([[1.0], [np.nan], [3.0], [4.0], [5.0]], np.ones(5),
+         "X and y must be finite"),
+        (np.ones((5, 1)), np.ones(4), "X must be N x m and y length N"),
+        (np.ones((5, 1)), [1.0, 2.0, np.inf, 4.0, 5.0],
+         "X and y must be finite"),
+    ], ids=["three-dimensional-x", "nan-in-x", "short-y", "infinite-y"])
+    def test_bad_x_or_y_rejected(self, X, y, message):
+        with pytest.raises(ValueError) as err:
+            ols_fit(X, y)
+        assert str(err.value) == message
+
+    def test_column_name_count_must_match_columns(self):
+        with pytest.raises(ValueError) as err:
+            ols_fit(np.ones((5, 2)), np.ones(5), column_names=("a",))
+        assert str(err.value) == (
+            "column_names must match the number of columns")
+
     def test_shapes_in_result(self):
         rng = np.random.default_rng(2)
         X, y = random_instance(rng, 50, 4)

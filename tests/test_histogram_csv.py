@@ -70,6 +70,11 @@ def reference_read_histogram_csv(path: str, bins: int) -> AngularHistogram:
     return AngularHistogram(bins, arr / total)
 
 
+def read_histogram_csv(path, bins):
+    """The CLI's reading of the histogram CSV file at ``path``."""
+    return cli._read_csv(path, ingest.parse_histogram, bins)
+
+
 def outcome(read, path, bins):
     """(the values' bytes, None) when ``read`` accepts the file, else
     (None, its message)."""
@@ -182,7 +187,7 @@ def test_block_reader_matches_per_line_reference(tmp_path_factory, file):
         assert widened[0] is None or widened[0] == expected[0]
     for block_rows in (1, 3, 4096):
         with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
-            got = outcome(cli._read_histogram_csv, paths["file"], bins)
+            got = outcome(read_histogram_csv, paths["file"], bins)
         if expected[0] is not None:
             assert got == expected
             continue
@@ -195,7 +200,7 @@ def test_block_reader_matches_per_line_reference(tmp_path_factory, file):
 def read(tmp_path, text, bins=2):
     path = tmp_path / "hist.csv"
     path.write_text(text)
-    return cli._read_histogram_csv(str(path), bins)
+    return read_histogram_csv(str(path), bins)
 
 
 @pytest.mark.parametrize("text", [
@@ -240,7 +245,7 @@ def test_broken_quoting_in_center_rad_is_rejected(tmp_path, row, reason):
     reference = reference_read_histogram_csv(str(path), 2)
     assert reference.values.tolist() == [0.5, 0.5]
     with pytest.raises(InputFormatError) as err:
-        cli._read_histogram_csv(str(path), 2)
+        read_histogram_csv(str(path), 2)
     assert str(err.value) == f"{path} row 3: {reason}"
 
 

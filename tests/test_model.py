@@ -116,6 +116,18 @@ class TestReconstructCurve:
         with pytest.raises(ValueError):
             reconstruct_curve(NAMES, np.zeros(len(NAMES)), grid_size=4)
 
+    def test_odd_grid_size_rejected(self):
+        # an odd grid has no offset 0: grid 9 would read alpha(0) at -pi/9
+        with pytest.raises(ValueError) as err:
+            reconstruct_curve(NAMES, np.zeros(len(NAMES)), grid_size=9)
+        assert str(err.value) == (
+            "curve grid must be an even number >= 8, got 9")
+
+    def test_unrecognized_column_name_rejected(self):
+        with pytest.raises(ValueError) as err:
+            reconstruct_curve(("a_c1", "x1"), [1.0, 2.0])
+        assert str(err.value) == "unrecognized column name 'x1'"
+
     def test_offsets_cover_half_open_interval(self):
         curve = reconstruct_curve(NAMES, np.zeros(len(NAMES)), grid_size=64)
         assert curve.offsets[0] == -math.pi
@@ -292,11 +304,12 @@ class TestModelPersistence:
          "std_errors: values must be in"),
         (lambda p: dict(p, gamma_std_error=-2.0),
          "gamma_std_error: values must be in"),
+        (lambda p: dict(p, dof_residual=0), "dof_residual must be >= 1"),
     ], ids=["missing-key", "short-coefficients", "nan-gamma",
             "long-histogram", "negative-rank", "rank-above-parameters",
             "zero-samples", "r-squared-above-1", "negative-prob-f",
             "negative-f", "p-value-above-1", "negative-std-error",
-            "negative-gamma-std-error"])
+            "negative-gamma-std-error", "zero-dof-residual"])
     def test_schema_violation_is_input_error(self, tmp_path, edit, named):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(edit(self.saved_payload(tmp_path))))
