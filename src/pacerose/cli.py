@@ -117,15 +117,6 @@ def _load_trips(cfg: RunConfig):
     return theta, trips[moving, 4] / trips[moving, 5]
 
 
-def _class_filter(cfg: RunConfig) -> set:
-    names = [c.strip() for c in cfg.class_filter.split(",") if c.strip()]
-    if not names:
-        raise InputFormatError(
-            "invalid option: class filter names no road class"
-        )
-    return _validated(road_class_filter, names)
-
-
 def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
     if cfg.network_hist:
         return _read_csv(cfg.network_hist, parse_histogram, cfg.bins)
@@ -143,13 +134,6 @@ def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
     )
 
 
-def _demand_histogram(cfg: RunConfig, theta, kept) -> AngularHistogram:
-    if cfg.demand_hist:
-        return _read_csv(cfg.demand_hist, parse_histogram, cfg.bins)
-    source = theta if cfg.demand_from == "all" else theta[kept]
-    return build_histogram(source, bin_count=cfg.bins)
-
-
 def _validated(build, *args, **kwargs):
     """``build(*args, **kwargs)``, its ValueError reported as an input error."""
     try:
@@ -158,18 +142,35 @@ def _validated(build, *args, **kwargs):
         raise InputFormatError(f"invalid option: {exc}") from exc
 
 
-def cmd_hist(cfg: RunConfig) -> int:
+def _inputs(cfg: RunConfig):
+    """What ``hist`` and ``fit`` both read: ``theta, paces, kept, demand,
+    network``, the trips' directions and paces, the mask of trips the pace
+    cut keeps, and the two histograms. The cut and the class filter are
+    checked, and the output directory made, before any input is read."""
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
-    classes = _class_filter(cfg)
+    names = [c.strip() for c in cfg.class_filter.split(",") if c.strip()]
+    if not names:
+        raise InputFormatError(
+            "invalid option: class filter names no road class"
+        )
+    classes = _validated(road_class_filter, names)
+    os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
+    theta, paces = _load_trips(cfg)
+    kept = percentile_filter(paces, policy)
+    if cfg.demand_hist:
+        demand = _read_csv(cfg.demand_hist, parse_histogram, cfg.bins)
+    else:
+        source = theta if cfg.demand_from == "all" else theta[kept]
+        demand = build_histogram(source, bin_count=cfg.bins)
+    return theta, paces, kept, demand, _load_network_histogram(cfg, classes)
+
+
+def cmd_hist(cfg: RunConfig) -> int:
     if cfg.bins < 1:
         raise InputFormatError(
             f"invalid option: bins must be >= 1, got {cfg.bins}"
         )
-    os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
-    theta, paces = _load_trips(cfg)
-    kept = percentile_filter(paces, policy)
-    demand = _demand_histogram(cfg, theta, kept)
-    network = _load_network_histogram(cfg, classes)
+    theta, paces, kept, demand, network = _inputs(cfg)
 
     idx = bin_index(theta[kept], cfg.bins)
     sums = np.bincount(idx, weights=paces[kept], minlength=cfg.bins)
@@ -216,14 +217,8 @@ def _design_csv(design, y, column_names):
 def cmd_fit(cfg: RunConfig) -> int:
     spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
                       network_point_symmetric=cfg.point_symmetric)
-    policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
-    classes = _class_filter(cfg)
     _validated(check_grid_size, cfg.curve_grid)
-    os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
-    theta, paces = _load_trips(cfg)
-    kept = percentile_filter(paces, policy)
-    demand = _demand_histogram(cfg, theta, kept)
-    network = _load_network_histogram(cfg, classes)
+    theta, paces, kept, demand, network = _inputs(cfg)
     design, y = fourier_design(paces[kept], theta[kept], demand, network, spec)
     fit = ols_fit(
         design, y,

@@ -111,15 +111,26 @@ class ModelSpec:
     def check_histograms(self, demand_hist: AngularHistogram,
                          network_hist: AngularHistogram):
         """Raise SpecMismatchError unless both histograms have the spec's
-        bins and the network is point symmetric when the spec asks for it."""
+        bins and the network is point symmetric to ``POINT_SYMMETRY_TOL``
+        when the spec asks for it; the error names the worst bin pair."""
         for hist, what in ((demand_hist, "demand"), (network_hist, "network")):
             if hist.bin_count != self.bins:
                 raise SpecMismatchError(
                     f"{what} histogram has {hist.bin_count} bins, "
                     f"spec wants {self.bins}"
                 )
-        if self.network_point_symmetric:
-            _check_point_symmetry(network_hist)
+        if not self.network_point_symmetric:
+            return
+        half = self.bins // 2  # even: __post_init__ holds the bin rule
+        defect = np.abs(network_hist.values
+                        - np.roll(network_hist.values, half))
+        worst = int(np.argmax(defect))
+        if defect[worst] > POINT_SYMMETRY_TOL:
+            raise SpecMismatchError(
+                "network histogram is not point symmetric: bins "
+                f"{worst % half} and {worst % half + half} differ by "
+                f"{defect[worst]:.3e}"
+            )
 
 
 def fourier_basis(thetas, k_max: int) -> np.ndarray:
@@ -157,30 +168,15 @@ def network_features(
 ) -> np.ndarray:
     """Network feature vector for one direction.
 
-    With ``point_symmetric`` the histogram is validated against
-    value[i] == value[i + B/2] and only even harmonics are emitted (odd ones
-    are identically zero for such histograms).
+    The network columns of ``ModelSpec(k_max, hist.bin_count,
+    point_symmetric)`` at ``theta``, after that spec's histogram check: with
+    ``point_symmetric`` only even harmonics are emitted (odd ones are
+    identically zero for a point-symmetric histogram).
     """
-    if point_symmetric:
-        _check_point_symmetry(hist)
-    harmonics = range(2, k_max + 1, 2) if point_symmetric else range(1, k_max + 1)
-    return fourier_basis(theta, k_max) @ _moment_columns(hist, harmonics, k_max)
-
-
-def _check_point_symmetry(hist: AngularHistogram):
-    if hist.bin_count % 2 != 0:
-        raise SpecMismatchError(
-            "point-symmetric network features need an even bin count"
-        )
-    half = hist.bin_count // 2
-    defect = np.abs(hist.values - np.roll(hist.values, half))
-    worst = int(np.argmax(defect))
-    if defect[worst] > POINT_SYMMETRY_TOL:
-        raise SpecMismatchError(
-            "network histogram is not point symmetric: bins "
-            f"{worst % half} and {worst % half + half} differ by "
-            f"{defect[worst]:.3e}"
-        )
+    spec = ModelSpec(k_max, hist.bin_count, point_symmetric)
+    spec.check_histograms(hist, hist)
+    return fourier_basis(theta, k_max) @ _moment_columns(
+        hist, spec.network_harmonics, k_max)
 
 
 def model_signal(

@@ -42,8 +42,9 @@ __all__ = [
 class InfluenceCurve:
     """A reconstructed influence curve sampled on an offset grid.
 
-    ``offsets`` are strictly increasing in [-pi, pi); for an even grid size
-    the midpoint is exactly 0.0.
+    ``offsets`` are strictly increasing. ``reconstruct_curve`` samples the
+    even grid -pi + 2 pi i / G, i < G, in [-pi, pi); its offset G // 2 is
+    exactly 0.0.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -66,7 +67,8 @@ class InfluenceCurve:
         object.__setattr__(self, "values", values)
 
     def value_at_zero(self) -> float:
-        """Curve value at offset 0 (exact grid point for even grid sizes)."""
+        """Curve value at the offset nearest 0 (0 itself on the grids of
+        ``reconstruct_curve``)."""
         i = int(np.argmin(np.abs(self.offsets)))
         return float(self.values[i])
 
@@ -124,6 +126,7 @@ def reconstruct_curve(
     if len(column_names) != coefficients.size:
         raise ValueError("column_names and coefficients must align")
     offsets = -math.pi + np.arange(grid_size) * (2.0 * math.pi / grid_size)
+    offsets[grid_size // 2] = 0.0  # -pi + pi rounds to 4.4e-16 for G = 50
     series, harmonics = _curve_series(column_names, coefficients, mask, kind)
     # with only even harmonics the curve has period pi, so offsets i and
     # i + G/2 tie exactly: the first half is computed and copied, and the

@@ -763,10 +763,10 @@ def test_bad_trip_or_edge_row_names_its_file(tmp_path, capsys, bad, row,
     assert capsys.readouterr().err == f"error: {paths[bad]} row 3: {message}\n"
 
 
-def turned_city(path, seed, quarter_turns):
-    """Write trips.csv and network.csv of a seeded planar city, turned by
-    ``quarter_turns`` times (x, y) -> (-y, x), which is exact on every
-    coordinate; return the directory."""
+def city_rows(seed):
+    """Trips, edges and road classes of a seeded planar city: 3000 trips
+    with von Mises directions and continuous paces, and 2000 edges near a
+    grid turned by 0.3 rad."""
     rng = np.random.default_rng(seed)
     theta = rng.vonmises(0.4, 0.8, 3000)
     km = rng.uniform(0.5, 8.0, 3000)
@@ -781,11 +781,12 @@ def turned_city(path, seed, quarter_turns):
     length = rng.uniform(20.0, 500.0, 2000)
     edges = np.column_stack([ax, ay, ax + length * np.cos(phi),
                              ay + length * np.sin(phi)])
-    for _ in range(quarter_turns):
-        for points in (trips[:, 0:4], edges):
-            points[:, 0::2], points[:, 1::2] = (-points[:, 1::2],
-                                                points[:, 0::2].copy())
     classes = rng.choice(["primary", "trunk", "other"], 2000)
+    return trips, edges, classes
+
+
+def write_city(path, trips, edges, classes):
+    """Write trips.csv and network.csv under ``path``; return ``path``."""
     path.mkdir()
     (path / "trips.csv").write_text(TRIP_HEADER + "\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in trips.tolist()))
@@ -795,34 +796,83 @@ def turned_city(path, seed, quarter_turns):
     return path
 
 
+def turned_city(path, seed, quarter_turns):
+    """Write trips.csv and network.csv of a seeded planar city, turned by
+    ``quarter_turns`` times (x, y) -> (-y, x), which is exact on every
+    coordinate; return the directory."""
+    trips, edges, classes = city_rows(seed)
+    for _ in range(quarter_turns):
+        for points in (trips[:, 0:4], edges):
+            points[:, 0::2], points[:, 1::2] = (-points[:, 1::2],
+                                                points[:, 0::2].copy())
+    return write_city(path, trips, edges, classes)
+
+
+def fit_city(city, out, *options):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--trips", str(city / "trips.csv"),
+                     "--network", str(city / "network.csv"),
+                     "--output-dir", str(out), *options]) == 0
+    return out
+
+
+def assert_same_fit(plain, other):
+    """``summary.txt`` and ``sign_report.txt`` byte-identical, and each
+    curve within 1e-9 of its largest magnitude on the same offsets."""
+    for name in ("summary.txt", "sign_report.txt"):
+        assert (other / name).read_bytes() == (plain / name).read_bytes()
+    for name in ("alpha_curve.csv", "beta_curve.csv"):
+        one, two = (np.loadtxt(out / name, delimiter=",", skiprows=1)
+                    for out in (plain, other))
+        np.testing.assert_array_equal(two[:, 0], one[:, 0])
+        scale = np.max(np.abs(one[:, 1]))
+        assert scale > 0.0
+        assert np.max(np.abs(two[:, 1] - one[:, 1])) <= 1e-9 * scale, name
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_quarter_turn_of_trips_and_network_leaves_the_fit(tmp_path, seed):
     # with 4 | bins a 90 degree turn maps bins onto bins, so both histograms
     # turn by bins / 4 and every feature is unchanged up to rounding: the
     # curves must agree within 1e-9 of their largest magnitude, and the
     # summary and the sign report, printed to 3 and 4 decimals, exactly
-    outputs = []
-    for turns in (0, 1):
-        city = turned_city(tmp_path / f"city{turns}", seed, turns)
-        out = tmp_path / f"fit{turns}"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["fit", "--trips", str(city / "trips.csv"),
-                         "--network", str(city / "network.csv"),
-                         "--output-dir", str(out)]) == 0
-        outputs.append(out)
-    plain, turned = outputs
+    plain, turned = (fit_city(turned_city(tmp_path / f"city{turns}", seed,
+                                          turns), tmp_path / f"fit{turns}")
+                     for turns in (0, 1))
     # the histograms in model.json turned with the data
     assert ((turned / "model.json").read_bytes()
             != (plain / "model.json").read_bytes())
-    for name in ("summary.txt", "sign_report.txt"):
-        assert (turned / name).read_bytes() == (plain / name).read_bytes()
-    for name in ("alpha_curve.csv", "beta_curve.csv"):
-        one, two = (np.loadtxt(out / name, delimiter=",", skiprows=1)
-                    for out in outputs)
-        np.testing.assert_array_equal(two[:, 0], one[:, 0])
-        scale = np.max(np.abs(one[:, 1]))
-        assert scale > 0.0
-        assert np.max(np.abs(two[:, 1] - one[:, 1])) <= 1e-9 * scale, name
+    assert_same_fit(plain, turned)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_compass_on_swapped_axes_leaves_the_fit(tmp_path, seed):
+    # swapping x and y turns every math bearing t into pi/2 - t, which
+    # --compass turns back, up to rounding in arctan2 and the wrap; the
+    # paces are unchanged. So the fit must be the plain one within
+    # assert_same_fit's tolerance, 1e-9 of each curve's largest magnitude
+    trips, edges, classes = city_rows(seed)
+    plain = fit_city(write_city(tmp_path / "plain", trips, edges, classes),
+                     tmp_path / "fit_plain")
+    swapped = write_city(tmp_path / "swapped", trips[:, [1, 0, 3, 2, 4, 5]],
+                         edges[:, [1, 0, 3, 2]], classes)
+    assert_same_fit(plain, fit_city(swapped, tmp_path / "fit_swapped",
+                                    "--compass"))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_row_permutation_of_trips_leaves_the_fit(tmp_path, seed):
+    # the paces are continuous draws, so no two tie: the cut keeps the same
+    # trips in any row order, and the histograms count the same directions.
+    # Only the solver's summation order changes, so the fit must be the
+    # plain one within 1e-9 of each curve's largest magnitude
+    trips, edges, classes = city_rows(seed)
+    assert np.unique(trips[:, 4] / trips[:, 5]).size == len(trips)
+    plain = fit_city(write_city(tmp_path / "plain", trips, edges, classes),
+                     tmp_path / "fit_plain")
+    order = np.random.default_rng(seed + 100).permutation(len(trips))
+    shuffled = write_city(tmp_path / "shuffled", trips[order], edges, classes)
+    assert_same_fit(plain, fit_city(shuffled, tmp_path / "fit_shuffled"))
 
 
 class TestPredictCommand:

@@ -134,6 +134,15 @@ class TestReconstructCurve:
         assert curve.offsets[-1] < math.pi
         assert curve.offsets[32] == 0.0
 
+    def test_every_even_grid_has_offset_zero_at_its_midpoint(self):
+        # -pi + (G/2) (2 pi / G) rounds to 4.4e-16 for G = 50, 82, 100, ...
+        coefficients = np.zeros(len(NAMES))
+        coefficients[NAMES.index("a_s1")] = 1.0  # alpha = sin, 0 at 0
+        for grid in range(8, 2001, 2):
+            curve = reconstruct_curve(NAMES, coefficients, grid_size=grid)
+            assert curve.offsets[grid // 2] == 0.0, grid
+            assert curve.value_at_zero() == 0.0, grid
+
 
 class TestPredictPace:
     def test_uniform_histograms_give_gamma(self):

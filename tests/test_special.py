@@ -1,11 +1,65 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import f_sf_quad, t_p_quad
-from pacerose.special import f_p_value, regularized_incomplete_beta, t_p_value
+from pacerose.special import (
+    _EPS,
+    _FPMIN,
+    _MAX_ITER,
+    _betacf,
+    f_p_value,
+    regularized_incomplete_beta,
+    t_p_value,
+)
+
+
+def _betacf_two_steps(a, b, x):
+    """The continued fraction as it was written before its two Lentz
+    updates became one inner loop: each update spelled out."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise ArithmeticError("did not converge")
+
+
+def _fraction_or_error(betacf, a, b, x):
+    try:
+        return betacf(a, b, x)
+    except ArithmeticError:
+        return "no convergence"
 
 
 class TestIncompleteBeta:
@@ -41,6 +95,19 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, -1.0, 0.5)
+
+
+    def test_fraction_is_bit_identical_to_the_two_step_loop(self):
+        # a and b log-uniform over [1e-2, 1e6], each on the side
+        # regularized_incomplete_beta evaluates, where the fraction converges
+        rng = np.random.default_rng(30)
+        a, b = 10.0 ** rng.uniform(-2.0, 6.0, (2, 2000))
+        x = rng.uniform(0.0, 1.0, 2000)
+        for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist()):
+            if xi >= (ai + 1.0) / (ai + bi + 2.0):
+                ai, bi, xi = bi, ai, 1.0 - xi
+            assert (_fraction_or_error(_betacf, ai, bi, xi)
+                    == _fraction_or_error(_betacf_two_steps, ai, bi, xi))
 
 
 class TestTPValue:
