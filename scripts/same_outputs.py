@@ -11,8 +11,9 @@ package. Make one from any revision with
 and pass ``/tmp/old/src``. For each seed (default 5, 7 and 11) the inputs
 of every benchmark workload are written once with
 ``perfbench/workloads.prepare``. Each workload command, and each ``fit``
-command again with ``--dump-design``, then runs as ``python -m pacerose``
-once under each tree, in the same work directory and with the same paths.
+command again with each option set of ``FIT_VARIANTS``, then runs as
+``python -m pacerose`` once under each tree, in the same work directory and
+with the same paths.
 Every file under the command's output directory, its stdout, its stderr
 and its exit code are compared. The script prints one line for each that
 differs and exits 1, or exits 0 when all are identical.
@@ -28,6 +29,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
+
+# the fit's other output branches: the design matrix; the SVG baseline,
+# unmasked curves and a grid other than the default; and the refusal of a
+# rank-deficient design (exit 4, nothing written), which every workload's
+# fit has
+FIT_VARIANTS = (["--dump-design"],
+                ["--baseline", "min", "--no-mask", "--curve-grid", "50"],
+                ["--strict-rank"])
 
 
 def outcome(src, argv, work, out_dir):
@@ -51,8 +60,9 @@ def differences(old_src, new_src, workload, seed, smoke):
     with tempfile.TemporaryDirectory() as work:
         case = workloads.prepare(workload, work, seed, smoke)
         runs = [(cmd.argv[0], cmd.argv, cmd.out_dir) for cmd in case.commands]
-        runs += [("fit --dump-design", argv + ["--dump-design"], out_dir)
-                 for name, argv, out_dir in runs if name == "fit"]
+        runs += [(" ".join(["fit", *options]), argv + options, out_dir)
+                 for name, argv, out_dir in runs if name == "fit"
+                 for options in FIT_VARIANTS]
         for name, argv, out_dir in runs:
             old, new = (outcome(src, argv, work, out_dir)
                         for src in (old_src, new_src))

@@ -2,6 +2,9 @@
 
 The options, their defaults and the argument parser live in ``options``,
 which needs only the standard library; this module holds the commands.
+Each command returns its output files, as (name, text) pairs in writing
+order, and its standard output; ``_run`` writes both, so a command that
+fails while it builds them writes nothing.
 
 Exit codes: 0 ok, 2 input error (also a size option too large to
 allocate), 3 insufficient data, 4 numerical or model-compatibility error.
@@ -83,12 +86,12 @@ SIGNIFICANCE_LEVEL = 0.05
 __all__ = ["RunConfig", "main"]
 
 
-def _write_histograms(out: str, demand: AngularHistogram,
-                      network: AngularHistogram):
-    for name, hist in (("demand", demand), ("network", network)):
-        columns = (range(hist.bin_count), hist.bin_centers(), hist.values)
-        write_atomic(os.path.join(out, f"{name}_hist.csv"),
-                     csv_text(columns, HISTOGRAM_HEADER))
+def _histogram_files(demand: AngularHistogram, network: AngularHistogram):
+    """The entries of ``demand_hist.csv`` and ``network_hist.csv``."""
+    return [(f"{name}_hist.csv", csv_text(
+        (range(hist.bin_count), hist.bin_centers(), hist.values),
+        HISTOGRAM_HEADER)) for name, hist in (("demand", demand),
+                                              ("network", network))]
 
 
 def _read_csv(path: str, parse, *args):
@@ -143,10 +146,10 @@ def _validated(build, *args, **kwargs):
 
 
 def _inputs(cfg: RunConfig):
-    """What ``hist`` and ``fit`` both read: ``theta, paces, kept, demand,
-    network``, the trips' directions and paces, the mask of trips the pace
-    cut keeps, and the two histograms. The cut and the class filter are
-    checked, and the output directory made, before any input is read."""
+    """What ``hist`` and ``fit`` both read: ``theta, paces, demand,
+    network``, the directions and paces of the trips the pace cut keeps,
+    and the two histograms. The cut and the class filter are checked, and
+    the output directory made, before any input is read."""
     policy = _validated(FilterPolicy, cfg.lower_cut, cfg.upper_cut)
     names = [c.strip() for c in cfg.class_filter.split(",") if c.strip()]
     if not names:
@@ -162,36 +165,34 @@ def _inputs(cfg: RunConfig):
     else:
         source = theta if cfg.demand_from == "all" else theta[kept]
         demand = build_histogram(source, bin_count=cfg.bins)
-    return theta, paces, kept, demand, _load_network_histogram(cfg, classes)
+    return (theta[kept], paces[kept], demand,
+            _load_network_histogram(cfg, classes))
 
 
-def cmd_hist(cfg: RunConfig) -> int:
+def cmd_hist(cfg: RunConfig):
     if cfg.bins < 1:
         raise InputFormatError(
             f"invalid option: bins must be >= 1, got {cfg.bins}"
         )
-    theta, paces, kept, demand, network = _inputs(cfg)
+    theta, paces, demand, network = _inputs(cfg)
 
-    idx = bin_index(theta[kept], cfg.bins)
-    sums = np.bincount(idx, weights=paces[kept], minlength=cfg.bins)
+    idx = bin_index(theta, cfg.bins)
+    sums = np.bincount(idx, weights=paces, minlength=cfg.bins)
     counts = np.bincount(idx, minlength=cfg.bins)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
-
-    out = cfg.output_dir
-    _write_histograms(out, demand, network)
-    columns = (range(cfg.bins), demand.bin_centers(), means, counts)
-    write_atomic(os.path.join(out, "pace_by_direction.csv"), csv_text(
-        columns, ("bin", "center_rad", "mean_pace", "n_trips")))
-
-    write_atomic(os.path.join(out, "demand_rose.svg"),
-                 rose_svg(demand.values, "trip-direction frequencies"))
-    write_atomic(os.path.join(out, "network_rose.svg"),
-                 rose_svg(network.values, "road-orientation frequencies"))
     pace_values = np.where(counts > 0, means, 0.0)
-    write_atomic(os.path.join(out, "pace_rose.svg"),
-                 rose_svg(pace_values, "mean pace by direction (s/km)"))
-    print(f"histograms written to {out}")
-    return EXIT_OK
+    files = _histogram_files(demand, network) + [
+        ("pace_by_direction.csv", csv_text(
+            (range(cfg.bins), demand.bin_centers(), means, counts),
+            ("bin", "center_rad", "mean_pace", "n_trips"))),
+        ("demand_rose.svg",
+         rose_svg(demand.values, "trip-direction frequencies")),
+        ("network_rose.svg",
+         rose_svg(network.values, "road-orientation frequencies")),
+        ("pace_rose.svg",
+         rose_svg(pace_values, "mean pace by direction (s/km)")),
+    ]
+    return files, f"histograms written to {cfg.output_dir}\n"
 
 
 def _summary_text(fit) -> str:
@@ -214,59 +215,54 @@ def _design_csv(design, y, column_names):
         yield csv_text([*block.T, y[start:stop]])
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: RunConfig):
     spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
                       network_point_symmetric=cfg.point_symmetric)
     _validated(check_grid_size, cfg.curve_grid)
-    theta, paces, kept, demand, network = _inputs(cfg)
-    design, y = fourier_design(paces[kept], theta[kept], demand, network, spec)
-    fit = ols_fit(
-        design, y,
-        column_names=spec.column_names,
-        rank_policy="strict" if cfg.strict_rank else "min_norm",
-    )
+    theta, paces, demand, network = _inputs(cfg)
+    design, y = fourier_design(paces, theta, demand, network, spec)
+    fit = ols_fit(design, y, column_names=spec.column_names,
+                  rank_policy="strict" if cfg.strict_rank else "min_norm")
 
-    # everything that may fail, even for lack of memory, before any write
     mask = significance_mask(fit, SIGNIFICANCE_LEVEL) if cfg.mask_curves else None
     curves = {kind: reconstruct_curve(fit.column_names, fit.coefficients,
                                       mask=mask, kind=kind,
                                       grid_size=cfg.curve_grid)
               for kind in ("alpha", "beta")}
-    sign_text = expected_sign_report(curves["alpha"], curves["beta"])
+    sign_text = expected_sign_report(curves["alpha"], curves["beta"]) + "\n"
 
-    out = cfg.output_dir
-    write_atomic(os.path.join(out, "fit_report.csv"), csv_text(
+    files = [("fit_report.csv", csv_text(
         zip(*report_rows(fit, SIGNIFICANCE_LEVEL)), ("name", "coefficient",
-        "std_err", "t_value", "p_value", "significant_5pct")))
-    write_atomic(os.path.join(out, "summary.txt"), _summary_text(fit))
+        "std_err", "t_value", "p_value", "significant_5pct"))),
+        ("summary.txt", _summary_text(fit))]
     for kind, curve in curves.items():
-        write_atomic(os.path.join(out, f"{kind}_curve.csv"), csv_text(
-            (curve.offsets, curve.values), ("offset_rad", "value")))
         plot_values = curve.values
         title = f"{kind} influence curve"
         if cfg.baseline == "min":
             plot_values = curve.values - curve.values.min()
             title += " (baseline: minimum)"
-        write_atomic(os.path.join(out, f"{kind}_curve.svg"),
-                     curve_svg(curve.offsets, plot_values, title))
-    write_atomic(os.path.join(out, "sign_report.txt"), sign_text + "\n")
-    save_model(os.path.join(out, "model.json"), fit, spec, demand, network)
-
+        files += [(f"{kind}_curve.csv", csv_text(
+                      (curve.offsets, curve.values), ("offset_rad", "value"))),
+                  (f"{kind}_curve.svg",
+                   curve_svg(curve.offsets, plot_values, title))]
+    files.append(("sign_report.txt", sign_text))
     if cfg.dump_design:
-        write_atomic(os.path.join(out, "design_matrix.csv"),
-                     _design_csv(design, y, spec.column_names))
+        files.append(("design_matrix.csv",
+                      _design_csv(design, y, spec.column_names)))
 
-    sys.stdout.write(_summary_text(fit))
-    print(sign_text)
+    text = _summary_text(fit) + sign_text
     if fit.dependent_columns:
-        print("note: rank-deficient design resolved by the minimum-norm "
-              "convention; dependent columns: "
-              + ", ".join(fit.dependent_columns))
-    print(f"fit outputs written to {out}")
-    return EXIT_OK
+        text += ("note: rank-deficient design resolved by the minimum-norm "
+                 "convention; dependent columns: "
+                 + ", ".join(fit.dependent_columns) + "\n")
+    # model.json by the library's writer of its format, once all else is
+    # built; the benchmark's model.save span hooks this call
+    save_model(os.path.join(cfg.output_dir, "model.json"), fit, spec, demand,
+               network)
+    return files, text + f"fit outputs written to {cfg.output_dir}\n"
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig):
     if not cfg.scenario:
         raise InputFormatError("simulate needs --scenario")
     scenario = scenario_from_dict(json_object(cfg.scenario))
@@ -276,15 +272,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     theta = sample_directions(scenario)
     paces, n_clamped = generate_paces(theta, scenario)
 
-    out = cfg.output_dir
-    write_atomic(os.path.join(out, "trips.csv"), trip_csv_lines(theta, paces))
     manifest = scenario_manifest(scenario, n_clamped)
-    write_atomic(os.path.join(out, "manifest.json"),
-                 json.dumps(manifest, indent=1) + "\n")
-    _write_histograms(out, scenario.demand_hist, scenario.network_hist)
-    print(f"{scenario.n_trips} trips written to {out} "
-          f"(seed {scenario.seed}, {n_clamped} clamped)")
-    return EXIT_OK
+    files = [("trips.csv", trip_csv_lines(theta, paces)),
+             ("manifest.json", json.dumps(manifest, indent=1) + "\n"),
+             *_histogram_files(scenario.demand_hist, scenario.network_hist)]
+    return files, (f"{scenario.n_trips} trips written to {cfg.output_dir} "
+                   f"(seed {scenario.seed}, {n_clamped} clamped)\n")
 
 
 def _parse_directions(thetas, degrees: bool) -> np.ndarray:
@@ -313,8 +306,7 @@ def _as_given(args: argparse.Namespace, name: str, value) -> str:
     return f"{flag} {value}"
 
 
-def cmd_predict(cfg: RunConfig, args: argparse.Namespace,
-                explicit: set) -> int:
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace, explicit: set):
     if not args.theta:
         raise InputFormatError("predict needs at least one --theta")
     if not cfg.model:
@@ -328,9 +320,15 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace,
                 f"{_as_given(args, key, getattr(cfg, key))} does not "
                 f"match the model ({value})"
             )
-    paces = predict_pace(theta, demand, network, fit, spec)
-    sys.stdout.write(csv_text((paces,)))
-    return EXIT_OK
+    return [], csv_text((predict_pace(theta, demand, network, fit, spec),))
+
+
+# each command's (files, standard output) from the configuration, the
+# parsed arguments and the names of the options given explicitly
+_COMMANDS = {"hist": lambda cfg, *_: cmd_hist(cfg),
+             "fit": lambda cfg, *_: cmd_fit(cfg),
+             "simulate": lambda cfg, *_: cmd_simulate(cfg),
+             "predict": cmd_predict}
 
 
 def main(argv=None) -> int:
@@ -338,17 +336,16 @@ def main(argv=None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the command ``args`` names; returns the exit code."""
+    """Run the command ``args`` names and write its files, then its
+    standard output; returns the exit code."""
     logging.basicConfig(level=logging.WARNING, format="%(message)s")
     try:
         cfg, explicit = resolve_config(args)
-        if args.command == "hist":
-            return cmd_hist(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_predict(cfg, args, explicit)
+        files, text = _COMMANDS[args.command](cfg, args, explicit)
+        for name, content in files:
+            write_atomic(os.path.join(cfg.output_dir, name), content)
+        sys.stdout.write(text)
+        return EXIT_OK
     except (PaceroseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InsufficientDataError):
@@ -356,7 +353,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
     except MemoryError as exc:
         # a size option too large to allocate, such as hist --bins 2**50
-        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

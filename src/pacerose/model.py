@@ -272,14 +272,13 @@ def load_model(path):
         dof_residual below 1, a rank outside [1, parameter count], n_samples
         other than rank + dof_residual, or an invalid spec or histogram.
     SpecMismatchError
-        On an unknown format or column names that disagree with the spec.
+        On an unknown format, or column names or histograms the spec refuses.
     """
     payload = json_object(path)
-    if payload.get("format") != MODEL_FORMAT:
-        raise SpecMismatchError(
-            f"unsupported model format {payload.get('format')!r}"
-        )
     try:
+        if payload.get("format") != MODEL_FORMAT:
+            raise SpecMismatchError(
+                f"unsupported model format {payload.get('format')!r}")
         spec = ModelSpec(
             k_max=json_value(payload, "k_max", int),
             bins=json_value(payload, "bins", int),
@@ -313,6 +312,9 @@ def load_model(path):
             spec.bins, _model_numbers(payload, "demand_hist", (spec.bins,)))
         network_hist = AngularHistogram(
             spec.bins, _model_numbers(payload, "network_hist", (spec.bins,)))
+        spec.check_histograms(demand_hist, network_hist)
+    except SpecMismatchError as exc:
+        raise SpecMismatchError(f"{path}: {exc}") from None
     except (ValueError, OverflowError) as exc:
         # OverflowError: a dof_residual beyond the float range
         raise InputFormatError(f"{path}: invalid model: {exc}") from exc

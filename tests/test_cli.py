@@ -875,6 +875,47 @@ def test_row_permutation_of_trips_leaves_the_fit(tmp_path, seed):
     assert_same_fit(plain, fit_city(shuffled, tmp_path / "fit_shuffled"))
 
 
+def tied_city_rows(seed):
+    """``city_rows`` with each pace rounded to 1 s/km and each distance to
+    1/8 km, so that duration / distance gives the rounded pace exactly and
+    many trips tie; and the paces."""
+    trips, edges, classes = city_rows(seed)
+    km = np.round(trips[:, 5] * 8.0) / 8.0
+    trips[:, 4] = np.round(trips[:, 4] / trips[:, 5]) * km
+    trips[:, 5] = km
+    return trips, edges, classes, trips[:, 4] / trips[:, 5]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_row_order_that_keeps_tied_trips_in_order_leaves_the_fit(tmp_path,
+                                                                   seed):
+    # the default cut drops the 150 fastest and 300 slowest of 3000 trips,
+    # and at these seeds each cut falls inside a run of tied paces. A stable
+    # sort takes the trips of a run in row order, so a permutation that
+    # keeps the tied trips in their relative order keeps the same trips.
+    # Then, as for untied paces, only the solver's summation order changes:
+    # assert_same_fit, 1e-9 of each curve's largest magnitude, must hold
+    trips, edges, classes, paces = tied_city_rows(seed)
+    ranked = np.sort(paces)
+    order = np.random.default_rng(seed + 100).permutation(len(trips))
+    for cut in (150, 2700):
+        # the cut splits a run: ranks cut - 1 and cut hold the same pace
+        assert ranked[cut - 1] == ranked[cut]
+        slots = np.flatnonzero((paces == ranked[cut])[order])
+        order[slots] = np.sort(order[slots])
+    plain = fit_city(write_city(tmp_path / "plain", trips, edges, classes),
+                     tmp_path / "fit_plain")
+    shuffled = write_city(tmp_path / "shuffled", trips[order], edges, classes)
+    assert_same_fit(plain, fit_city(shuffled, tmp_path / "fit_shuffled"))
+    # the whole file reversed keeps other trips of each tied run, but as
+    # many of them, and the same pace multiset
+    reversed_ = write_city(tmp_path / "reversed", trips[::-1], edges, classes)
+    fit_reversed = fit_city(reversed_, tmp_path / "fit_reversed")
+    assert ((fit_reversed / "summary.txt").read_text().splitlines()[0]
+            == (plain / "summary.txt").read_text().splitlines()[0]
+            == "n_samples: 2550")
+
+
 class TestPredictCommand:
     def make_uniform_model(self, tmp_path):
         trips = trips_csv(tmp_path, n=60, pace_s_per_km=133.0)
@@ -1133,6 +1174,27 @@ class TestPredictCommand:
         assert captured.out == ""
         assert captured.err == (f"error: {model}: invalid model: histogram "
                                 "must sum to 1, got 8.0\n")
+
+    @pytest.mark.parametrize("key, change, message", [
+        ("format", lambda value: "x", "unsupported model format 'x'"),
+        ("column_names", lambda names: names[::-1],
+         "model column names do not match its spec"),
+        # 0.01 moved from bin 1 to bin 0 of the 32
+        ("network_hist", lambda h: [h[0] + 0.01, h[1] - 0.01, *h[2:]],
+         "network histogram is not point symmetric: bins 0 and 16 differ "
+         "by 1.000e-02"),
+    ], ids=["format", "column-names", "asymmetric-network"])
+    def test_model_spec_faults_exit_4_naming_the_file(self, tmp_path, capsys,
+                                                      key, change, message):
+        model = self.make_uniform_model(tmp_path)
+        payload = json.loads(model.read_text())
+        model.write_text(json.dumps(dict(payload,
+                                         **{key: change(payload[key])})))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--theta", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {model}: {message}\n"
 
     def test_missing_model_exits_2(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),

@@ -247,6 +247,19 @@ def assert_input_error(code, stderr):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command, renderer", [("fit", "curve_svg"),
+                                               ("hist", "rose_svg")])
+def test_out_of_memory_while_building_outputs_writes_nothing(work, command,
+                                                            renderer):
+    # Python's own allocations raise MemoryError with no message, and a
+    # command builds every output before the first is written
+    with mock.patch(f"pacerose.cli.{renderer}", side_effect=MemoryError()):
+        code, stderr, written = run_in(work, [command, *BASE[command]])
+    assert code == 2
+    assert stderr == "error: out of memory\n"
+    assert written == []
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", *BASE["fit"], "--trips", TOO_LONG],
     ["fit", *BASE["fit"], "--output-dir", TOO_LONG],
