@@ -10,13 +10,15 @@ package. Make one from any revision with
 
 and pass ``/tmp/old/src``. For each seed (default 5, 7 and 11) the inputs
 of every benchmark workload are written once with
-``perfbench/workloads.prepare``. Each workload command, and each ``fit``
-command again with each option set of ``FIT_VARIANTS``, then runs as
-``python -m pacerose`` once under each tree, in the same work directory and
-with the same paths.
+``perfbench/workloads.prepare``. Each workload command, and then each
+``fit`` and ``hist`` command again with each option set of its
+``VARIANTS``, runs as ``python -m pacerose`` once under each tree, in the
+same work directory and with the same paths.
 Every file under the command's output directory, its stdout, its stderr
 and its exit code are compared. The script prints one line for each that
-differs and exits 1, or exits 0 when all are identical.
+differs and exits 1, or exits 0 when all are identical. The variants of a
+command are run only while its runs so far agree: once one differs, they
+could only repeat what it shows.
 """
 
 import argparse
@@ -37,6 +39,10 @@ import workloads  # noqa: E402
 FIT_VARIANTS = (["--dump-design"],
                 ["--baseline", "min", "--no-mask", "--curve-grid", "50"],
                 ["--strict-rank"])
+# the histograms' other branches: an odd bin count, whose mirror bins
+# theta + pi, and count weights in place of the workload's lengths
+HIST_VARIANTS = (["--bins", "33"], ["--no-length-weighted"])
+VARIANTS = {"fit": FIT_VARIANTS, "hist": HIST_VARIANTS}
 
 
 def outcome(src, argv, work, out_dir):
@@ -59,16 +65,18 @@ def differences(old_src, new_src, workload, seed, smoke):
     found = []
     with tempfile.TemporaryDirectory() as work:
         case = workloads.prepare(workload, work, seed, smoke)
-        runs = [(cmd.argv[0], cmd.argv, cmd.out_dir) for cmd in case.commands]
-        runs += [(" ".join(["fit", *options]), argv + options, out_dir)
-                 for name, argv, out_dir in runs if name == "fit"
-                 for options in FIT_VARIANTS]
-        for name, argv, out_dir in runs:
-            old, new = (outcome(src, argv, work, out_dir)
-                        for src in (old_src, new_src))
-            found += [f"{workload} seed {seed} [{name}]: {key} differs"
-                      for key in sorted(old.keys() | new.keys())
-                      if old.get(key) != new.get(key)]
+        for cmd in case.commands:
+            command, argv = cmd.argv[0], cmd.argv
+            for options in [[], *VARIANTS.get(command, ())]:
+                old, new = (outcome(src, argv + options, work, cmd.out_dir)
+                            for src in (old_src, new_src))
+                name = " ".join([command, *options])
+                differ = [f"{workload} seed {seed} [{name}]: {key} differs"
+                          for key in sorted(old.keys() | new.keys())
+                          if old.get(key) != new.get(key)]
+                found += differ
+                if differ:
+                    break
     return found
 
 

@@ -16,14 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputFormatError
+
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "TWO_PI",
     "AngularHistogram",
+    "TotalError",
     "bin_index",
     "build_histogram",
     "compass_to_math",
+    "require_size",
     "wrap_angle",
 ]
 
@@ -68,6 +72,14 @@ def bin_index(angle, bin_count: int):
     return int(idx) if idx.ndim == 0 else idx
 
 
+class TotalError(InputFormatError, ValueError):
+    """A histogram total that is not positive and finite."""
+
+    def __init__(self, total: float):
+        super().__init__(f"histogram values sum to {total!r}")
+        self.total = total
+
+
 @dataclass(frozen=True)
 class AngularHistogram:
     """Frequencies over ``bin_count`` equal circular bins.
@@ -104,42 +116,64 @@ class AngularHistogram:
     def bin_centers(self) -> np.ndarray:
         return (np.arange(self.bin_count) + 0.5) * (TWO_PI / self.bin_count)
 
+    @classmethod
+    def from_weights(cls, weights, total=None) -> "AngularHistogram":
+        """Nonnegative bin ``weights`` over ``total``, by default their sum:
+        the one normalization. A total that is not positive and finite, such
+        as a sum that overflows to ``inf`` (no warning), raises TotalError."""
+        weights = np.asarray(weights, dtype=float)
+        with np.errstate(over="ignore"):
+            total = float(weights.sum() if total is None else total)
+        if not 0.0 < total < math.inf:
+            raise TotalError(total)
+        return cls(weights.size, weights / total)
+
     def rotated(self, shift_bins: int) -> "AngularHistogram":
         """Histogram after rotating all underlying angles by shift_bins bins."""
         return AngularHistogram(self.bin_count,
                                 np.roll(self.values, shift_bins))
 
 
-def build_histogram(angles, weights=None, bin_count: int = 32) -> AngularHistogram:
-    """Normalized angular histogram of ``angles`` with optional weights.
+def build_histogram(angles, weights=None, bin_count: int = 32,
+                    point_symmetric: bool = False) -> AngularHistogram:
+    """Histogram of ``angles``, each adding its weight (default 1) to the
+    half-open bin containing it, divided by the weights' sum by
+    ``AngularHistogram.from_weights``: no angles at all raise TotalError.
 
-    Each angle contributes its weight to the half-open bin containing it;
-    bin totals are divided by the total weight. Weights default to 1.
-
-    Raises
-    ------
-    ValueError
-        On empty input, nonpositive total weight, negative weights, or
-        non-finite angles.
+    With ``point_symmetric`` each angle also counts half a turn on, and the
+    sum is doubled: for an even bin count in its own bin plus B/2, so the
+    result is point symmetric to the last bit even where angle + pi rounds
+    onto a bin edge, and for an odd one in the bin of angle + pi. Raises
+    ValueError on non-finite angles or negative weights.
     """
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 1:
-        angles = angles.reshape(-1)
-    if angles.size == 0:
-        raise ValueError("cannot build a histogram from zero angles")
+    angles = np.asarray(angles, dtype=float).reshape(-1)
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
-    if weights is None:
-        weights = np.ones(angles.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != angles.shape:
-            raise ValueError("weights must match angles in length")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("total weight must be positive")
-    values = np.bincount(bin_index(angles, bin_count), weights=weights,
-                         minlength=bin_count) / total
-    return AngularHistogram(bin_count, values)
+    weights = (np.ones(angles.size) if weights is None
+               else np.asarray(weights, dtype=float))
+    if weights.shape != angles.shape:
+        raise ValueError("weights must match angles in length")
+    if np.any(weights < 0.0):
+        raise ValueError("weights must be nonnegative")
+    index = bin_index(angles, bin_count)
+    if point_symmetric:
+        opposite = (bin_index(angles + math.pi, bin_count) if bin_count % 2
+                    else (index + bin_count // 2) % bin_count)
+        # side by side, so bins j and j + B/2 add the same weights in order
+        index = np.column_stack([index, opposite]).ravel()
+        weights = np.repeat(weights, 2)
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    return AngularHistogram.from_weights(
+        np.bincount(index, weights=weights, minlength=bin_count), total)
+
+
+def require_size(name: str, n: int, low: int = 1):
+    """The one size rule: a count ``n`` of floats is at least ``low`` and its
+    array fits with room to spare (``16 n`` bytes at most ``np.intp``'s max;
+    ``np.arange`` refuses some sizes under ``8 n``), or a ValueError names
+    ``name``. A size too large for memory raises MemoryError on allocation."""
+    limit = np.iinfo(np.intp).max // 16
+    if not low <= n <= limit:
+        bound = f">= {low}" if n < low else f"at most {limit}"
+        raise ValueError(f"{name} must be {bound}, got {n}")

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .angles import AngularHistogram, bin_index, build_histogram
+from .angles import AngularHistogram, bin_index, build_histogram, require_size
 from .errors import (
     InputFormatError,
     InsufficientDataError,
@@ -124,17 +124,12 @@ def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
     if cfg.network_hist:
         return _read_csv(cfg.network_hist, parse_histogram, cfg.bins)
     if not cfg.network:
-        raise InputFormatError(
-            "need a network input (--network or --network-hist)"
-        )
+        raise InputFormatError("need a network input (--network or "
+                               "--network-hist)")
     segments = _read_csv(cfg.network, parse_network, classes, cfg.lonlat)
     return network_orientation_histogram(
-        segments,
-        bins=cfg.bins,
-        length_weighted=cfg.length_weighted,
-        compass=cfg.compass,
-        lonlat=cfg.lonlat,
-    )
+        segments, bins=cfg.bins, length_weighted=cfg.length_weighted,
+        compass=cfg.compass, lonlat=cfg.lonlat)
 
 
 def _validated(build, *args, **kwargs):
@@ -170,10 +165,7 @@ def _inputs(cfg: RunConfig):
 
 
 def cmd_hist(cfg: RunConfig):
-    if cfg.bins < 1:
-        raise InputFormatError(
-            f"invalid option: bins must be >= 1, got {cfg.bins}"
-        )
+    _validated(require_size, "bins", cfg.bins)
     theta, paces, demand, network = _inputs(cfg)
 
     idx = bin_index(theta, cfg.bins)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import TWO_PI, AngularHistogram
+from .angles import TWO_PI, AngularHistogram, require_size
 from .errors import SpecMismatchError
 from .estimator import FactoredDesign, require_samples, row_blocks
 
@@ -71,8 +71,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        require_size("bins", self.bins, 2)
         if self.network_point_symmetric and self.bins % 2 != 0:
             raise ValueError("point-symmetric network requires an even bin count")
 

@@ -45,7 +45,8 @@ import numpy as np
 
 from .angles import (
     AngularHistogram,
-    bin_index,
+    TotalError,
+    build_histogram,
     compass_to_math,
     wrap_angle,
 )
@@ -489,12 +490,7 @@ def parse_histogram(source, bins: int) -> AngularHistogram:
     if len(values) != bins or any(i not in values for i in range(bins)):
         raise InputFormatError(
             f"expected bin indices 0..{bins - 1}, got {len(values)} rows")
-    arr = np.array([values[i] for i in range(bins)])
-    with np.errstate(over="ignore"):
-        total = float(arr.sum())
-    if not 0.0 < total < math.inf:
-        raise InputFormatError(f"histogram values sum to {total!r}")
-    return AngularHistogram(bins, arr / total)
+    return AngularHistogram.from_weights([values[i] for i in range(bins)])
 
 
 def _cos_mean_lat(rows: np.ndarray) -> np.ndarray:
@@ -589,9 +585,8 @@ def network_orientation_histogram(
     the value it was parsed with and has no default. Weights are segment
     counts by default, or lengths in meters with ``length_weighted``; a
     weight total that is not positive and finite raises InputFormatError.
-    Zero-length segments are skipped with one warning. For even bin counts
-    each segment's primary orientation is binned once and mirrored half a
-    cycle on, so the result is point symmetric to the last bit.
+    Zero-length segments are skipped with one warning. Each orientation is
+    also counted half a turn on (``build_histogram``'s ``point_symmetric``).
     """
     theta, moving = directions(segments, lonlat=lonlat, compass=compass)
     skipped = len(segments) - theta.size
@@ -599,22 +594,10 @@ def network_orientation_histogram(
         log.warning("skipped %d zero-length segment(s)", skipped)
     if not theta.size:
         raise InsufficientDataError("no usable segments for the network histogram")
-    weights = segments[moving, 4] if length_weighted else np.ones(theta.size)
-    primary = bin_index(theta, bins)
-    if bins % 2 == 0:
-        # bin the primary orientation once and mirror it, so point symmetry
-        # holds exactly even when theta + pi falls on a bin boundary
-        opposite = (primary + bins // 2) % bins
-    else:
-        opposite = bin_index(theta + math.pi, bins)
-    both = np.column_stack([primary, opposite]).ravel()
-    weights = np.repeat(weights, 2)
-    with np.errstate(over="ignore"):
-        total = float(weights.sum())
-    if not 0.0 < total < math.inf:
+    weights = segments[moving, 4] if length_weighted else None
+    try:
+        return build_histogram(theta, weights, bins, point_symmetric=True)
+    except TotalError as exc:
         raise InputFormatError(
-            f"segment weights sum to {total!r}; lengths must sum to a "
-            "positive finite number"
-        )
-    values = np.bincount(both, weights=weights, minlength=bins)
-    return AngularHistogram(bins, values / total)
+            f"segment weights sum to {exc.total!r}; lengths must sum to a "
+            "positive finite number") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angles import AngularHistogram
+from .angles import AngularHistogram, require_size
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import FitResult, t_statistics
 from .features import ModelSpec, fourier_basis, model_signal
@@ -99,11 +99,12 @@ def _curve_series(column_names, coefficients, mask, kind):
 
 
 def check_grid_size(grid_size: int):
-    """Refuse a curve grid other than an even number >= 8: an odd grid has
-    no offset 0 to read alpha(0) and beta(0) at."""
+    """Refuse a curve grid other than an even number >= 8 that fits an
+    array: an odd grid has no offset 0 to read alpha(0) and beta(0) at."""
     if grid_size < 8 or grid_size % 2:
         raise ValueError(
             f"curve grid must be an even number >= 8, got {grid_size}")
+    require_size("curve grid", grid_size)
 
 
 def reconstruct_curve(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
+from .angles import TWO_PI, AngularHistogram, build_histogram, require_size
 from .errors import InputFormatError, SpecMismatchError
 from .estimator import row_blocks
 from .features import ModelSpec, fourier_basis, model_signal, moment_matrix
@@ -83,8 +83,7 @@ class SyntheticScenario:
         if beta.shape != (2 * len(self.spec.network_harmonics),):
             raise ValueError("beta length must match the network columns")
         self.spec.check_histograms(self.demand_hist, self.network_hist)
-        if self.n_trips <= self.spec.parameter_count:
-            raise ValueError("n_trips must exceed the parameter count")
+        require_size("n_trips", self.n_trips, self.spec.parameter_count + 1)
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be nonnegative")
         if self.seed < 0:
@@ -126,31 +125,24 @@ def harmonic_histogram(
     if point_symmetric:
         if bins % 2 != 0:
             raise ValueError("point symmetry requires an even bin count")
-        odd = [k0 + 1 for k0 in range(cos_amplitudes.size)
-               if (k0 + 1) % 2 == 1
-               and (cos_amplitudes[k0] != 0.0 or sin_amplitudes[k0] != 0.0)]
+        odd = [k for k in range(1, cos_amplitudes.size + 1, 2)
+               if cos_amplitudes[k - 1] or sin_amplitudes[k - 1]]
         if odd:
             raise ValueError(f"point symmetry forbids odd harmonics {odd}")
         values = 0.5 * (values + np.roll(values, bins // 2))
-    values = values / values.sum()
-    return AngularHistogram(bins, values)
+    return AngularHistogram.from_weights(values)
 
 
 def make_rotated_grid_network(rotation: float, bins: int) -> AngularHistogram:
     """Four-peak point-symmetric histogram mimicking a rotated grid network.
 
     Mass 0.25 lands in the bins containing rotation, rotation + pi/2, and
-    their opposites. Exactly point symmetric by construction.
+    their opposites. Exactly point symmetric, so the bin count must be even.
     """
     if bins % 2 != 0:
         raise ValueError("grid network histogram requires an even bin count")
-    half = bins // 2
-    values = np.zeros(bins)
-    for base in (rotation, rotation + 0.5 * math.pi):
-        j = bin_index(wrap_angle(base), bins)
-        values[j] += 0.25
-        values[(j + half) % bins] += 0.25
-    return AngularHistogram(bins, values)
+    return build_histogram([rotation, rotation + 0.5 * math.pi],
+                           bin_count=bins, point_symmetric=True)
 
 
 def identifiable_coefficients(
@@ -304,13 +296,10 @@ def _histogram_from_spec(payload: dict, key: str, spec: ModelSpec):
 def _histogram(entry: dict, bins: int, point_symmetric: bool):
     kind = json_value(entry, "kind", str)
     if kind == "values":
-        values = json_value(entry, "values", list[float])
-        total = values.sum()
-        if total <= 0.0:
-            raise ValueError("histogram values must have positive total")
-        return AngularHistogram(bins, values / total)
+        return AngularHistogram.from_weights(
+            json_value(entry, "values", list[float]))
     if kind == "uniform":
-        return AngularHistogram(bins, np.full(bins, 1.0 / bins))
+        return AngularHistogram.from_weights(np.ones(bins))
     if kind == "harmonic":
         return harmonic_histogram(
             bins,
@@ -320,8 +309,7 @@ def _histogram(entry: dict, bins: int, point_symmetric: bool):
         )
     if kind == "rotated_grid":
         return make_rotated_grid_network(
-            json_value(entry, "rotation_rad", float, 0.0), bins
-        )
+            json_value(entry, "rotation_rad", float, 0.0), bins)
     raise ValueError(f"unknown histogram kind {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 from pacerose.angles import (
     TWO_PI,
     AngularHistogram,
+    TotalError,
     bin_index,
     build_histogram,
     compass_to_math,
+    require_size,
     wrap_angle,
 )
+from pacerose.errors import InputFormatError
 
 finite_angles = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
@@ -142,6 +146,116 @@ class TestBuildHistogram:
         shifted = np.array([wrap_angle(a + TWO_PI / bins) for a in angles])
         h2 = build_histogram(shifted, weights=weights, bin_count=bins)
         assert np.array_equal(h2.values, np.roll(h1.values, 1))
+
+
+class TestFromWeights:
+    def test_divides_by_the_sum(self):
+        h = AngularHistogram.from_weights([1.0, 3.0, 0.0, 4.0])
+        assert h.values.tolist() == [0.125, 0.375, 0.0, 0.5]
+
+    def test_divides_by_a_given_total(self):
+        weights = np.array([0.1, 0.7, 0.2])
+        total = 1.0000000000000002
+        h = AngularHistogram.from_weights(weights, total)
+        assert np.array_equal(h.values, weights / total)
+
+    @pytest.mark.parametrize("weights, total, shown", [
+        ([0.0, 0.0], None, "0.0"),
+        ([], None, "0.0"),
+        ([1.0, 1.0], 0.0, "0.0"),
+        ([1.0, 1.0], -2.0, "-2.0"),
+        ([1.0, 1.0], math.inf, "inf"),
+        ([1.0, 1.0], math.nan, "nan"),
+        ([1e308, 1e308], None, "inf"),
+    ], ids=["zero-sum", "empty", "zero-total", "negative-total",
+            "inf-total", "nan-total", "overflowing-sum"])
+    def test_total_must_be_positive_and_finite(self, weights, total, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow is no warning
+            with pytest.raises(TotalError) as err:
+                AngularHistogram.from_weights(weights, total)
+        assert str(err.value) == f"histogram values sum to {shown}"
+        assert repr(err.value.total) == shown
+        # an input error to the commands, a ValueError to the library
+        assert isinstance(err.value, InputFormatError)
+        assert isinstance(err.value, ValueError)
+
+    def test_build_histogram_of_no_angles_has_zero_total(self):
+        with pytest.raises(TotalError, match="sum to 0.0"):
+            build_histogram([], bin_count=4)
+
+
+class TestPointSymmetricHistogram:
+    @given(st.lists(finite_angles, min_size=1, max_size=40),
+           st.sampled_from([2, 4, 8, 32, 36, 72]))
+    def test_even_bins_are_exactly_point_symmetric(self, angles, bins):
+        weights = [1.0 + 0.1 * i for i in range(len(angles))]
+        h = build_histogram(angles, weights, bins, point_symmetric=True)
+        assert np.array_equal(h.values, np.roll(h.values, bins // 2))
+
+    @pytest.mark.parametrize("bins", [4, 8, 32, 72])
+    def test_even_bins_exact_for_angles_on_bin_edges(self, bins):
+        # angles on every bin edge and just beside it, in both directions
+        edges = np.arange(bins) * (TWO_PI / bins)
+        angles = np.concatenate([edges, np.nextafter(edges, -1.0),
+                                 np.nextafter(edges, 10.0), -edges])
+        h = build_histogram(angles, np.linspace(1.0, 2.0, angles.size),
+                            bins, point_symmetric=True)
+        assert np.array_equal(h.values, np.roll(h.values, bins // 2))
+        # each angle's own bin plus B/2, by its weight
+        own = bin_index(angles, bins)
+        expected = np.zeros(bins)
+        for i, w in zip(own, np.linspace(1.0, 2.0, angles.size)):
+            expected[i] += w
+            expected[(i + bins // 2) % bins] += w
+        np.testing.assert_allclose(h.values, expected / expected.sum(),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("bins", [1, 3, 5, 33])
+    def test_odd_bins_count_the_bin_of_theta_plus_pi(self, bins):
+        rng = np.random.default_rng(bins)
+        angles = rng.uniform(-10.0, 10.0, 200)
+        weights = rng.uniform(0.5, 2.0, 200)
+        h = build_histogram(angles, weights, bins, point_symmetric=True)
+        expected = np.zeros(bins)
+        for a, w in zip(angles, weights):
+            expected[bin_index(a, bins)] += w
+            expected[bin_index(a + math.pi, bins)] += w
+        np.testing.assert_allclose(h.values, expected / expected.sum(),
+                                   rtol=1e-13)
+
+    def test_total_is_the_doubled_sample_sum(self):
+        # the bins are divided by the sum of the repeated sample weights,
+        # not by the sum of the bins
+        weights = np.array([0.1, 0.2, 0.3, 1e-17, 7.0])
+        angles = np.array([0.1, 1.0, 2.0, 3.0, 4.0])
+        h = build_histogram(angles, weights, 8, point_symmetric=True)
+        both = np.repeat(weights, 2)
+        bins = np.bincount(
+            np.column_stack([bin_index(angles, 8),
+                             (bin_index(angles, 8) + 4) % 8]).ravel(),
+            weights=both, minlength=8)
+        assert np.array_equal(h.values, bins / both.sum())
+
+
+class TestRequireSize:
+    LIMIT = np.iinfo(np.intp).max // 16
+
+    def test_within_the_rule(self):
+        require_size("n", 1)
+        require_size("n", self.LIMIT)
+        require_size("n", 5, 5)
+
+    @pytest.mark.parametrize("n, low, message", [
+        (0, 1, "n must be >= 1, got 0"),
+        (4, 5, "n must be >= 5, got 4"),
+        (LIMIT + 1, 1, f"n must be at most {LIMIT}, got {LIMIT + 1}"),
+        (10 ** 20, 1, f"n must be at most {LIMIT}, got {10 ** 20}"),
+    ])
+    def test_outside_the_rule(self, n, low, message):
+        with pytest.raises(ValueError) as err:
+            require_size("n", n, low)
+        assert str(err.value) == message
 
 
 class TestHistogramLookup:

@@ -345,8 +345,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("entry, message", [
         ({"kind": "nope"}, "unknown histogram kind 'nope'"),
         ({"kind": "values", "values": [0.0] * 32},
-         "histogram values must have positive total"),
-        ([0.0] * 32, "histogram values must have positive total"),
+         "histogram values sum to 0.0"),
+        ([0.0] * 32, "histogram values sum to 0.0"),
         ({"values": [1.0] * 32}, "missing key kind"),
     ], ids=["kind", "zero-total", "zero-total-list", "no-kind"])
     def test_histogram_errors_name_the_histogram(self, tmp_path, capsys,

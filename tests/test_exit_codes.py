@@ -26,6 +26,8 @@ TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 HUGE_K = 10 ** 12
 # 8 PiB of float64, beyond any 64-bit address space: numpy refuses at once
 HUGE_SIZE = str(2 ** 50)
+# sizes no numpy array can hold: numpy raises ValueError or OverflowError
+BEYOND_ARRAY = {"2**62": 2 ** 62, "10**20": 10 ** 20}
 # a file name longer than any file system allows (ENAMETOOLONG)
 TOO_LONG = "x" * 5000
 
@@ -70,6 +72,16 @@ FILES = {
         "k_max": 2, "bins": 8, "gamma": 120.0, "alpha": [3.0, -2.0, 1.0, 0.5],
         "beta": [1.0, -1.0], "demand_hist": {"kind": "uniform"},
         "network_hist": {"kind": "uniform"}, "n_trips": 2 ** 50}),
+    **{f"n_trips_{name}.json": json.dumps({
+        "k_max": 2, "bins": 8, "gamma": 120.0, "alpha": [3.0, -2.0, 1.0, 0.5],
+        "beta": [1.0, -1.0], "demand_hist": {"kind": "uniform"},
+        "network_hist": {"kind": "uniform"}, "n_trips": size})
+       for name, size in BEYOND_ARRAY.items()},
+    "bins_2**62.json": json.dumps({
+        "k_max": 2, "bins": 2 ** 62, "gamma": 120.0,
+        "alpha": [3.0, -2.0, 1.0, 0.5], "beta": [1.0, -1.0],
+        "demand_hist": {"kind": "uniform"},
+        "network_hist": {"kind": "uniform"}, "n_trips": 200}),
     "list.json": "[1, 2]",
     "not_json.json": "{",
     "fractional_trips.json": '{"k_max": 2, "bins": 8, "n_trips": 50.5}',
@@ -224,6 +236,29 @@ def test_size_too_large_to_allocate_exits_2(work, argv):
     assert "Traceback" not in stderr.getvalue()
     assert written == []
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, named", [
+    *[(["hist", *BASE["hist"], "--bins", str(size)], "bins")
+      for size in BEYOND_ARRAY.values()],
+    (["fit", "--trips", "@trips.csv", "--network", "@network.csv",
+      "--k", "2", "--bins", str(2 ** 62)], "bins"),
+    (["fit", "--trips", "@trips.csv", "--network", "@network.csv",
+      "--k", "2", "--no-point-symmetric", "--bins", str(2 ** 62)], "bins"),
+    (["fit", *BASE["fit"], "--curve-grid", str(2 ** 62)], "curve grid"),
+    *[(["simulate", "--scenario", f"@n_trips_{name}.json"], "n_trips")
+      for name in BEYOND_ARRAY],
+    (["simulate", "--scenario", "@bins_2**62.json"], "bins"),
+], ids=["hist-bins-2**62", "hist-bins-10**20", "fit-bins",
+        "fit-bins-not-point-symmetric", "fit-curve-grid",
+        "simulate-n-trips-2**62", "simulate-n-trips-10**20",
+        "simulate-bins"])
+def test_size_beyond_any_array_exits_2_naming_it(work, argv, named):
+    code, stderr, written = run_in(work, argv)
+    assert_input_error(code, stderr)
+    assert stderr.count("\n") == 1
+    assert f"{named} must be at most" in stderr
+    assert written == []
 
 
 def run_in(work, argv):

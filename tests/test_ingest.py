@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacerose import ingest
-from pacerose.angles import TWO_PI, wrap_angle
+from pacerose.angles import TWO_PI, build_histogram, wrap_angle
 from pacerose.cli import RunConfig, _load_trips
 from pacerose.errors import InputFormatError, InsufficientDataError
 from pacerose.ingest import (
@@ -511,7 +511,9 @@ class TestNetworkHistogram:
          "inf"),
         # a moving lon/lat segment too short for its length to be nonzero
         ([segment(0, 0, 5e-324, 0, 0.0)], True, "0.0"),
-    ], ids=["overflow", "underflow"])
+        # as parse_network computes for endpoints 1.5e308 apart on each axis
+        ([segment(0, 0, 1, 1, math.inf), segment(0, 0, 0, 1)], False, "inf"),
+    ], ids=["overflow", "underflow", "infinite-length"])
     def test_weight_total_must_be_positive_and_finite(self, segs, lonlat,
                                                       total):
         segs = np.array(segs)
@@ -519,7 +521,22 @@ class TestNetworkHistogram:
         with pytest.raises(InputFormatError) as err:
             network_orientation_histogram(segs, bins=4, length_weighted=True,
                                           lonlat=lonlat)
-        assert str(err.value).startswith(f"segment weights sum to {total};")
+        assert str(err.value) == (f"segment weights sum to {total}; lengths "
+                                  "must sum to a positive finite number")
+
+    @pytest.mark.parametrize("length_weighted", [False, True])
+    @pytest.mark.parametrize("bins", [5, 8, 32, 33])
+    def test_is_build_histogram_of_the_directions(self, bins,
+                                                  length_weighted):
+        rng = np.random.default_rng(bins)
+        segs = self.random_segments(rng, 300)
+        segs[::7, 2:4] = segs[::7, 0:2]  # zero-length segments are left out
+        theta, moving = directions(segs, lonlat=False)
+        weights = segs[moving, 4] if length_weighted else None
+        hist = network_orientation_histogram(
+            segs, bins=bins, length_weighted=length_weighted, lonlat=False)
+        expected = build_histogram(theta, weights, bins, point_symmetric=True)
+        assert np.array_equal(hist.values, expected.values)
 
     def test_mirrored_bin_when_opposite_rounds_onto_a_boundary(self):
         # theta = 7*pi/4 wraps from -pi/4; theta + pi rounds to just below

@@ -18,7 +18,7 @@ from conftest import (
     standard_scenario,
 )
 from pacerose import estimator
-from pacerose.angles import TWO_PI, AngularHistogram, bin_index
+from pacerose.angles import TWO_PI, AngularHistogram, bin_index, wrap_angle
 from pacerose.errors import InputFormatError
 from pacerose.estimator import BLOCK_ROWS, ols_fit
 from pacerose.features import (
@@ -281,6 +281,34 @@ class TestRotatedGridNetwork:
         for rotation in (0.0, 0.1, 1.0, 2.5, 5.0):
             hist = make_rotated_grid_network(rotation, 32)
             assert np.array_equal(hist.values, np.roll(hist.values, 16))
+
+    @staticmethod
+    def quarter_masses(rotation, bins):
+        """The grid as four 0.25 masses: the bins of rotation and
+        rotation + pi/2, and each of those bins plus B/2."""
+        values = np.zeros(bins)
+        for base in (rotation, rotation + 0.5 * math.pi):
+            j = bin_index(wrap_angle(base), bins)
+            values[j] += 0.25
+            values[(j + bins // 2) % bins] += 0.25
+        return values
+
+    @pytest.mark.parametrize("bins", [2, 4, 8, 32, 72])
+    def test_equals_four_quarter_masses(self, bins):
+        width = TWO_PI / bins
+        # on bin edges, beside them, within bins, negative and past 2*pi
+        rotations = [0.0, width, 3 * width, math.pi / 4, math.pi / 2,
+                     math.nextafter(width, 0.0), math.nextafter(width, 9.0),
+                     0.1, 1.0, 2.5, 5.0, 7 * math.pi / 4, -0.3, -width,
+                     TWO_PI, 20.0]
+        for rotation in rotations:
+            hist = make_rotated_grid_network(rotation, bins)
+            assert np.array_equal(hist.values,
+                                  self.quarter_masses(rotation, bins)), rotation
+
+    def test_odd_bins_refused(self):
+        with pytest.raises(ValueError, match="even bin count"):
+            make_rotated_grid_network(0.3, 33)
 
     def test_quarter_turn_is_four_bin_shift(self):
         # pi/4 spans 4 bins of width 2*pi/32
