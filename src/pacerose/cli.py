@@ -29,6 +29,7 @@ from .errors import (
     InsufficientDataError,
     NumericalError,
     PaceroseError,
+    RankDeficiencyError,
     SpecMismatchError,
 )
 from .estimator import ols_fit, report_rows, row_blocks, significance_mask
@@ -80,8 +81,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 EXIT_NUMERICAL = 4
-
-SIGNIFICANCE_LEVEL = 0.05
 
 __all__ = ["RunConfig", "main"]
 
@@ -213,10 +212,14 @@ def cmd_fit(cfg: RunConfig):
     _validated(check_grid_size, cfg.curve_grid)
     theta, paces, demand, network = _inputs(cfg)
     design, y = fourier_design(paces, theta, demand, network, spec)
-    fit = ols_fit(design, y, column_names=spec.column_names,
-                  rank_policy="strict" if cfg.strict_rank else "min_norm")
+    fit = ols_fit(design, y, column_names=spec.column_names)
+    if cfg.strict_rank and fit.rank < fit.parameter_count:
+        raise RankDeficiencyError(
+            "design matrix is rank deficient (rank "
+            f"{fit.rank} of {fit.parameter_count}); dependent columns: "
+            + ", ".join(fit.dependent_columns))
 
-    mask = significance_mask(fit, SIGNIFICANCE_LEVEL) if cfg.mask_curves else None
+    mask = significance_mask(fit) if cfg.mask_curves else None
     curves = {kind: reconstruct_curve(fit.column_names, fit.coefficients,
                                       mask=mask, kind=kind,
                                       grid_size=cfg.curve_grid)
@@ -224,8 +227,8 @@ def cmd_fit(cfg: RunConfig):
     sign_text = expected_sign_report(curves["alpha"], curves["beta"]) + "\n"
 
     files = [("fit_report.csv", csv_text(
-        zip(*report_rows(fit, SIGNIFICANCE_LEVEL)), ("name", "coefficient",
-        "std_err", "t_value", "p_value", "significant_5pct"))),
+        zip(*report_rows(fit)), ("name", "coefficient", "std_err",
+        "t_value", "p_value", "significant_5pct"))),
         ("summary.txt", _summary_text(fit))]
     for kind, curve in curves.items():
         plot_values = curve.values

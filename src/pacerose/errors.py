@@ -22,11 +22,8 @@ class NumericalError(PaceroseError):
 
 
 class RankDeficiencyError(NumericalError):
-    """Design matrix is rank deficient; carries the offending column names."""
-
-    def __init__(self, message, columns=()):
-        super().__init__(message)
-        self.columns = tuple(columns)
+    """Design matrix is rank deficient; the message names its rank and the
+    dependent columns."""
 
 
 class SpecMismatchError(NumericalError):

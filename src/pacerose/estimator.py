@@ -21,9 +21,9 @@ model family are structurally collinear: demand and network features that
 share a harmonic degree k both span {cos(k*theta), sin(k*theta)}, so the
 full design is never of full column rank when both histograms carry mass at
 the same k. The deterministic minimum-norm solution is the conventional
-resolution (it is what pseudoinverse-based OLS packages report); a strict
-policy that refuses rank-deficient designs is available for callers that
-want the hard error.
+resolution (it is what pseudoinverse-based OLS packages report). Every fit
+reports its rank and dependent columns, so a caller that wants the hard
+error refuses a rank-deficient fit itself (``fit --strict-rank``).
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientDataError, RankDeficiencyError
+from .errors import InsufficientDataError
 from .special import f_p_value, t_p_value
 
 RANK_RCOND = 1e-10
+# a coefficient is significant when its p-value is below this level
+SIGNIFICANCE_LEVEL = 0.05
 _NULLSPACE_COMPONENT_TOL = 1e-6
 # rows of G per block: a block of a few hundred kB stays in cache while it
 # is factored, and the loop's per-block cost stays small next to the QR
@@ -200,7 +202,7 @@ def _sums_of_squares(design: FactoredDesign, y, params, ybar: float):
     return rss, tss
 
 
-def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult:
+def ols_fit(X, y, column_names=None) -> FitResult:
     """Least-squares fit of y on [1 X] with standard inference statistics.
 
     Parameters
@@ -212,18 +214,16 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
         Response.
     column_names : sequence of str, optional
         Labels for the m columns; defaults to x1..xm.
-    rank_policy : "min_norm" or "strict"
-        What to do when [1 X] is rank deficient. "min_norm" returns the
-        deterministic minimum-norm solution with pseudoinverse-based
-        standard errors; "strict" raises RankDeficiencyError naming the
-        dependent columns.
+
+    On a rank-deficient [1 X] the result is the deterministic minimum-norm
+    solution with pseudoinverse-based standard errors; ``rank`` is then
+    below ``parameter_count`` and ``dependent_columns`` names the columns
+    involved.
 
     Raises
     ------
     InsufficientDataError
         If N <= m + 1.
-    RankDeficiencyError
-        Under the strict policy on a rank-deficient design.
     """
     y = np.asarray(y, dtype=float)
     design = X if isinstance(X, FactoredDesign) else FactoredDesign.dense(X)
@@ -239,8 +239,6 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
         column_names = tuple(column_names)
         if len(column_names) != p - 1:
             raise ValueError("column_names must match the number of columns")
-    if rank_policy not in ("min_norm", "strict"):
-        raise ValueError(f"unknown rank policy {rank_policy!r}")
     require_samples(n, p)
 
     r = _r_factor(design, y)
@@ -251,16 +249,8 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
     u, s, vt = np.linalg.svd(b)
     rank = int(np.sum(s > RANK_RCOND * s[0]))
 
-    dependent = ()
-    if rank < p:
-        dependent = _dependent_column_names(vt[rank:], column_names)
-        if rank_policy == "strict":
-            raise RankDeficiencyError(
-                "design matrix is rank deficient "
-                f"(rank {rank} of {p}); dependent columns: "
-                + ", ".join(dependent),
-                columns=dependent,
-            )
+    dependent = (_dependent_column_names(vt[rank:], column_names)
+                 if rank < p else ())
 
     # minimum-norm solution and pseudoinverse covariance factor
     uty = u[:, :rank].T @ r[:, q]
@@ -322,18 +312,17 @@ def ols_fit(X, y, column_names=None, rank_policy: str = "min_norm") -> FitResult
     )
 
 
-def significance_mask(fit: FitResult, level: float = 0.05) -> np.ndarray:
-    """Boolean mask over slope coefficients with p-value below ``level``.
+def significance_mask(fit: FitResult) -> np.ndarray:
+    """Boolean mask over slope coefficients with p-value below
+    ``SIGNIFICANCE_LEVEL``.
 
     The intercept is not part of the mask; it always enters prediction and
     is reported separately.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("significance level must be in (0, 1)")
-    return fit.p_values < level
+    return fit.p_values < SIGNIFICANCE_LEVEL
 
 
-def report_rows(fit: FitResult, level: float = 0.05):
+def report_rows(fit: FitResult):
     """Rows (name, coefficient, std_err, t_value, p_value, significant).
 
     The intercept row comes first, then slopes in design order.
@@ -342,4 +331,4 @@ def report_rows(fit: FitResult, level: float = 0.05):
     return list(zip(("gamma", *fit.column_names), fit.params().tolist(),
                     [fit.gamma_std_error, *fit.std_errors.tolist()],
                     [fit.gamma_t_value, *fit.t_values.tolist()], p_values,
-                    [p < level for p in p_values]))
+                    [p < SIGNIFICANCE_LEVEL for p in p_values]))

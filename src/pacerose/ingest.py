@@ -338,6 +338,14 @@ def _field_rules(names, columns, values, unparsed):
     return rules
 
 
+def _latitude_rules(header, values, lonlat: bool):
+    """For lon/lat input, the rule "is in [-90, 90]" of the latitudes,
+    fields 1 and 3 of ``header``."""
+    return [(np.abs(values[:, column]) > 90.0,
+             f"field '{header[column]}' must be in [-90, 90], "
+             f"got {{row[{column}]!r}}") for column in (1, 3) if lonlat]
+
+
 def _check(linenos, rows, rules):
     """Raise the error of the first row of a block that breaks a rule.
 
@@ -376,6 +384,7 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
             overflow = kept & ~np.isfinite(duration / distance)
         return [
             *_field_rules(expected, range(6), block, unparsed),
+            *_latitude_rules(expected, block, lonlat),
             (overflow, "pace duration_s / distance_km is not finite "
                        "({row[4]} / {row[5]})"),
         ], kept
@@ -433,6 +442,7 @@ def parse_network(source, class_filter=None, lonlat: bool = False) -> np.ndarray
     def judge(values, unparsed, texts):
         rules = [
             *_field_rules(NETWORK_HEADER[:4], range(4), values, unparsed),
+            *_latitude_rules(NETWORK_HEADER, values, lonlat),
             (~_members(texts, ROAD_CLASSES),
              "unknown road class {row[4]!r}"),
         ]
@@ -499,21 +509,33 @@ def _cos_mean_lat(rows: np.ndarray) -> np.ndarray:
 
 def _deltas(rows: np.ndarray, lonlat: bool):
     """Per-row (dx, dy) of the lines (x0, y0) -> (x1, y1) in the first four
-    columns, dx scaled by cos(mean latitude) for lon/lat input."""
-    dx = rows[:, 2] - rows[:, 0]
-    dy = rows[:, 3] - rows[:, 1]
+    columns. A difference beyond the float range is infinite, with no
+    warning. For lon/lat input, a finite dx beyond 180 degrees either way
+    is taken the short way round, less the multiple of 360 degrees that
+    brings it into [-180, 180]; ``fmod`` and the one step of 360 are exact.
+    """
+    with np.errstate(over="ignore"):
+        dx = rows[:, 2] - rows[:, 0]
+        dy = rows[:, 3] - rows[:, 1]
     if lonlat:
-        dx = dx * _cos_mean_lat(rows)
+        far = np.flatnonzero((np.abs(dx) > 180.0) & np.isfinite(dx))
+        if far.size:
+            wrapped = np.fmod(dx[far], 360.0)
+            wrapped[wrapped > 180.0] -= 360.0
+            wrapped[wrapped < -180.0] += 360.0
+            dx[far] = wrapped
     return dx, dy
 
 
 def _lengths(segments: np.ndarray, lonlat: bool) -> np.ndarray:
-    dx, dy = _deltas(segments, lonlat=False)
-    if lonlat:
-        # degrees to meters on the sphere, east-west scaled by cos(mean lat)
-        dx = np.radians(dx) * _cos_mean_lat(segments) * EARTH_RADIUS_M
-        dy = np.radians(dy) * EARTH_RADIUS_M
-    return np.hypot(dx, dy)
+    dx, dy = _deltas(segments, lonlat)
+    with np.errstate(over="ignore"):
+        if lonlat:
+            # degrees to meters on the sphere, east-west scaled by
+            # cos(mean lat)
+            dx = np.radians(dx) * _cos_mean_lat(segments) * EARTH_RADIUS_M
+            dy = np.radians(dy) * EARTH_RADIUS_M
+        return np.hypot(dx, dy)
 
 
 def directions(rows: np.ndarray, *, lonlat: bool, compass: bool = False):
@@ -529,6 +551,8 @@ def directions(rows: np.ndarray, *, lonlat: bool, compass: bool = False):
     the math convention, for inputs whose axes are swapped that way.
     """
     dx, dy = _deltas(rows, lonlat)
+    if lonlat:
+        dx = dx * _cos_mean_lat(rows)
     moving = (dx != 0.0) | (dy != 0.0)
     raw = np.arctan2(dy[moving], dx[moving])
     return (compass_to_math(raw) if compass else wrap_angle(raw)), moving

@@ -49,21 +49,20 @@ def rose_svg(values, title: str) -> str:
             f'<circle cx="{cx}" cy="{cy}" r="{r:.2f}" fill="none" '
             'stroke="#cccccc" stroke-width="1"/>'
         )
-    large_arc = 1 if width > math.pi else 0
     for i, v in enumerate(values):
         if vmax <= 0 or v <= 0:
             continue
         r = rmax * math.sqrt(v / vmax)
-        a0 = i * width
-        a1 = (i + 1) * width
-        x0, y0 = _polar(cx, cy, r, a0)
-        x1, y1 = _polar(cx, cy, r, a1)
-        parts.append(
-            f'<path d="M {cx} {cy} L {x0:.3f} {y0:.3f} '
-            f'A {r:.3f} {r:.3f} 0 {large_arc} 0 {x1:.3f} {y1:.3f} Z" '
-            'fill="#4878a8" fill-opacity="0.75" stroke="#2f4f6f" '
-            'stroke-width="0.5"/>'
-        )
+        if n == 1:
+            # an arc whose ends coincide draws nothing: one bin is a disc
+            shape = f'<circle cx="{cx}" cy="{cy}" r="{r:.3f}" '
+        else:
+            x0, y0 = _polar(cx, cy, r, i * width)
+            x1, y1 = _polar(cx, cy, r, (i + 1) * width)
+            shape = (f'<path d="M {cx} {cy} L {x0:.3f} {y0:.3f} '
+                     f'A {r:.3f} {r:.3f} 0 0 0 {x1:.3f} {y1:.3f} Z" ')
+        parts.append(shape + 'fill="#4878a8" fill-opacity="0.75" '
+                     'stroke="#2f4f6f" stroke-width="0.5"/>')
     for label, theta in (("0", 0.0), ("pi/2", 0.5 * math.pi),
                          ("pi", math.pi), ("3pi/2", 1.5 * math.pi)):
         x, y = _polar(cx, cy, rmax + 12, theta)

@@ -122,6 +122,28 @@ class TestHistCommand:
         assert code == 2
         assert "no trips" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, code, err", [
+        ("--no-length-weighted", 0, ""),
+        ("--length-weighted", 2, "error: segment weights sum to inf; "
+         "lengths must sum to a positive finite number\n"),
+    ])
+    def test_overflowing_differences_warn_nothing(self, tmp_path, capsys,
+                                                  weights, code, err):
+        # a coordinate difference beyond the float range is infinite: the
+        # arctan2 reads it as a direction and the total rule judges its
+        # length, and numpy prints no warning
+        trips = tmp_path / "trips.csv"
+        trips.write_text(TRIP_HEADER + "\n-1e308,0,1e308,0,60,1\n"
+                         "0,0,1,1,60,1\n0,0,1,2,70,1\n")
+        network = tmp_path / "network.csv"
+        network.write_text(NET_HEADER + "\n-1e308,0,1e308,0,primary\n"
+                           "0,0,1.5e308,1.5e308,primary\n0,0,1,1,primary\n")
+        assert main(["hist", "--trips", str(trips), "--network", str(network),
+                     "--bins", "4", "--lower-cut", "0", "--upper-cut", "0",
+                     weights, "--output-dir", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == err
+
     def test_class_filter_affects_network_histogram(self, tmp_path):
         trips = trips_csv(tmp_path)
         network = grid_network_csv(tmp_path)
@@ -603,11 +625,27 @@ class TestFitCommand:
 
     def test_strict_rank_exits_4_naming_columns(self, tmp_path, simulated,
                                                 capsys):
-        code, _ = self.fit(tmp_path, simulated, "--strict-rank")
+        code, out = self.fit(tmp_path, simulated, "--strict-rank")
         assert code == 4
-        err = capsys.readouterr().err
-        assert "rank deficient" in err
-        assert "b_c2" in err
+        dependent = [f"{block}_{trig}{k}" for block in "ab"
+                     for k in (2, 4, 6, 8) for trig in "cs"]
+        assert capsys.readouterr().err == (
+            "error: design matrix is rank deficient (rank 17 of 25); "
+            f"dependent columns: {', '.join(dependent)}\n")
+        assert list(out.iterdir()) == []
+
+    def test_strict_rank_passes_a_full_rank_fit(self, tmp_path, simulated,
+                                                capsys):
+        # at K = 1 the model has no network term and the design full rank
+        runs = []
+        for extra in ([], ["--strict-rank"]):
+            code, out = self.fit(tmp_path / "-".join(["k1", *extra]),
+                                 simulated, "--k", "1", *extra)
+            assert code == 0
+            runs.append(({p.name: p.read_bytes() for p in out.iterdir()},
+                         capsys.readouterr().out.replace(str(out), "OUT")))
+        assert "rank: 3\nparameters: 3\n" in runs[0][1]
+        assert runs[0] == runs[1]
 
     def test_underdetermined_exits_3(self, tmp_path):
         trips = trips_csv(tmp_path, n=10)

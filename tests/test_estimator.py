@@ -3,7 +3,7 @@ import pytest
 
 from oracles import normal_equations_fit
 from fixtures import ALL_CASES, PARAMETER_COUNT
-from pacerose.errors import InsufficientDataError, RankDeficiencyError
+from pacerose.errors import InsufficientDataError
 from pacerose.estimator import (
     BLOCK_ROWS,
     FactoredDesign,
@@ -160,17 +160,6 @@ class TestOlsProperties:
 
 
 class TestRankDeficiency:
-    def test_strict_names_duplicate_columns(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(50, 1))
-        X = np.hstack([x, x])
-        with pytest.raises(RankDeficiencyError) as err:
-            ols_fit(X, rng.normal(size=50), column_names=("left", "right"),
-                    rank_policy="strict")
-        assert "left" in str(err.value)
-        assert "right" in str(err.value)
-        assert set(err.value.columns) >= {"left", "right"}
-
     def test_min_norm_reports_rank(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(50, 1))
@@ -220,10 +209,6 @@ class TestRankDeficiency:
         assert not r[:, [2, 4]].any()
         assert np.all(np.abs(np.diag(r)[[0, 1, 3, 5, 6]]) > 1.0)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ols_fit(np.ones((10, 1)), np.ones(10), rank_policy="whatever")
-
 
 class TestSignificanceMask:
     def test_all_significant(self):
@@ -231,16 +216,7 @@ class TestSignificanceMask:
         X = rng.normal(size=(500, 3))
         y = 1.0 + X @ np.array([5.0, 5.0, 5.0]) + 0.1 * rng.normal(size=500)
         fit = ols_fit(X, y)
-        assert significance_mask(fit, 0.05).all()
-
-    def test_level_validated(self):
-        rng = np.random.default_rng(12)
-        X, y = random_instance(rng, 30, 2)
-        fit = ols_fit(X, y)
-        with pytest.raises(ValueError):
-            significance_mask(fit, 0.0)
-        with pytest.raises(ValueError):
-            significance_mask(fit, 1.0)
+        assert significance_mask(fit).all()
 
     @pytest.mark.parametrize("case_name", sorted(ALL_CASES))
     def test_recorded_case_counts(self, case_name):

@@ -261,6 +261,28 @@ class TestParseNetwork:
         segments = parse_network(io.StringIO(text), lonlat=True)
         assert segments[0, 4] == pytest.approx(111195, rel=1e-3)
 
+    def test_lonlat_length_across_the_antimeridian(self):
+        # 0.02 degrees of longitude at latitude -17, not 359.98
+        text = f"{NET_HEADER}\n179.99,-17.0,-179.99,-17.0,primary\n"
+        segments = parse_network(io.StringIO(text), lonlat=True)
+        expected = (EARTH_RADIUS_M * math.radians(0.02)
+                    * math.cos(math.radians(17.0)))
+        assert segments[0, 4] == pytest.approx(expected, rel=1e-9)
+        assert 2126.0 < segments[0, 4] < 2128.0
+
+    @pytest.mark.parametrize("row, field, value", [
+        ("10,100,10.01,100,primary", "ay", "100"),
+        ("10,45,10.01,-90.5,primary", "by", "-90.5"),
+    ])
+    def test_lonlat_latitude_beyond_a_pole_rejected(self, row, field, value):
+        with pytest.raises(InputFormatError) as err:
+            parse_network(io.StringIO(f"{NET_HEADER}\n0,0,1,1,primary\n{row}\n"),
+                          lonlat=True)
+        assert str(err.value) == (
+            f"row 3: field '{field}' must be in [-90, 90], got '{value}'")
+        # planar coordinates have no such range
+        assert len(parse_network(io.StringIO(f"{NET_HEADER}\n{row}\n"))) == 1
+
 
 class TestTripDirection:
     def test_due_east(self):
@@ -290,6 +312,43 @@ class TestTripDirection:
     def test_lonlat_northward(self):
         theta = trip_direction(139.70, 35.70, 139.70, 35.71, lonlat=True)
         assert theta == pytest.approx(math.pi / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("ox, dx, expected", [
+        (179.99, -179.99, 0.0),  # 0.02 degrees east across the antimeridian
+        (-179.99, 179.99, math.pi),
+        (10.0, -709.99, 0.0),  # 0.01 degrees east, less two turns
+        (0.0, -180.0, math.pi),  # half a turn is not wrapped
+    ])
+    def test_lonlat_longitude_taken_the_short_way(self, ox, dx, expected):
+        theta = trip_direction(ox, -17.0, dx, -17.0, lonlat=True)
+        assert theta == pytest.approx(expected, abs=1e-12)
+
+    def test_lonlat_within_half_a_turn_keeps_its_bits(self):
+        rng = np.random.default_rng(3)
+        rows = np.column_stack([rng.uniform([-89.9, -80, -89.9, -80],
+                                            [89.9, 80, 89.9, 80], (500, 4)),
+                                np.ones((500, 2))])
+        theta, moving = directions(rows, lonlat=True)
+        dx = (rows[:, 2] - rows[:, 0]) * np.cos(
+            np.radians(0.5 * (rows[:, 1] + rows[:, 3])))
+        assert moving.all()
+        assert theta.tolist() == wrap_angle(
+            np.arctan2(rows[:, 3] - rows[:, 1], dx)).tolist()
+
+    @pytest.mark.parametrize("row, field, value", [
+        ("10,100,10.01,100,60,1", "origin_lat", "100"),
+        ("10,45,10.01,-91,60,1", "dest_lat", "-91"),
+        # a skipped trip is checked too
+        ("10,45,10.01,90.000001,0,1", "dest_lat", "90.000001"),
+    ])
+    def test_lonlat_latitude_beyond_a_pole_rejected(self, row, field, value):
+        header = ",".join(TRIP_HEADER_LONLAT)
+        with pytest.raises(InputFormatError) as err:
+            parse_trips(io.StringIO(f"{header}\n{row}\n"), lonlat=True)
+        assert str(err.value) == (
+            f"row 2: field '{field}' must be in [-90, 90], got '{value}'")
+        # planar coordinates have no such range
+        trips_from(f"{TRIP_HEADER}\n{row}\n")
 
     @given(st.floats(min_value=-1e3, max_value=1e3),
            st.floats(min_value=-1e3, max_value=1e3),
@@ -596,7 +655,8 @@ def reference_load(text, lonlat, compass):
     """Per-line reference of the trip ingest: kept rows, directions, paces.
 
     Returns the 1-based line number and field name of the first bad field
-    instead when a row does not parse.
+    instead when a row does not parse or, for lon/lat input, has a
+    latitude beyond [-90, 90].
     """
     names = TRIP_HEADER_LONLAT if lonlat else TRIP_HEADER_PLANAR
     rows, thetas, paces = [], [], []
@@ -616,6 +676,9 @@ def reference_load(text, lonlat, compass):
                 values.append(float(field))
             except ValueError:
                 return lineno, name
+        for column in (1, 3) if lonlat else ():
+            if abs(values[column]) > 90.0:
+                return lineno, names[column]
         if values[4] <= 0.0:
             skipped["duration_s"].append(lineno)
             continue
@@ -626,6 +689,11 @@ def reference_load(text, lonlat, compass):
         dx = values[2] - values[0]
         dy = values[3] - values[1]
         if lonlat:
+            if abs(dx) > 180.0:
+                # the short way round, by a multiple of 360 degrees
+                dx = math.fmod(dx, 360.0)
+                if abs(dx) > 180.0:
+                    dx -= math.copysign(360.0, dx)
             dx *= math.cos(math.radians(0.5 * (values[1] + values[3])))
         if dx == 0.0 and dy == 0.0:
             continue
@@ -764,7 +832,16 @@ class TestColumnarIngest:
         lonlat, lines = file
         tmp_dir = tmp_path_factory.mktemp("trips")
         text = "\n".join(lines) + "\n"
-        rows, thetas, paces, skipped = reference_load(text, lonlat, compass)
+        reference = reference_load(text, lonlat, compass)
+        if len(reference) == 2:
+            # odd_fields' 1_000 as a latitude
+            with pytest.raises(InputFormatError) as err:
+                parse_trips(io.StringIO(text), lonlat=lonlat)
+            assert str(err.value).startswith(
+                f"row {reference[0]}: field '{reference[1]}' must be in "
+                "[-90, 90], got ")
+            return
+        rows, thetas, paces, skipped = reference
         kept, warnings = logged_warnings(parse_trips, io.StringIO(text),
                                          lonlat=lonlat)
         assert kept.tolist() == rows
