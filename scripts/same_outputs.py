@@ -11,9 +11,9 @@ package. Make one from any revision with
 and pass ``/tmp/old/src``. For each seed (default 5, 7 and 11) the inputs
 of every benchmark workload are written once with
 ``perfbench/workloads.prepare``. Each workload command, and then each
-``fit`` and ``hist`` command again with each option set of its
-``VARIANTS``, runs as ``python -m pacerose`` once under each tree, in the
-same work directory and with the same paths.
+command again with each option set of its ``VARIANTS``, runs as
+``python -m pacerose`` once under each tree, in the same work directory and
+with the same paths.
 Every file under the command's output directory, its stdout, its stderr
 and its exit code are compared. The script prints one line for each that
 differs and exits 1, or exits 0 when all are identical. The variants of a
@@ -43,7 +43,10 @@ FIT_VARIANTS = (["--dump-design"],
 # the histograms' other branches: an odd bin count, whose mirror bins
 # theta + pi, and count weights in place of the workload's lengths
 HIST_VARIANTS = (["--bins", "33"], ["--no-length-weighted"])
-VARIANTS = {"fit": FIT_VARIANTS, "hist": HIST_VARIANTS}
+# predict's and simulate's own options: directions read as degrees, and a
+# seed other than the scenario's
+VARIANTS = {"fit": FIT_VARIANTS, "hist": HIST_VARIANTS,
+            "predict": (["--degrees"],), "simulate": (["--seed", "3"],)}
 
 
 def outcome(src, argv, work, out_dir):

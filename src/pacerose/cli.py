@@ -30,7 +30,6 @@ from .errors import (
     NumericalError,
     PaceroseError,
     RankDeficiencyError,
-    SpecMismatchError,
 )
 from .estimator import ols_fit, report_rows, row_blocks, significance_mask
 # build_design_matrix is not called here, but the benchmark's traced run
@@ -59,11 +58,10 @@ from .model import (
 # RunConfig, build_parser, resolve_config and _parse_args are also reached
 # through this module by its callers
 from .options import (
-    _FIELDS,
     RunConfig,
-    _flag,
     _parse_args,
     build_parser,
+    not_utf8,
     resolve_config,
 )
 from .rose_svg import curve_svg, rose_svg
@@ -94,11 +92,13 @@ def _histogram_files(demand: AngularHistogram, network: AngularHistogram):
 
 
 def _read_csv(path: str, parse, *args):
-    """``parse(file, *args)`` of the CSV file at ``path``; its input errors
-    name the file."""
+    """``parse(file, *args)`` of the CSV file at ``path``; its input errors,
+    an undecodable byte among them, name the file."""
     try:
         with open(path, encoding="utf-8-sig") as f:
             return parse(f, *args)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     except InputFormatError as exc:
         # "<path> row 4: ..." for a row, "<path>: ..." for the whole file
         sep = " " if str(exc).startswith("row ") else ": "
@@ -291,38 +291,21 @@ def _parse_directions(thetas, degrees: bool) -> np.ndarray:
     return np.radians(values) if degrees else values
 
 
-def _as_given(args: argparse.Namespace, name: str, value) -> str:
-    """``name`` set to ``value`` as the user wrote it: flag or config key."""
-    if getattr(args, name, None) is None:
-        return f"config key {name}={value}"
-    flag = _flag(_FIELDS[name])
-    if isinstance(value, bool):
-        return flag if value else "--no-" + flag[2:]
-    return f"{flag} {value}"
-
-
-def cmd_predict(cfg: RunConfig, args: argparse.Namespace, explicit: set):
+def cmd_predict(cfg: RunConfig, args: argparse.Namespace):
     if not args.theta:
         raise InputFormatError("predict needs at least one --theta")
     if not cfg.model:
         raise InputFormatError("predict needs --model")
     theta = _parse_directions(args.theta, args.degrees)
     fit, spec, demand, network = load_model(cfg.model)
-    for key, value in (("k_max", spec.k_max), ("bins", spec.bins),
-                       ("point_symmetric", spec.network_point_symmetric)):
-        if key in explicit and getattr(cfg, key) != value:
-            raise SpecMismatchError(
-                f"{_as_given(args, key, getattr(cfg, key))} does not "
-                f"match the model ({value})"
-            )
     return [], csv_text((predict_pace(theta, demand, network, fit, spec),))
 
 
-# each command's (files, standard output) from the configuration, the
-# parsed arguments and the names of the options given explicitly
-_COMMANDS = {"hist": lambda cfg, *_: cmd_hist(cfg),
-             "fit": lambda cfg, *_: cmd_fit(cfg),
-             "simulate": lambda cfg, *_: cmd_simulate(cfg),
+# each command's (files, standard output) from the configuration and the
+# parsed arguments
+_COMMANDS = {"hist": lambda cfg, _: cmd_hist(cfg),
+             "fit": lambda cfg, _: cmd_fit(cfg),
+             "simulate": lambda cfg, _: cmd_simulate(cfg),
              "predict": cmd_predict}
 
 
@@ -335,13 +318,13 @@ def _run(args: argparse.Namespace) -> int:
     standard output; returns the exit code."""
     logging.basicConfig(level=logging.WARNING, format="%(message)s")
     try:
-        cfg, explicit = resolve_config(args)
-        files, text = _COMMANDS[args.command](cfg, args, explicit)
+        cfg = resolve_config(args)
+        files, text = _COMMANDS[args.command](cfg, args)
         for name, content in files:
             write_atomic(os.path.join(cfg.output_dir, name), content)
         sys.stdout.write(text)
         return EXIT_OK
-    except (PaceroseError, OSError, UnicodeDecodeError) as exc:
+    except (PaceroseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InsufficientDataError):
             return EXIT_INSUFFICIENT

@@ -240,6 +240,11 @@ def ols_fit(X, y, column_names=None) -> FitResult:
         if len(column_names) != p - 1:
             raise ValueError("column_names must match the number of columns")
     require_samples(n, p)
+    # y over the power of two at its largest magnitude, so the sums of
+    # squares neither overflow nor underflow at any unit of y; the scaling
+    # is exact, and the parameters and standard errors are scaled back
+    exponent = math.frexp(float(np.max(np.abs(y))))[1]
+    y = np.ldexp(y, -exponent)
 
     r = _r_factor(design, y)
     # [1 X] = Q B with orthonormal Q: B has the singular values and right
@@ -292,6 +297,7 @@ def ols_fit(X, y, column_names=None) -> FitResult:
     t_all = t_statistics(params, se)
     p_all = np.array([t_p_value(float(abs(t)), dof_residual) for t in t_all])
 
+    params, se = np.ldexp(params, exponent), np.ldexp(se, exponent)
     return FitResult(
         column_names=column_names,
         gamma=float(params[0]),

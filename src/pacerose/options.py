@@ -9,7 +9,9 @@ Each option is stated once, as a row of ``_OPTIONS``: its config key,
 default, reader, the commands that read it, help text, flag and choices.
 ``RunConfig`` is the namedtuple of those keys and defaults. A command
 offers only the flags it reads, so any other flag is a usage error (exit
-2); a config file may set any option on every command.
+2); a config file may set any option on every command, and a command
+ignores the keys it does not read. ``predict`` reads K, the bin count and
+point symmetry from its ``model.json`` alone.
 
 Nothing here imports numpy, ``dataclasses`` or ``inspect``, so
 ``python -m pacerose --help`` and usage errors are answered before the
@@ -40,16 +42,15 @@ _OPTIONS = (
             "precomputed network histogram CSV"),
     _Option("demand_hist", None, str, _INGEST,
             "precomputed demand histogram CSV"),
-    _Option("k_max", 8, int, ("fit", "predict"), "max harmonic degree",
-            flag="--k"),
-    _Option("bins", 32, int, ("hist", "fit", "predict"), "circular bin count"),
+    _Option("k_max", 8, int, ("fit",), "max harmonic degree", flag="--k"),
+    _Option("bins", 32, int, _INGEST, "circular bin count"),
     _Option("lower_cut", 0.05, float, _INGEST,
             "fraction of fastest paces to drop"),
     _Option("upper_cut", 0.10, float, _INGEST,
             "fraction of slowest paces to drop"),
     _Option("class_filter", "motorway,trunk,primary,secondary", str, _INGEST,
             "comma-separated road classes to keep"),
-    _Option("point_symmetric", True, bool, ("fit", "predict")),
+    _Option("point_symmetric", True, bool, ("fit",)),
     _Option("length_weighted", False, bool, _INGEST),
     _Option("compass", False, bool, _INGEST,
             "treat raw bearings as compass (0=N, clockwise)"),
@@ -112,42 +113,53 @@ def _coerce(option, value: str):
     return option.kind(value)
 
 
+def not_utf8(path: str, exc: UnicodeDecodeError) -> InputFormatError:
+    """The input error of a file that is not UTF-8 text: it names the file
+    and the first byte that does not decode."""
+    return InputFormatError(f"{path}: byte 0x{exc.object[exc.start]:02x} "
+                            f"is not UTF-8 ({exc.reason})")
+
+
 def _parse_config_file(path: str) -> dict:
+    """The settings of the config file at ``path``; each error names the
+    file, and the line where there is one."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
     data = {}
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputFormatError(
-                    f"config line {lineno}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise InputFormatError(
-                    f"config line {lineno}: unknown config key {key!r}"
-                )
-            try:
-                data[key] = _coerce(_FIELDS[key], value.strip())
-            except ValueError as exc:
-                raise InputFormatError(
-                    f"config line {lineno}: bad value for {key}: {exc}"
-                ) from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path} line {lineno}"
+        if "=" not in line:
+            raise InputFormatError(
+                f"{where}: expected key=value, got {line!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise InputFormatError(
+                f"{where}: unknown config key {key!r}"
+            )
+        try:
+            data[key] = _coerce(_FIELDS[key], value.strip())
+        except ValueError as exc:
+            raise InputFormatError(
+                f"{where}: bad value for {key}: {exc}"
+            ) from exc
     return data
 
 
-def resolve_config(args: argparse.Namespace) -> tuple:
-    """Merge defaults, config file, and explicit CLI flags.
-
-    Returns (config, explicitly_set_names).
-    """
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration: CLI flags over config-file entries over
+    defaults."""
     provided = {name: getattr(args, name) for name in _FIELDS
                 if getattr(args, name, None) is not None}
     file_keys = _parse_config_file(args.config) if args.config else {}
-    cfg = RunConfig()._replace(**file_keys)._replace(**provided)
-    return cfg, set(provided) | set(file_keys)
+    return RunConfig()._replace(**file_keys)._replace(**provided)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -129,6 +129,16 @@ class TestBuildHistogram:
         with pytest.raises(ValueError):
             build_histogram([0.0, 1.0], weights=[1.0, -0.5], bin_count=4)
 
+    @pytest.mark.parametrize("angles, weights, message", [
+        ([0.0, math.nan], None, "angles must be finite"),
+        ([-math.inf], [1.0], "angles must be finite"),
+        ([0.0, 1.0], [1.0], "weights must match angles in length"),
+    ], ids=["nan-angle", "infinite-angle", "short-weights"])
+    def test_bad_arguments_are_named(self, angles, weights, message):
+        with pytest.raises(ValueError) as err:
+            build_histogram(angles, weights=weights, bin_count=4)
+        assert str(err.value) == message
+
     @given(st.lists(st.floats(min_value=0.0, max_value=10.0,
                               allow_nan=False), min_size=1, max_size=50),
            st.integers(min_value=1, max_value=64))
@@ -294,6 +304,16 @@ class TestAngularHistogramType:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             AngularHistogram(2, [0.6, 0.6])
+
+    @pytest.mark.parametrize("bin_count, values, message", [
+        (0, [], "bin_count must be >= 1"),
+        (2, [0.5, math.nan], "histogram values must be finite"),
+        (2, [math.inf, 0.5], "histogram values must be finite"),
+    ], ids=["no-bins", "nan", "infinite"])
+    def test_bad_arguments_are_named(self, bin_count, values, message):
+        with pytest.raises(ValueError) as err:
+            AngularHistogram(bin_count, values)
+        assert str(err.value) == message
 
     def test_normalization_error_writes_the_sum_as_a_float(self):
         # numpy 2 writes a float64 scalar's repr as np.float64(8.0)

@@ -1051,40 +1051,24 @@ class TestPredictCommand:
         rad = capsys.readouterr().out.strip()
         assert deg == rad
 
-    def test_spec_mismatch_exits_4(self, tmp_path, simulated):
-        fit_out = tmp_path / "fit"
-        assert main(["fit", "--trips", str(simulated / "trips.csv"),
-                     "--demand-hist", str(simulated / "demand_hist.csv"),
-                     "--network-hist", str(simulated / "network_hist.csv"),
-                     "--lower-cut", "0", "--upper-cut", "0",
-                     "--output-dir", str(fit_out)]) == 0
-        code = main(["predict", "--model", str(fit_out / "model.json"),
-                     "--theta", "1.0", "--k", "4"])
-        assert code == 4
-
-    @pytest.mark.parametrize("given, config, said", [
-        (["--k", "4"], None, "--k 4 does not match the model (8)"),
-        ([], "k_max = 4", "config key k_max=4 does not match the model (8)"),
-        (["--bins", "16"], "bins = 32",
-         "--bins 16 does not match the model (32)"),
-        (["--no-point-symmetric"], None,
-         "--no-point-symmetric does not match the model (True)"),
-    ], ids=["flag", "config", "flag-over-config", "boolean-flag"])
-    def test_spec_mismatch_names_how_the_value_was_given(
-            self, tmp_path, capsys, simulated, given, config, said):
+    def test_model_shape_config_keys_are_ignored(self, tmp_path, capsys,
+                                                 simulated):
         fit_out = tmp_path / "fit"
         assert main(["fit", "--trips", str(simulated / "trips.csv"),
                      "--demand-hist", str(simulated / "demand_hist.csv"),
                      "--network-hist", str(simulated / "network_hist.csv"),
                      "--output-dir", str(fit_out)]) == 0
         argv = ["predict", "--model", str(fit_out / "model.json"),
-                "--theta", "1.0", *given]
-        if config is not None:
-            (tmp_path / "run.cfg").write_text(config + "\n")
-            argv += ["--config", str(tmp_path / "run.cfg")]
+                "--theta", "1.0", "--theta", "-2.5"]
         capsys.readouterr()
-        assert main(argv) == 4
-        assert capsys.readouterr().err == f"error: {said}\n"
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        # the model is K=8, 32 bins, point symmetric; predict reads its
+        # shape from model.json and ignores these keys
+        (tmp_path / "run.cfg").write_text(
+            "k_max=4\nbins=16\npoint_symmetric=false\n")
+        assert main(argv + ["--config", str(tmp_path / "run.cfg")]) == 0
+        assert capsys.readouterr() == expected
 
     def test_bad_theta_exits_2(self, tmp_path):
         model = self.make_uniform_model(tmp_path)
@@ -1270,6 +1254,30 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys, marked):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("bad", ["trips", "network", "config", "histogram"])
+def test_undecodable_byte_names_its_file(tmp_path, capsys, bad):
+    inputs = {
+        "trips": trips_csv(tmp_path),
+        "network": grid_network_csv(tmp_path),
+        "config": tmp_path / "run.cfg",
+        "histogram": uniform_hist_csv(tmp_path, bins=16),
+    }
+    inputs["config"].write_text("# run\nbins = 16\nlower_cut = 0\n")
+    lines = inputs[bad].read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    inputs[bad].write_bytes(b"".join(lines))
+    argv = ["--trips", str(inputs["trips"]), "--config", str(inputs["config"]),
+            "--output-dir", str(tmp_path / "o")]
+    if bad == "histogram":
+        argv = ["fit", *argv, "--demand-hist", str(inputs["histogram"]),
+                "--network", str(inputs["network"]), "--k", "2"]
+    else:
+        argv = ["hist", *argv, "--network", str(inputs["network"])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {inputs[bad]}: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
 @pytest.mark.parametrize("marked", ["scenario", "model"])
 def test_json_byte_order_mark_is_dropped(tmp_path, capsys, marked):
     scenario = tmp_path / "scenario.json"
@@ -1428,14 +1436,15 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("text, message", [
         ("# run\nbins=16\ncompass=maybe\n",
-         "config line 3: bad value for compass: not a boolean: 'maybe'"),
-        ("\nbogus=1\n", "config line 2: unknown config key 'bogus'"),
+         "run.cfg line 3: bad value for compass: not a boolean: 'maybe'"),
+        ("\nbogus=1\n", "run.cfg line 2: unknown config key 'bogus'"),
     ], ids=["not-a-boolean", "unknown-key"])
-    def test_config_errors_name_their_line(self, tmp_path, capsys, text,
-                                           message):
+    def test_config_errors_name_their_line(self, tmp_path, capsys,
+                                           monkeypatch, text, message):
+        monkeypatch.chdir(tmp_path)
         config = tmp_path / "run.cfg"
         config.write_text(text)
-        assert main(["hist", "--config", str(config),
+        assert main(["hist", "--config", "run.cfg",
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
@@ -1455,7 +1464,7 @@ class TestConfigFile:
                      "--config", str(config), "--output-dir", str(out)])
         key, value = line.split("=")
         assert code == 2
-        assert (f"config line 1: bad value for {key}: expected one of"
+        assert (f"{config} line 1: bad value for {key}: expected one of"
                 in capsys.readouterr().err)
         assert not out.exists()
         with pytest.raises(SystemExit) as exc:
@@ -1476,8 +1485,7 @@ COMMAND_FLAGS = {
             "--strict-rank", "--mask", "--baseline", "--curve-grid",
             "--dump-design"],
     "simulate": ["--config", "--output-dir", "--seed", "--scenario"],
-    "predict": ["--config", "--k", "--bins", "--point-symmetric", "--model",
-                "--theta", "--degrees"],
+    "predict": ["--config", "--model", "--theta", "--degrees"],
 }
 
 # field: (flag arguments, config line, the non-default value both give)
@@ -1541,22 +1549,19 @@ class TestOptionTable:
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
         parser = build_parser()
-        from_flag, flag_keys = resolve_config(
-            parser.parse_args([command, *argv]))
-        from_file, file_keys = resolve_config(
+        from_flag = resolve_config(parser.parse_args([command, *argv]))
+        from_file = resolve_config(
             parser.parse_args([command, "--config", str(config)]))
         assert from_flag == from_file
         assert getattr(from_flag, field_name) == value
         assert value != getattr(RunConfig(), field_name)
-        assert flag_keys == file_keys == {field_name}
 
     def test_config_seed_none_resets_the_seed(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("seed=5\nseed=none\n")
-        cfg, keys = resolve_config(build_parser().parse_args(
+        cfg = resolve_config(build_parser().parse_args(
             ["simulate", "--config", str(config)]))
         assert cfg.seed is None
-        assert keys == {"seed"}
 
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_unread_flags_exit_2_writing_nothing(self, tmp_path, capsys,

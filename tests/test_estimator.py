@@ -151,6 +151,25 @@ class TestOlsProperties:
         assert scaled.r_squared == pytest.approx(base.r_squared, abs=1e-10)
         assert scaled.f_statistic == pytest.approx(base.f_statistic, rel=1e-10)
 
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_power_of_two_scale_is_exact(self, exponent):
+        # y * 2**1000 squares beyond the float range and y * 2**-1000 to 0;
+        # the fit must not see the unit of y
+        rng = np.random.default_rng(9)
+        X, y = random_instance(rng, 2 * BLOCK_ROWS + 7, 6)
+        base = ols_fit(X, y)
+        scaled = ols_fit(X, np.ldexp(y, exponent))
+        for name in ("t_values", "p_values", "gamma_t_value", "gamma_p_value",
+                     "r_squared", "f_statistic", "prob_f", "rank"):
+            np.testing.assert_array_equal(getattr(scaled, name),
+                                          getattr(base, name), err_msg=name)
+        np.testing.assert_array_equal(scaled.params(),
+                                      np.ldexp(base.params(), exponent))
+        np.testing.assert_array_equal(
+            [scaled.gamma_std_error, *scaled.std_errors],
+            np.ldexp([base.gamma_std_error, *base.std_errors], exponent))
+        assert 0.5 < base.r_squared < 1.0
+
     def test_fitted_plus_residuals_is_y(self):
         rng = np.random.default_rng(8)
         X, y = random_instance(rng, 60, 3)

@@ -123,6 +123,16 @@ class TestReconstructCurve:
         assert str(err.value) == (
             "curve grid must be an even number >= 8, got 9")
 
+    @pytest.mark.parametrize("coefficients, kind, message", [
+        (np.zeros(len(NAMES)), "gamma", "kind must be 'alpha' or 'beta'"),
+        (np.zeros(len(NAMES) - 1), "alpha",
+         "column_names and coefficients must align"),
+    ], ids=["kind", "misaligned"])
+    def test_bad_arguments_are_named(self, coefficients, kind, message):
+        with pytest.raises(ValueError) as err:
+            reconstruct_curve(NAMES, coefficients, kind=kind)
+        assert str(err.value) == message
+
     def test_unrecognized_column_name_rejected(self):
         with pytest.raises(ValueError) as err:
             reconstruct_curve(("a_c1", "x1"), [1.0, 2.0])
@@ -435,3 +445,15 @@ class TestInfluenceCurveType:
         with pytest.raises(ValueError):
             InfluenceCurve(offsets=np.array([0.0, 1.0]),
                            values=np.array([1.0, 2.0]), kind="delta")
+
+    @pytest.mark.parametrize("offsets, values, message", [
+        ([0.0, 1.0], [1.0], "offsets and values must be 1-D and equally long"),
+        ([[0.0, 1.0]], [[1.0, 2.0]],
+         "offsets and values must be 1-D and equally long"),
+        ([0.0, 1.0], [1.0, math.nan], "curve values must be finite"),
+        ([0.0, 1.0], [-math.inf, 1.0], "curve values must be finite"),
+    ], ids=["unequal", "two-dimensional", "nan", "infinite"])
+    def test_bad_arguments_are_named(self, offsets, values, message):
+        with pytest.raises(ValueError) as err:
+            InfluenceCurve(offsets=offsets, values=values)
+        assert str(err.value) == message

@@ -1,8 +1,10 @@
-"""SVG bytes do not depend on the numpy version."""
+"""SVG bytes do not depend on the numpy version; bad arguments are
+refused."""
 
 import numpy as np
+import pytest
 
-from pacerose.rose_svg import rose_svg
+from pacerose.rose_svg import curve_svg, rose_svg
 
 
 def test_max_value_is_written_as_a_plain_float():
@@ -26,3 +28,20 @@ def test_two_bins_are_two_half_discs():
     assert svg.count("<path") == 2
     assert ('<path d="M 210.0 210.0 L 120.000 210.000 '
             'A 90.000 90.000 0 0 0 300.000 210.000 Z"' in svg)
+
+
+@pytest.mark.parametrize("values", [[], [0.5, -0.25]],
+                         ids=["empty", "negative"])
+def test_rose_needs_nonnegative_values(values):
+    with pytest.raises(ValueError) as err:
+        rose_svg(values, "t")
+    assert str(err.value) == "rose_svg needs at least one nonnegative value"
+
+
+@pytest.mark.parametrize("offsets, values", [([0.0, 1.0], [1.0]),
+                                             ([0.0], [1.0])],
+                         ids=["unequal", "one-point"])
+def test_curve_needs_two_matching_points(offsets, values):
+    with pytest.raises(ValueError) as err:
+        curve_svg(offsets, values, "t")
+    assert str(err.value) == "curve_svg needs matching offsets and values"

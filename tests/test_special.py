@@ -137,6 +137,9 @@ class TestFPValue:
     def test_zero_statistic(self):
         assert f_p_value(0.0, 3, 7) == 1.0
 
+    def test_infinite_statistic(self):
+        assert f_p_value(math.inf, 3, 7) == 0.0
+
     def test_reference_fit_prob(self):
         # dof from 10969 samples and 25 parameters
         assert f_p_value(302.8, 24, 10944) < 1e-6
@@ -159,3 +162,17 @@ class TestFPValue:
         assert f_p_value(t * t, 1, dof) == pytest.approx(
             t_p_value(t, dof), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (regularized_incomplete_beta, (1.0, 1.0, math.nan), "x must not be NaN"),
+    (t_p_value, (math.nan, 5), "t must not be NaN"),
+    (t_p_value, (1.0, 0), "dof must be >= 1"),
+    (f_p_value, (math.nan, 3, 7), "f_value must not be NaN"),
+    (f_p_value, (1.0, 0, 7), "dof1 and dof2 must be >= 1"),
+    (f_p_value, (1.0, 3, 0), "dof1 and dof2 must be >= 1"),
+], ids=["beta-nan-x", "t-nan", "t-dof", "f-nan", "f-dof1", "f-dof2"])
+def test_bad_arguments_are_named(function, args, message):
+    with pytest.raises(ValueError) as err:
+        function(*args)
+    assert str(err.value) == message

@@ -155,6 +155,11 @@ class TestGeneratePaces:
         assert n_clamped == 0
         np.testing.assert_allclose(paces, 155.0, atol=1e-10)
 
+    def test_no_directions_rejected(self, scenario):
+        with pytest.raises(ValueError) as err:
+            generate_paces([], scenario)
+        assert str(err.value) == "directions must be nonempty"
+
     def test_noiseless_exact_recovery(self, scenario):
         thetas = sample_directions(scenario)
         paces, n_clamped = generate_paces(thetas, scenario)
@@ -505,6 +510,16 @@ class TestHarmonicHistogram:
             harmonic_histogram(32, [0.1, 0.1], [0.0, 0.0],
                                point_symmetric=True)
 
+    @pytest.mark.parametrize("bins, cos, sin, message", [
+        (8, [0.0, 0.1], [0.0], "amplitude vectors must have equal length"),
+        (9, [0.0, 0.1], [0.0, 0.0],
+         "point symmetry requires an even bin count"),
+    ], ids=["unequal-amplitudes", "odd-bins"])
+    def test_bad_arguments_are_named(self, bins, cos, sin, message):
+        with pytest.raises(ValueError) as err:
+            harmonic_histogram(bins, cos, sin, point_symmetric=True)
+        assert str(err.value) == message
+
 
 class TestScenarioValidation:
     def test_too_few_trips_rejected(self):
@@ -534,6 +549,15 @@ class TestScenarioValidation:
         kwargs[field] = value
         with pytest.raises(ValueError, match="finite"):
             SyntheticScenario(**kwargs)
+
+    def test_wrong_beta_length_rejected(self):
+        with pytest.raises(ValueError) as err:
+            SyntheticScenario(
+                spec=STANDARD_SPEC, gamma=1.0, alpha=np.zeros(16),
+                beta=np.zeros(16), demand_hist=standard_demand(),
+                network_hist=standard_network(), n_trips=100,
+            )
+        assert str(err.value) == "beta length must match the network columns"
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
