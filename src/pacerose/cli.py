@@ -2,13 +2,14 @@
 
 The options, their defaults and the argument parser live in ``options``,
 which needs only the standard library; this module holds the commands.
-Each command returns its output files, as (name, text) pairs in writing
-order, and its standard output; ``_run`` writes both, so a command that
-fails while it builds them writes nothing.
+Each input file is read, and its content checked, in one call of
+``errors.read_input``, so every error about it names the file. Each
+command returns its output files, as (name, text) pairs in writing order,
+and its standard output; ``_run`` writes both, atomically (temp file plus
+rename), so a command that fails while it builds them writes nothing.
 
 Exit codes: 0 ok, 2 input error (also a size option too large to
 allocate), 3 insufficient data, 4 numerical or model-compatibility error.
-Output files are written atomically (temp file plus rename).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     NumericalError,
     PaceroseError,
     RankDeficiencyError,
+    read_input,
 )
 from .estimator import ols_fit, report_rows, row_blocks, significance_mask
 # build_design_matrix is not called here, but the benchmark's traced run
@@ -61,7 +63,6 @@ from .options import (
     RunConfig,
     _parse_args,
     build_parser,
-    not_utf8,
     resolve_config,
 )
 from .rose_svg import curve_svg, rose_svg
@@ -91,25 +92,9 @@ def _histogram_files(demand: AngularHistogram, network: AngularHistogram):
                                               ("network", network))]
 
 
-def _read_csv(path: str, parse, *args):
-    """``parse(file, *args)`` of the CSV file at ``path``; its input errors,
-    an undecodable byte among them, name the file."""
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            return parse(f, *args)
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
-    except InputFormatError as exc:
-        # "<path> row 4: ..." for a row, "<path>: ..." for the whole file
-        sep = " " if str(exc).startswith("row ") else ": "
-        raise InputFormatError(f"{path}{sep}{exc}") from None
-
-
-def _load_trips(cfg: RunConfig):
-    """Directions and paces of the trips in ``cfg.trips``."""
-    if not cfg.trips:
-        raise InputFormatError("no trip file given (--trips)")
-    trips = _read_csv(cfg.trips, parse_trips, cfg.lonlat)
+def _trips(f, cfg: RunConfig):
+    """Directions and paces of the moving trips in the trip file ``f``."""
+    trips = parse_trips(f, cfg.lonlat)
     theta, moving = directions(trips, lonlat=cfg.lonlat, compass=cfg.compass)
     skipped = len(trips) - theta.size
     if skipped:
@@ -119,13 +104,9 @@ def _load_trips(cfg: RunConfig):
     return theta, trips[moving, 4] / trips[moving, 5]
 
 
-def _load_network_histogram(cfg: RunConfig, classes: set) -> AngularHistogram:
-    if cfg.network_hist:
-        return _read_csv(cfg.network_hist, parse_histogram, cfg.bins)
-    if not cfg.network:
-        raise InputFormatError("need a network input (--network or "
-                               "--network-hist)")
-    segments = _read_csv(cfg.network, parse_network, classes, cfg.lonlat)
+def _network(f, cfg: RunConfig, classes: set) -> AngularHistogram:
+    """The road-orientation histogram of the edges in the edge file ``f``."""
+    segments = parse_network(f, classes, cfg.lonlat)
     return network_orientation_histogram(
         segments, bins=cfg.bins, length_weighted=cfg.length_weighted,
         compass=cfg.compass, lonlat=cfg.lonlat)
@@ -152,15 +133,23 @@ def _inputs(cfg: RunConfig):
         )
     classes = _validated(road_class_filter, names)
     os.makedirs(cfg.output_dir, exist_ok=True)  # a bad path fails before work
-    theta, paces = _load_trips(cfg)
+    if not cfg.trips:
+        raise InputFormatError("no trip file given (--trips)")
+    theta, paces = read_input(cfg.trips, _trips, cfg)
     kept = percentile_filter(paces, policy)
     if cfg.demand_hist:
-        demand = _read_csv(cfg.demand_hist, parse_histogram, cfg.bins)
+        demand = read_input(cfg.demand_hist, parse_histogram, cfg.bins)
     else:
         source = theta if cfg.demand_from == "all" else theta[kept]
         demand = build_histogram(source, bin_count=cfg.bins)
-    return (theta[kept], paces[kept], demand,
-            _load_network_histogram(cfg, classes))
+    if cfg.network_hist:
+        network = read_input(cfg.network_hist, parse_histogram, cfg.bins)
+    elif cfg.network:
+        network = read_input(cfg.network, _network, cfg, classes)
+    else:
+        raise InputFormatError("need a network input (--network or "
+                               "--network-hist)")
+    return theta[kept], paces[kept], demand, network
 
 
 def cmd_hist(cfg: RunConfig):
@@ -260,7 +249,8 @@ def cmd_fit(cfg: RunConfig):
 def cmd_simulate(cfg: RunConfig):
     if not cfg.scenario:
         raise InputFormatError("simulate needs --scenario")
-    scenario = scenario_from_dict(json_object(cfg.scenario))
+    scenario = read_input(cfg.scenario,
+                          lambda f: scenario_from_dict(json_object(f)))
     if cfg.seed is not None:
         scenario = _validated(replace, scenario, seed=cfg.seed)
 

@@ -1,5 +1,6 @@
 """Output files written whole or not at all, CSV text with one cell format,
-and JSON files and values read strictly."""
+and JSON objects and values read strictly from files ``errors.read_input``
+opens, which names the file in each error."""
 
 from __future__ import annotations
 
@@ -30,18 +31,18 @@ def _is_kind(value, kind) -> bool:
     return type(value) is kind
 
 
-def json_object(path) -> dict:
-    """The JSON object in the UTF-8 file at ``path``, with or without a byte
-    order mark. ``Infinity`` reads as a float: an exact fit's model holds
-    infinite t values. Raises InputFormatError naming ``path`` otherwise."""
-    with open(path, encoding="utf-8-sig") as f:
-        try:
-            payload = json.load(f)
-        except (ValueError, RecursionError) as exc:
-            raise InputFormatError(f"{path}: not valid JSON: {exc}") from exc
+def json_object(f) -> dict:
+    """The JSON object in the text file ``f``. ``Infinity`` reads as a
+    float: an exact fit's model holds infinite t values. Raises
+    InputFormatError otherwise; ``errors.read_input`` names the file."""
+    text = f.read()  # a byte that does not decode is not a JSON ValueError
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise InputFormatError(f"{path}: expected a JSON object, got "
-                               f"{type(payload).__name__}")
+        raise InputFormatError(
+            f"expected a JSON object, got {type(payload).__name__}")
     return payload
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import AngularHistogram, require_size
-from .errors import InputFormatError, SpecMismatchError
+from .errors import InputFormatError, SpecMismatchError, read_input
 from .estimator import FitResult, t_statistics
 from .features import ModelSpec, fourier_basis, model_signal
 from .files import json_object, json_value, write_atomic
@@ -262,7 +262,7 @@ def _model_numbers(payload: dict, key: str, shape, low=-math.inf,
 def load_model(path):
     """Load a model written by save_model.
 
-    Returns (fit, spec, demand_hist, network_hist).
+    Returns (fit, spec, demand_hist, network_hist); each error names ``path``.
 
     Raises
     ------
@@ -275,7 +275,12 @@ def load_model(path):
     SpecMismatchError
         On an unknown format, or column names or histograms the spec refuses.
     """
-    payload = json_object(path)
+    return read_input(path, _model)
+
+
+def _model(f):
+    """``load_model`` of the open model file ``f``."""
+    payload = json_object(f)
     try:
         if payload.get("format") != MODEL_FORMAT:
             raise SpecMismatchError(
@@ -314,9 +319,7 @@ def load_model(path):
         network_hist = AngularHistogram(
             spec.bins, _model_numbers(payload, "network_hist", (spec.bins,)))
         spec.check_histograms(demand_hist, network_hist)
-    except SpecMismatchError as exc:
-        raise SpecMismatchError(f"{path}: {exc}") from None
     except (ValueError, OverflowError) as exc:
         # OverflowError: a dof_residual beyond the float range
-        raise InputFormatError(f"{path}: invalid model: {exc}") from exc
+        raise InputFormatError(f"invalid model: {exc}") from exc
     return fit, spec, demand_hist, network_hist

@@ -10,7 +10,8 @@ default, reader, the commands that read it, help text, flag and choices.
 ``RunConfig`` is the namedtuple of those keys and defaults. A command
 offers only the flags it reads, so any other flag is a usage error (exit
 2); a config file may set any option on every command, and a command
-ignores the keys it does not read. ``predict`` reads K, the bin count and
+ignores the keys it does not read. A config file's errors name the file
+and line (``errors.read_input``). ``predict`` reads K, the bin count and
 point symmetry from its ``model.json`` alone.
 
 Nothing here imports numpy, ``dataclasses`` or ``inspect``, so
@@ -23,7 +24,7 @@ import re
 import sys
 from collections import namedtuple
 
-from .errors import InputFormatError
+from .errors import InputFormatError, read_input
 
 __all__ = ["RunConfig", "build_parser", "resolve_config"]
 
@@ -113,43 +114,26 @@ def _coerce(option, value: str):
     return option.kind(value)
 
 
-def not_utf8(path: str, exc: UnicodeDecodeError) -> InputFormatError:
-    """The input error of a file that is not UTF-8 text: it names the file
-    and the first byte that does not decode."""
-    return InputFormatError(f"{path}: byte 0x{exc.object[exc.start]:02x} "
-                            f"is not UTF-8 ({exc.reason})")
-
-
-def _parse_config_file(path: str) -> dict:
-    """The settings of the config file at ``path``; each error names the
-    file, and the line where there is one."""
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise not_utf8(path, exc) from None
+def _settings(f) -> dict:
+    """The settings of the config file ``f``; each error names the line."""
     data = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(f.read().split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"{path} line {lineno}"
+        where = f"line {lineno}"
         if "=" not in line:
-            raise InputFormatError(
-                f"{where}: expected key=value, got {line!r}"
-            )
+            raise InputFormatError(f"{where}: expected key=value, "
+                                   f"got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise InputFormatError(
-                f"{where}: unknown config key {key!r}"
-            )
+            raise InputFormatError(f"{where}: unknown config key {key!r}")
         try:
             data[key] = _coerce(_FIELDS[key], value.strip())
         except ValueError as exc:
             raise InputFormatError(
-                f"{where}: bad value for {key}: {exc}"
-            ) from exc
+                f"{where}: bad value for {key}: {exc}") from exc
     return data
 
 
@@ -158,7 +142,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     defaults."""
     provided = {name: getattr(args, name) for name in _FIELDS
                 if getattr(args, name, None) is not None}
-    file_keys = _parse_config_file(args.config) if args.config else {}
+    file_keys = read_input(args.config, _settings) if args.config else {}
     return RunConfig()._replace(**file_keys)._replace(**provided)
 
 

@@ -142,7 +142,8 @@ class TestHistCommand:
         assert main(["hist", "--trips", str(trips), "--network", str(network),
                      "--bins", "4", "--lower-cut", "0", "--upper-cut", "0",
                      weights, "--output-dir", str(tmp_path / "o")]) == code
-        assert capsys.readouterr().err == err
+        assert capsys.readouterr().err == err.replace(
+            "error: ", f"error: {network}: ")
 
     def test_class_filter_affects_network_histogram(self, tmp_path):
         trips = trips_csv(tmp_path)
@@ -359,8 +360,8 @@ class TestSimulateCommand:
             where = "network_hist: "
         assert code == 2
         assert captured.out == ""
-        assert captured.err == (f"error: invalid scenario: {where}{key} must "
-                                f"be a JSON {kind}, got {got!r}\n")
+        assert captured.err == (f"error: {bad}: invalid scenario: {where}"
+                                f"{key} must be a JSON {kind}, got {got!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["demand_hist", "network_hist"])
@@ -381,7 +382,8 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: invalid scenario: {key}: {message}\n"
+        assert captured.err == (f"error: {bad}: invalid scenario: {key}: "
+                                f"{message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["gamma", "alpha", "n_trips",
@@ -397,7 +399,8 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: invalid scenario: missing key {key}\n"
+        assert captured.err == (f"error: {bad}: invalid scenario: missing key "
+                                f"{key}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -799,6 +802,41 @@ def test_bad_trip_or_edge_row_names_its_file(tmp_path, capsys, bad, row,
                  "--output-dir", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {paths[bad]} row 3: {message}\n"
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("scenario-without-gamma", 2, "invalid scenario: missing key gamma"),
+    ("only-trip-degenerate", 2, "no trips"),
+    ("lengths-overflow", 2, "segment weights sum to inf; lengths must sum "
+     "to a positive finite number"),
+    ("class-filter-keeps-no-edge", 3,
+     "no usable segments for the network histogram"),
+], ids=["scenario-without-gamma", "only-trip-degenerate", "lengths-overflow",
+        "class-filter-keeps-no-edge"])
+def test_whole_file_errors_name_their_file(tmp_path, capsys, case, code,
+                                           message):
+    paths = {"trips": trips_csv(tmp_path),
+             "network": grid_network_csv(tmp_path)}
+    argv = ["hist", "--trips", str(paths["trips"]),
+            "--network", str(paths["network"])]
+    if case == "scenario-without-gamma":
+        paths["scenario"] = tmp_path / "scenario.json"
+        paths["scenario"].write_text(json.dumps(
+            {k: v for k, v in scenario_payload().items() if k != "gamma"}))
+        argv = ["simulate", "--scenario", str(paths["scenario"])]
+    elif case == "only-trip-degenerate":
+        paths["trips"].write_text(TRIP_HEADER + "\n5,5,5,5,60,1\n")
+    elif case == "lengths-overflow":
+        paths["network"].write_text(NET_HEADER + "\n-1e308,0,1e308,0,primary"
+                                    "\n0,0,1,1,primary\n")
+        argv.append("--length-weighted")
+    else:
+        argv += ["--class-filter", "motorway"]
+    bad = {"scenario-without-gamma": "scenario",
+           "only-trip-degenerate": "trips"}.get(case, "network")
+    assert main([*argv, "--output-dir", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"error: {paths[bad]}: {message}\n"
+    assert not any((tmp_path / "o").glob("*"))
 
 
 def city_rows(seed):
@@ -1254,21 +1292,31 @@ def test_byte_order_mark_is_dropped(tmp_path, capsys, marked):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("bad", ["trips", "network", "config", "histogram"])
+@pytest.mark.parametrize("bad", ["trips", "network", "config", "histogram",
+                                 "scenario", "model"])
 def test_undecodable_byte_names_its_file(tmp_path, capsys, bad):
     inputs = {
         "trips": trips_csv(tmp_path),
         "network": grid_network_csv(tmp_path),
         "config": tmp_path / "run.cfg",
         "histogram": uniform_hist_csv(tmp_path, bins=16),
+        "scenario": tmp_path / "scenario.json",
+        "model": tmp_path / "model.json",
     }
     inputs["config"].write_text("# run\nbins = 16\nlower_cut = 0\n")
+    for name in ("scenario", "model"):
+        inputs[name].write_text(json.dumps(scenario_payload(), indent=1))
     lines = inputs[bad].read_bytes().splitlines(keepends=True)
     lines[2] = b"\xff" + lines[2]
     inputs[bad].write_bytes(b"".join(lines))
     argv = ["--trips", str(inputs["trips"]), "--config", str(inputs["config"]),
             "--output-dir", str(tmp_path / "o")]
-    if bad == "histogram":
+    if bad == "scenario":
+        argv = ["simulate", "--scenario", str(inputs["scenario"]),
+                "--output-dir", str(tmp_path / "o")]
+    elif bad == "model":
+        argv = ["predict", "--model", str(inputs["model"]), "--theta", "1"]
+    elif bad == "histogram":
         argv = ["fit", *argv, "--demand-hist", str(inputs["histogram"]),
                 "--network", str(inputs["network"]), "--k", "2"]
     else:

@@ -86,22 +86,26 @@ FILES = {
     "not_json.json": "{",
     "fractional_trips.json": '{"k_max": 2, "bins": 8, "n_trips": 50.5}',
     "empty_model.json": "{}",
+    # a byte that is not UTF-8 in a CSV, config and JSON file
+    "not_utf8.csv": b"bin,center_rad,value\n0,1,\xff\n",
+    "not_utf8.cfg": b"bins = \xff8\n",
+    "not_utf8.json": b'{"k_max": "\xff"}',
 }
 
 PATHS = {
     "--trips": ["trips.csv", "bad_trips.csv", "few_trips.csv",
-                "missing.csv", "."],
-    "--network": ["network.csv", "trips.csv", "missing.csv"],
+                "not_utf8.csv", "missing.csv", "."],
+    "--network": ["network.csv", "trips.csv", "not_utf8.csv", "missing.csv"],
     "--network-hist": ["hist8.csv", "hist4.csv", "repeated_bin.csv",
                        "nan_value.csv", "quoted.csv", "open_quote.csv",
                        "zero_sum.csv", "missing_bin.csv", "header_only.csv",
-                       "empty.csv", "missing.csv"],
+                       "empty.csv", "not_utf8.csv", "missing.csv"],
     "--config": ["good.cfg", "bad_key.cfg", "bad_value.cfg", "no_equals.cfg",
-                 "missing.cfg"],
+                 "not_utf8.cfg", "missing.cfg"],
     "--scenario": ["scenario.json", "list.json", "not_json.json",
-                   "fractional_trips.json", "missing.json"],
+                   "fractional_trips.json", "not_utf8.json", "missing.json"],
     "--model": ["fit/model.json", "huge_k_model.json", "empty_model.json",
-                "scenario.json", "missing.json"],
+                "scenario.json", "not_utf8.json", "missing.json"],
     "--output-dir": ["out", "trips.csv", "trips.csv/out"],
 }
 PATHS["--demand-hist"] = PATHS["--network-hist"]
@@ -147,7 +151,10 @@ def in_work(work, argv):
 def work(tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     for name, text in FILES.items():
-        (work / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (work / name).write_bytes(text)
+        else:
+            (work / name).write_text(text, encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(in_work(work, ["fit", *BASE["fit"],
                                    "--output-dir", "@fit"])) == 0
@@ -280,6 +287,23 @@ def assert_input_error(code, stderr):
     assert code == 2, stderr
     assert stderr.startswith("error: ")
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["hist", *BASE["hist"], "--trips", "@not_utf8.csv"], "not_utf8.csv"),
+    (["hist", *BASE["hist"], "--network", "@not_utf8.csv"], "not_utf8.csv"),
+    (["fit", *BASE["fit"], "--demand-hist", "@not_utf8.csv"], "not_utf8.csv"),
+    (["fit", *BASE["fit"], "--config", "@not_utf8.cfg"], "not_utf8.cfg"),
+    (["simulate", "--scenario", "@not_utf8.json"], "not_utf8.json"),
+    (["predict", "--model", "@not_utf8.json", "--theta", "1.0"],
+     "not_utf8.json"),
+], ids=["trips", "network", "histogram", "config", "scenario", "model"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(work, argv, name):
+    code, stderr, written = run_in(work, argv)
+    assert_input_error(code, stderr)
+    assert stderr == (f"error: {work / name}: byte 0xff is not UTF-8 "
+                      "(invalid start byte)\n")
+    assert written == []
 
 
 @pytest.mark.parametrize("command, renderer", [("fit", "curve_svg"),

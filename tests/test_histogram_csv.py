@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from pacerose import cli, ingest
+from pacerose import ingest
 from pacerose.angles import AngularHistogram
-from pacerose.errors import InputFormatError
+from pacerose.errors import InputFormatError, read_input
 
 HIST_HEADER = "bin,center_rad,value"
 
@@ -72,7 +72,7 @@ def reference_read_histogram_csv(path: str, bins: int) -> AngularHistogram:
 
 def read_histogram_csv(path, bins):
     """The CLI's reading of the histogram CSV file at ``path``."""
-    return cli._read_csv(path, ingest.parse_histogram, bins)
+    return read_input(path, ingest.parse_histogram, bins)
 
 
 def outcome(read, path, bins):

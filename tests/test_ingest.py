@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from pacerose import ingest
 from pacerose.angles import TWO_PI, build_histogram, wrap_angle
-from pacerose.cli import RunConfig, _load_trips
-from pacerose.errors import InputFormatError, InsufficientDataError
+from pacerose.cli import RunConfig, _trips
+from pacerose.errors import InputFormatError, InsufficientDataError, read_input
 from pacerose.ingest import (
     EARTH_RADIUS_M,
     ROAD_CLASSES,
@@ -814,8 +814,8 @@ class TestColumnarIngest:
     def load(tmp_dir, lines, lonlat, compass):
         path = tmp_dir / "trips.csv"
         path.write_text("\n".join(lines) + "\n")
-        return _load_trips(RunConfig(trips=str(path), lonlat=lonlat,
-                                     compass=compass))
+        return read_input(path, _trips, RunConfig(lonlat=lonlat,
+                                                  compass=compass))
 
     @settings(max_examples=60, deadline=None)
     @given(trip_files(), st.booleans(), st.data())
