@@ -32,13 +32,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
-# the fit's other output branches: the design matrix; the SVG baseline,
-# unmasked curves and a grid other than the default; the refusal of a
-# rank-deficient design (exit 4, nothing written), which every workload's
-# fit has; and a fit --strict-rank lets through, at K = 1, where the model
-# has no network term
-FIT_VARIANTS = (["--dump-design"],
-                ["--baseline", "min", "--no-mask", "--curve-grid", "50"],
+# the fit's other output branches: the SVG baseline, unmasked curves and
+# a grid other than the default; the refusal of a rank-deficient design
+# (exit 4, nothing written), which every workload's fit has; and a fit
+# --strict-rank lets through, at K = 1, where the model has no network term
+FIT_VARIANTS = (["--baseline", "min", "--no-mask", "--curve-grid", "50"],
                 ["--strict-rank"], ["--k", "1", "--strict-rank"])
 # the histograms' other branches: an odd bin count, whose mirror bins
 # theta + pi, and count weights in place of the workload's lengths

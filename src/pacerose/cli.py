@@ -33,7 +33,7 @@ from .errors import (
     RankDeficiencyError,
     read_input,
 )
-from .estimator import ols_fit, report_rows, row_blocks, significance_mask
+from .estimator import ols_fit, report_rows, significance_mask
 # build_design_matrix is not called here, but the benchmark's traced run
 # hooks it through this module and reports 3 of its metrics from that hook
 from .features import ModelSpec, build_design_matrix, fourier_design
@@ -186,15 +186,6 @@ def _summary_text(fit) -> str:
     )
 
 
-def _design_csv(design, y, column_names):
-    """The text of design_matrix.csv, ``[X y]`` with X the fit's design
-    without its intercept column, one block of rows at a time."""
-    yield csv_text((), column_names + ("pace",))
-    for start, stop in row_blocks(design.rows):
-        block = design.basis(start, stop) @ design.moments[:, 1:]
-        yield csv_text([*block.T, y[start:stop]])
-
-
 def cmd_fit(cfg: RunConfig):
     spec = _validated(ModelSpec, k_max=cfg.k_max, bins=cfg.bins,
                       network_point_symmetric=cfg.point_symmetric)
@@ -230,9 +221,6 @@ def cmd_fit(cfg: RunConfig):
                   (f"{kind}_curve.svg",
                    curve_svg(curve.offsets, plot_values, title))]
     files.append(("sign_report.txt", sign_text))
-    if cfg.dump_design:
-        files.append(("design_matrix.csv",
-                      _design_csv(design, y, spec.column_names)))
 
     text = _summary_text(fit) + sign_text
     if fit.dependent_columns:

@@ -125,8 +125,8 @@ class FactoredDesign:
 def row_blocks(rows: int):
     """(start, stop) of each block of BLOCK_ROWS of ``rows`` rows, for every
     loop over N rows of floats: the fit, the model signal, the noise draws
-    and the trip and design CSV writers. Ingest reads text in 4096-line
-    blocks (``ingest.BLOCK_ROWS``) to spread each parser call's fixed cost."""
+    and the trip CSV writer. Ingest reads text in 4096-line blocks
+    (``ingest.BLOCK_ROWS``) to spread each parser call's fixed cost."""
     for start in range(0, rows, BLOCK_ROWS):
         yield start, min(start + BLOCK_ROWS, rows)
 

@@ -70,8 +70,6 @@ _OPTIONS = (
             choices=("none", "min")),
     _Option("curve_grid", 256, int, ("fit",),
             "points per reconstructed curve"),
-    _Option("dump_design", False, bool, ("fit",),
-            "also write the design matrix CSV"),
     _Option("scenario", None, str, ("simulate",), "scenario JSON path"),
     _Option("model", None, str, ("predict",), "model.json written by fit"),
 )

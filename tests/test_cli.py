@@ -12,10 +12,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import RAW_ALPHA, RAW_BETA
-from pacerose import cli, estimator
+from pacerose import cli
 from pacerose.cli import RunConfig, build_parser, main, resolve_config
-from pacerose.features import ModelSpec, build_design_matrix
-from pacerose.ingest import directions, parse_histogram, parse_trips
+from pacerose.estimator import ols_fit
+from pacerose.features import build_design_matrix
+from pacerose.ingest import (
+    FilterPolicy,
+    directions,
+    parse_trips,
+    percentile_filter,
+)
+from pacerose.model import load_model
 
 TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 NET_HEADER = "ax,ay,bx,by,class"
@@ -546,35 +553,24 @@ class TestFitCommand:
         curve_lines = (out / "alpha_curve.csv").read_text().strip().splitlines()
         assert len(curve_lines) == 257  # header + 256 grid points
 
-    def test_dump_design(self, tmp_path, simulated):
-        code, out = self.fit(tmp_path, simulated, "--dump-design")
-        assert code == 0
-        header = (out / "design_matrix.csv").read_text().splitlines()[0]
-        assert header.startswith("a_c1,a_s1,")
-        assert header.endswith(",pace")
-
-    def test_dump_design_is_the_dense_design(self, tmp_path, simulated,
-                                             monkeypatch):
-        # blocks of 7 rows: the 2000 trips end in a short block of 5
-        monkeypatch.setattr(estimator, "BLOCK_ROWS", 7)
-        code, out = self.fit(tmp_path, simulated, "--dump-design")
-        assert code == 0
+    def test_design_rebuilt_from_trips_and_model(self, tmp_path, simulated):
+        # the README recipe, on the trips the default cuts keep
+        out = tmp_path / "fit"
+        assert main(["fit", "--trips", str(simulated / "trips.csv"),
+                     "--network-hist", str(simulated / "network_hist.csv"),
+                     "--output-dir", str(out)]) == 0
+        fit, spec, demand, network = load_model(out / "model.json")
         with open(simulated / "trips.csv") as f:
             trips = parse_trips(f)
         theta, moving = directions(trips, lonlat=False)
-        assert moving.all() and theta.size % 7 == 5
-        hists = []
-        for name in ("demand_hist.csv", "network_hist.csv"):
-            with open(simulated / name) as f:
-                hists.append(parse_histogram(f, 32))
-        spec = ModelSpec()
-        X, y = build_design_matrix(trips[:, 4] / trips[:, 5], theta, *hists,
+        paces = trips[moving, 4] / trips[moving, 5]
+        kept = percentile_filter(paces, FilterPolicy())
+        assert 0 < kept.size < paces.size
+        X, y = build_design_matrix(paces[kept], theta[kept], demand, network,
                                    spec)
-        # built apart from files.csv_text, the writer under test
-        expected = ",".join(spec.column_names + ("pace",)) + "\n" + "".join(
-            ",".join(map(repr, row)) + "\n"
-            for row in np.column_stack([X, y]).tolist())
-        assert (out / "design_matrix.csv").read_text() == expected
+        saved = fit.params()
+        assert np.max(np.abs(ols_fit(X, y).params() - saved)) <= (
+            1e-10 * np.max(np.abs(saved)))
 
     def test_doubled_durations_double_the_estimates_exactly(self, tmp_path):
         # scaling by a power of two is exact in floating point: the paces,
@@ -1486,7 +1482,9 @@ class TestConfigFile:
         ("# run\nbins=16\ncompass=maybe\n",
          "run.cfg line 3: bad value for compass: not a boolean: 'maybe'"),
         ("\nbogus=1\n", "run.cfg line 2: unknown config key 'bogus'"),
-    ], ids=["not-a-boolean", "unknown-key"])
+        ("dump_design=true\n",
+         "run.cfg line 1: unknown config key 'dump_design'"),
+    ], ids=["not-a-boolean", "unknown-key", "retired-key"])
     def test_config_errors_name_their_line(self, tmp_path, capsys,
                                            monkeypatch, text, message):
         monkeypatch.chdir(tmp_path)
@@ -1530,8 +1528,7 @@ COMMAND_FLAGS = {
             "--demand-hist", "--k", "--bins", "--lower-cut", "--upper-cut",
             "--class-filter", "--point-symmetric", "--length-weighted",
             "--compass", "--lonlat", "--demand-from", "--output-dir",
-            "--strict-rank", "--mask", "--baseline", "--curve-grid",
-            "--dump-design"],
+            "--strict-rank", "--mask", "--baseline", "--curve-grid"],
     "simulate": ["--config", "--output-dir", "--seed", "--scenario"],
     "predict": ["--config", "--model", "--theta", "--degrees"],
 }
@@ -1563,7 +1560,6 @@ FIELD_VALUES = {
     "mask_curves": (["--no-mask"], "mask_curves=off", False),
     "baseline": (["--baseline", "min"], "baseline=min", "min"),
     "curve_grid": (["--curve-grid", "64"], "curve_grid=64", 64),
-    "dump_design": (["--dump-design"], "dump_design=TRUE", True),
     "scenario": (["--scenario", "s.json"], "scenario=s.json", "s.json"),
     "model": (["--model", "m.json"], "model=m.json", "m.json"),
 }
@@ -1647,7 +1643,7 @@ class TestOptionTable:
             "length_weighted": "true", "compass": "false", "lonlat": "false",
             "demand_from": "filtered", "output_dir": tmp_path / "out",
             "seed": 3, "strict_rank": "false", "mask_curves": "false",
-            "baseline": "min", "curve_grid": 64, "dump_design": "false",
+            "baseline": "min", "curve_grid": 64,
             "scenario": scenario_file, "model": fit_out / "model.json",
         }
         assert sorted(values) == sorted(FIELD_VALUES)
