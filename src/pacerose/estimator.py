@@ -1,28 +1,27 @@
 """Ordinary least squares with inference statistics.
 
 Every design is given as ``[1 X] = G M``: a tall basis G (N x q) that is
-produced one block of rows at a time and a small matrix M (q x p). A dense
-X is the case G = [1 X], M = I; the model's Fourier design is the case
-G = F(theta), M = the histogram moments (see ``features.fourier_design``).
-The solver never holds [1 X]. It accumulates the R factor of [G y] block by
-block (each block is stacked under the running R and factored again, the
-TSQR merge), forms the compressed matrix B = R_G M, takes its SVD, detects
-the numerical rank from the singular values, and solves by the SVD
-pseudoinverse: [1 X] = Q B with Q orthonormal, so B has the singular values
-and right singular vectors of [1 X], and the y column of R carries all of y
-that the fit can explain. That is the minimum-norm least-squares solution;
-on a design of full rank it is the unique one. The residual sum of squares
-comes from the explicit residuals y - G (M params), summed over the same
-blocks, so an exact fit has RSS exactly 0. A column that is exactly zero
-gets coefficient and standard error 0 (t 0, p 1).
+produced one block of rows at a time and a small matrix M (q x p) with
+orthogonal rows. A dense X is the case G = [1 X], M = I; the model's Fourier
+design is the case G = F(theta), M = the histogram moments (see
+``features.fourier_design``). The solver never holds [1 X]. It accumulates
+the R factor of [G y] block by block (each block is stacked under the
+running R and factored again, the TSQR merge), so [1 X] = Q R_G M = Q A W
+with Q orthonormal, W the nonzero rows of M over their norms (orthonormal
+rows) and A the columns of R_G times those norms. So pinv([1 X]) =
+W^T pinv(A) Q^T: the SVD of A, of at most q columns, gives the singular
+values and rank of [1 X], and params = W^T pinv(A) z, with z the y column
+of R, is the minimum-norm least-squares solution. The residual sum of
+squares comes from the explicit residuals y - G (M params), summed over the
+same blocks, so an exact fit has RSS exactly 0. An exactly zero column of
+[1 X] is a zero column of W: coefficient and standard error 0 (t 0, p 1).
 
-The minimum-norm path exists because the Fourier histogram features of this
-model family are structurally collinear: demand and network features that
-share a harmonic degree k both span {cos(k*theta), sin(k*theta)}, so the
-full design is never of full column rank when both histograms carry mass at
-the same k. The deterministic minimum-norm solution is the conventional
-resolution (it is what pseudoinverse-based OLS packages report). Every fit
-reports its rank and dependent columns, so a caller that wants the hard
+The minimum-norm path exists because the Fourier features are structurally
+collinear: demand and network features that share a harmonic k both span
+{cos(k*theta), sin(k*theta)}, so the design is never of full column rank
+when both histograms carry that k. The minimum-norm solution is the
+conventional resolution (pseudoinverse-based OLS packages report it). Every
+fit reports its rank and dependent columns, so a caller that wants the hard
 error refuses a rank-deficient fit itself (``fit --strict-rank``).
 """
 
@@ -49,6 +48,7 @@ __all__ = [
     "FactoredDesign",
     "FitResult",
     "ols_fit",
+    "pinv_row_scales",
     "report_rows",
     "require_samples",
     "row_blocks",
@@ -99,12 +99,17 @@ class FactoredDesign:
 
     ``basis(start, stop)`` returns rows start:stop of G, shape
     ``(stop - start, q)``; ``moments`` is M, shape ``(q, p)``, whose first
-    column gives the intercept column of [1 X].
+    column gives the intercept column of [1 X]. M's rows must be orthogonal,
+    as ``ols_fit`` solves through M's closed-form pseudoinverse
+    (``pinv_row_scales``): any other M raises ValueError.
     """
 
     rows: int
     moments: np.ndarray
     basis: Callable
+
+    def __post_init__(self):
+        pinv_row_scales(self.moments)
 
     @classmethod
     def dense(cls, X) -> FactoredDesign:
@@ -145,10 +150,27 @@ def t_statistics(params, se):
                         np.where(params == 0.0, 0.0, np.inf * np.sign(params)))
 
 
-def _dependent_column_names(vt_null: np.ndarray, names) -> tuple:
-    """Columns with a nontrivial component in any null-space direction."""
-    weight = np.max(np.abs(vt_null), axis=0)
-    involved = weight > _NULLSPACE_COMPONENT_TOL * weight.max()
+def pinv_row_scales(moments) -> np.ndarray:
+    """c with ``pinv(M) = M^T diag(c)``: 1 / |m_i|^2 for each row m_i of M,
+    0 for a zero row. That holds for orthogonal rows only, so an M M^T with
+    an entry off the diagonal beyond q rounding units of |m_i| |m_j| raises
+    ValueError."""
+    squared = np.einsum("ij,ij->i", moments, moments)
+    gram = moments @ moments.T
+    np.fill_diagonal(gram, 0.0)
+    if np.any(np.abs(gram) > len(squared) * np.finfo(float).eps
+              * np.sqrt(np.outer(squared, squared))):
+        raise ValueError("the rows of M must be orthogonal")
+    return np.divide(1.0, squared, out=np.zeros_like(squared),
+                     where=squared != 0.0)
+
+
+def _dependent_column_names(row_space: np.ndarray, names) -> tuple:
+    """Columns with a nontrivial component outside the row space of [1 X]:
+    sqrt(1 - |row_space[j]|^2) for column j, whatever orthonormal basis of
+    it ``row_space`` holds, so 1 for an exactly zero column."""
+    outside = np.sqrt(np.maximum(1.0 - np.sum(row_space ** 2, axis=1), 0.0))
+    involved = outside > _NULLSPACE_COMPONENT_TOL * outside.max()
     labels = ("intercept",) + tuple(names)
     return tuple(label for label, hit in zip(labels, involved) if hit)
 
@@ -247,26 +269,18 @@ def ols_fit(X, y, column_names=None) -> FitResult:
     y = np.ldexp(y, -exponent)
 
     r = _r_factor(design, y)
-    # [1 X] = Q B with orthonormal Q: B has the singular values and right
-    # singular vectors of [1 X], and the y column z of R stands in for y.
-    # The full vt spans all p parameters when B has fewer rows than p.
-    b = r[:, :q] @ design.moments
-    u, s, vt = np.linalg.svd(b)
+    # [1 X] = Q A W (see the module docstring); ``keep`` drops the rows of
+    # M that are zero or meet an exactly zero column of R_G (see _r_factor)
+    scales = pinv_row_scales(design.moments)
+    keep = (scales > 0.0) & r[:, :q].any(axis=0)
+    root = np.sqrt(scales[keep])
+    u, s, vt = np.linalg.svd(r[:, :q][:, keep] / root, full_matrices=False)
     rank = int(np.sum(s > RANK_RCOND * s[0]))
-
-    dependent = (_dependent_column_names(vt[rank:], column_names)
+    # W^T V: orthonormal right singular vectors spanning [1 X]'s row space
+    row_space = (design.moments[keep] * root[:, None]).T @ vt[:rank].T
+    dependent = (_dependent_column_names(row_space, column_names)
                  if rank < p else ())
-
-    # minimum-norm solution and pseudoinverse covariance factor
-    uty = u[:, :rank].T @ r[:, q]
-    params = vt[:rank].T @ (uty / s[:rank])
-    cov_unscaled = (vt[:rank].T / s[:rank] ** 2) @ vt[:rank]
-    # a column of B that is exactly 0 (each of its terms has a zero moment
-    # or a zero column of R; see _r_factor) carries no information: its
-    # coefficient and standard error are 0 by definition, not the rounding
-    # noise of the SVD
-    zero = ~b.any(axis=0)
-    params[zero] = 0.0
+    params = row_space @ ((u[:, :rank].T @ r[:, q]) / s[:rank])
 
     ybar = float(y.mean())
     rss, tss = _sums_of_squares(design, y, params, ybar)
@@ -292,8 +306,8 @@ def ols_fit(X, y, column_names=None) -> FitResult:
         prob_f = f_p_value(f_statistic, df_model, dof_residual)
 
     sigma2 = rss / dof_residual
-    se = np.sqrt(np.maximum(sigma2 * np.diag(cov_unscaled), 0.0))
-    se[zero] = 0.0
+    # the diagonal of the pseudoinverse covariance sigma2 W^T V S^-2 V^T W
+    se = np.sqrt(sigma2 * np.sum((row_space / s[:rank]) ** 2, axis=1))
     t_all = t_statistics(params, se)
     p_all = np.array([t_p_value(float(abs(t)), dof_residual) for t in t_all])
 

@@ -126,6 +126,8 @@ def reconstruct_curve(
     coefficients = np.asarray(coefficients, dtype=float)
     if len(column_names) != coefficients.size:
         raise ValueError("column_names and coefficients must align")
+    if mask is not None and len(mask) != len(column_names):
+        raise ValueError("mask and column_names must align")
     offsets = -math.pi + np.arange(grid_size) * (2.0 * math.pi / grid_size)
     offsets[grid_size // 2] = 0.0  # -pi + pi rounds to 4.4e-16 for G = 50
     series, harmonics = _curve_series(column_names, coefficients, mask, kind)

@@ -11,13 +11,9 @@ features sharing a harmonic are exactly collinear, so only the projection
 of the coefficient vector onto the design's row space is recoverable by any
 least-squares fit. The design is [1 X] = F(theta) M with F the Fourier basis,
 so for directions rich enough to give F full column rank that row space is
-the row space of the moment matrix M, and the projection is pinv(M) M.
-``identifiable_coefficients`` computes it in closed form: the two rows of
-harmonic k hold (C, S) and (S, -C) pairs of both histograms' moments, so
-the rows of M are orthogonal, each of squared norm R_d,k^2 + R_n,k^2 (the
-squared moment magnitudes), and pinv(M) is M^T with each row scaled by the
-inverse of that norm, or zeroed where it is exactly 0. Scenarios built from
-the projection are recovered exactly by ``fit`` on noiseless data.
+the row space of the moment matrix M, and the projection is pinv(M) M, with
+the fit's closed-form pinv(M) (``estimator.pinv_row_scales``). Scenarios
+built from the projection are recovered exactly by ``fit`` on noiseless data.
 
 Randomness uses counter-based Philox streams split per purpose, so the same
 seed reproduces the same trips regardless of how generation is batched.
@@ -32,7 +28,7 @@ import numpy as np
 
 from .angles import TWO_PI, AngularHistogram, build_histogram, require_size
 from .errors import InputFormatError, SpecMismatchError
-from .estimator import row_blocks
+from .estimator import pinv_row_scales, row_blocks
 from .features import ModelSpec, fourier_basis, model_signal, moment_matrix
 from .files import csv_text, json_value
 from .ingest import TRIP_HEADER_PLANAR
@@ -156,38 +152,25 @@ def identifiable_coefficients(
     """Project (gamma, alpha, beta) onto the recoverable coefficient subspace.
 
     The projection is ``pinv(M) M [gamma; alpha; beta]`` with M the
-    ``moment_matrix``, in closed form (see the module docstring): the block
-    of pinv(M) for harmonic k is ``M_k^T / (R_d,k^2 + R_n,k^2)``, or zero
-    when that sum is exactly 0. Gamma passes through unchanged. The
-    projector ``pinv(M) M`` is formed first, so coefficients near the float
-    range are not overflowed by the moments.
+    ``moment_matrix``, whose block of pinv(M) for harmonic k is
+    ``M_k^T / (R_d,k^2 + R_n,k^2)``, or zero when that sum is 0. Gamma passes
+    through unchanged. The projector is formed first, so coefficients near
+    the float range are not overflowed by the moments.
     """
     m = moment_matrix(demand_hist, network_hist, spec)
-    squared_norms = np.einsum("ij,ij->i", m, m)
-    inverse = np.divide(1.0, squared_norms, out=np.zeros_like(squared_norms),
-                        where=squared_norms != 0.0)
-    projector = (m.T * inverse) @ m
+    projector = (m.T * pinv_row_scales(m)) @ m
     alpha = np.asarray(alpha, dtype=float)
     projected = projector @ np.concatenate([[gamma], alpha,
                                             np.asarray(beta, dtype=float)])
-    n_alpha = alpha.size
-    return (
-        float(projected[0]),
-        projected[1:1 + n_alpha],
-        projected[1 + n_alpha:],
-    )
+    return (float(projected[0]), projected[1:1 + alpha.size],
+            projected[1 + alpha.size:])
 
 
 def canonicalized(scenario: SyntheticScenario) -> SyntheticScenario:
     """Scenario with coefficients replaced by their identifiable projection."""
     gamma, alpha, beta = identifiable_coefficients(
-        scenario.spec,
-        scenario.demand_hist,
-        scenario.network_hist,
-        scenario.gamma,
-        scenario.alpha,
-        scenario.beta,
-    )
+        scenario.spec, scenario.demand_hist, scenario.network_hist,
+        scenario.gamma, scenario.alpha, scenario.beta)
     return replace(scenario, gamma=gamma, alpha=alpha, beta=beta)
 
 

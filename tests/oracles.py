@@ -55,8 +55,8 @@ def gaussian_inverse(matrix):
     return np.array([row[n:] for row in aug])
 
 
-def normal_equations_fit(x_matrix, y):
-    """OLS via the normal equations: params and standard errors."""
+def _normal_equations(x_matrix, y):
+    """OLS via the normal equations: params and their covariance."""
     x_matrix = np.asarray(x_matrix, dtype=float)
     y = np.asarray(y, dtype=float)
     a = np.column_stack([np.ones(y.size), x_matrix])
@@ -65,8 +65,64 @@ def normal_equations_fit(x_matrix, y):
     resid = y - a @ params
     dof = y.size - a.shape[1]
     sigma2 = float(resid @ resid) / dof
-    se = np.sqrt(sigma2 * np.diag(gaussian_inverse(gram)))
-    return params, se
+    return params, sigma2 * gaussian_inverse(gram)
+
+
+def normal_equations_fit(x_matrix, y):
+    """OLS via the normal equations: params and standard errors."""
+    params, cov = _normal_equations(x_matrix, y)
+    return params, np.sqrt(np.diag(cov))
+
+
+def histogram_moments(values, k):
+    """The moments C_k, S_k of a histogram, by a loop over its bins."""
+    width = 2.0 * math.pi / len(values)
+    c = sum(v * math.cos(k * (j + 0.5) * width) for j, v in enumerate(values))
+    s = sum(v * math.sin(k * (j + 0.5) * width) for j, v in enumerate(values))
+    return c, s
+
+
+def carries(values, k):
+    """Whether a histogram carries harmonic k: a moment above 1e-12."""
+    return math.hypot(*histogram_moments(values, k)) > 1e-12
+
+
+def min_norm_fourier_fit(thetas, paces, demand, network, k_max,
+                         network_harmonics):
+    """The model's minimum-norm fit, from its Fourier series.
+
+    Paces are fitted on cos k theta and sin k theta for each harmonic k
+    that either histogram carries, by the normal equations. Each series
+    pair (a_k, b_k) is then split over the model's columns by the block
+    M_k^T / (R_d,k^2 + R_n,k^2) of pinv(M), written out below, and the
+    series' covariance is carried through the same map. The columns are
+    the demand pairs for k = 1..k_max, then the network pairs for
+    ``network_harmonics``, cos before sin. Returns the params and standard
+    errors, intercept first.
+    """
+    columns = ([(demand, k) for k in range(1, k_max + 1)]
+               + [(network, k) for k in network_harmonics])
+    harmonics = [k for k in range(1, k_max + 1)
+                 if any(carries(values, j) for values, j in columns
+                        if j == k)]
+    series = np.column_stack([f(k * np.asarray(thetas)) for k in harmonics
+                              for f in (np.cos, np.sin)])
+    series_params, series_cov = _normal_equations(series, paces)
+    split = np.zeros((1 + 2 * len(columns), 1 + 2 * len(harmonics)))
+    split[0, 0] = 1.0
+    for i, k in enumerate(harmonics):
+        pair = [(j, histogram_moments(values, k))
+                for j, (values, jk) in enumerate(columns) if jk == k]
+        norm2 = sum(c * c + s * s for _, (c, s) in pair)
+        for j, (c, s) in pair:
+            # the column pair C cos k theta + S sin k theta and
+            # S cos k theta - C sin k theta, against a_k and b_k
+            split[1 + 2 * j, 1 + 2 * i] = c / norm2
+            split[1 + 2 * j, 2 + 2 * i] = s / norm2
+            split[2 + 2 * j, 1 + 2 * i] = s / norm2
+            split[2 + 2 * j, 2 + 2 * i] = -c / norm2
+    cov = split @ series_cov @ split.T
+    return split @ series_params, np.sqrt(np.diag(cov))
 
 
 def t_p_quad(t, dof):

@@ -215,9 +215,9 @@ class TestRankDeficiency:
         assert not significance_mask(fit)[[2, 4]].any()
 
     def test_all_zero_columns_stay_exactly_zero_in_r(self):
-        # the zero rule reads exactly zero columns from B = R M: it rests on
-        # each Householder step and each TSQR merge keeping a column of G
-        # that is 0 in every block an exactly zero column of R
+        # the solver drops the basis columns that are exactly zero in R: it
+        # rests on each Householder step and each TSQR merge keeping a
+        # column of G that is 0 in every block an exactly zero column of R
         rng = np.random.default_rng(2)
         n = 3 * BLOCK_ROWS + 17
         X = rng.normal(size=(n, 5))
@@ -227,6 +227,15 @@ class TestRankDeficiency:
         assert r.shape == (7, 7)
         assert not r[:, [2, 4]].any()
         assert np.all(np.abs(np.diag(r)[[0, 1, 3, 5, 6]]) > 1.0)
+
+
+    def test_moments_with_rows_that_are_not_orthogonal_are_refused(self):
+        # the fit solves through the closed-form pinv of orthogonal rows,
+        # which would be a wrong fit, without an error, for these
+        moments = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="rows of M must be orthogonal"):
+            FactoredDesign(10, moments, lambda start, stop: np.ones(
+                (stop - start, 3)))
 
 
 class TestSignificanceMask:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_features
+from oracles import brute_force_features, carries, min_norm_fourier_fit
 from conftest import (
     RAW_ALPHA,
     RAW_BETA,
@@ -423,6 +423,85 @@ def test_fourier_fit_matches_the_dense_design_fit(case):
         np.append(fast.p_values, fast.gamma_p_value),
         np.append(dense.p_values, dense.gamma_p_value), rtol=0.0,
         atol=max(1e-7, slack))
+
+
+def _asymmetric_histograms():
+    # demand lacks harmonic 2, the network 4, and neither carries 6
+    cos = np.array([0.06, 0.0, 0.05, 0.04, 0.03, 0.0, 0.02, 0.05])
+    sin = np.array([0.05, 0.0, 0.04, 0.03, 0.06, 0.0, 0.05, 0.02])
+    network_cos = np.array([0.04, 0.1, 0.05, 0.0, 0.03, 0.0, 0.06, 0.02])
+    network_sin = np.array([0.03, 0.07, 0.02, 0.0, 0.05, 0.0, 0.04, 0.03])
+    return (harmonic_histogram(32, cos, sin),
+            harmonic_histogram(32, network_cos, network_sin))
+
+
+def _rank_deficiency_cases():
+    rng = np.random.default_rng(4)
+    six = [AngularHistogram.from_weights(rng.uniform(0.1, 1.0, 6))
+           for _ in range(2)]
+    return {
+        "point-symmetric": (STANDARD_SPEC, standard_demand(),
+                            standard_network()),
+        "asymmetric-network": (ModelSpec(k_max=8, bins=32,
+                                         network_point_symmetric=False),
+                               *_asymmetric_histograms()),
+        "symmetric-network-unconstrained": (
+            ModelSpec(k_max=8, bins=32, network_point_symmetric=False),
+            standard_demand(), standard_network()),
+        "k-above-half-the-bins": (ModelSpec(k_max=5, bins=6,
+                                            network_point_symmetric=False),
+                                  *six),
+    }
+
+
+def _spread_trips(spec, seed=9, n=3000):
+    """Directions all round the circle, so F has full rank, and paces with
+    a signal in several harmonics and noise."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, TWO_PI, n)
+    paces = (240.0 + 20.0 * np.cos(thetas) - 12.0 * np.sin(2.0 * thetas)
+             + 8.0 * np.cos(3.0 * thetas - 1.0)
+             + 5.0 * np.sin(spec.k_max * thetas) + rng.normal(0.0, 15.0, n))
+    return thetas, paces
+
+
+@pytest.mark.parametrize("case", ["point-symmetric", "asymmetric-network"])
+def test_rank_deficient_fit_matches_the_split_fourier_series(case):
+    spec, demand, network = _rank_deficiency_cases()[case]
+    thetas, paces = _spread_trips(spec)
+    fit = ols_fit(*fourier_design(paces, thetas, demand, network, spec),
+                  spec.column_names)
+    assert fit.rank < fit.parameter_count
+    if case == "point-symmetric":
+        assert (fit.rank, fit.parameter_count) == (17, 25)
+    params, se = min_norm_fourier_fit(thetas, paces, demand.values,
+                                      network.values, spec.k_max,
+                                      spec.network_harmonics)
+    for got, want in ((fit.params(), params),
+                      (np.append(fit.gamma_std_error, fit.std_errors), se)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", sorted(_rank_deficiency_cases()))
+def test_dependent_columns_are_the_zero_and_the_shared_harmonics(case):
+    spec, demand, network = _rank_deficiency_cases()[case]
+    thetas, paces = _spread_trips(spec)
+    fit = ols_fit(*fourier_design(paces, thetas, demand, network, spec),
+                  spec.column_names)
+    demand_has = {k: carries(demand.values, k) for k in spec.demand_harmonics}
+    network_has = {k: k in spec.network_harmonics
+                   and carries(network.values, k)
+                   for k in spec.demand_harmonics}
+    # a column is dependent when it is zero, its histogram lacking its
+    # harmonic, or when both histograms carry its harmonic
+    expected = tuple(
+        name for name in spec.column_names
+        if not (demand_has if name[0] == "a" else network_has)[int(name[3:])]
+        or (demand_has[int(name[3:])] and network_has[int(name[3:])]))
+    assert expected and fit.dependent_columns == expected
+    carried = [k for k in spec.demand_harmonics
+               if demand_has[k] or network_has[k]]
+    assert fit.rank == 1 + 2 * len(carried)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 1024])

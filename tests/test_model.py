@@ -52,6 +52,13 @@ class TestReconstructCurve:
         np.testing.assert_allclose(curve.values, np.cos(curve.offsets),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("length", [3, len(NAMES) + 1])
+    def test_mask_must_align_with_the_columns(self, length):
+        with pytest.raises(ValueError,
+                           match="mask and column_names must align"):
+            reconstruct_curve(NAMES, np.zeros(len(NAMES)),
+                              mask=np.ones(length, dtype=bool))
+
     def test_recorded_masked_alpha_at_zero(self):
         coeffs, mask = case_a_vectors()
         curve = reconstruct_curve(NAMES, coeffs, mask=mask, kind="alpha")

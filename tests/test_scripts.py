@@ -55,6 +55,31 @@ def test_same_outputs_names_a_changed_cell(tmp_path):
                            "differs\n")
 
 
+def test_same_outputs_rtol_lets_numbers_differ_by_rounding(tmp_path):
+    # a copy of the package that scales the fitted intercept by 1 + 1e-13:
+    # fit_report.csv and model.json change, every text file stays the same
+    shutil.copytree(ROOT / "src" / "pacerose", tmp_path / "src" / "pacerose",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    estimator = tmp_path / "src" / "pacerose" / "estimator.py"
+    text = estimator.read_text()
+    line = ("    params, se = np.ldexp(params, exponent), "
+            "np.ldexp(se, exponent)\n")
+    assert text.count(line) == 1
+    estimator.write_text(text.replace(line,
+                                      line + "    params[0] *= 1 + 1e-13\n"))
+    args = (str(ROOT / "src"), str(tmp_path / "src"), "5", "--smoke")
+    proc = run_script("same_outputs.py", *args, "--rtol", "1e-10",
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "no differences\n"
+    proc = run_script("same_outputs.py", *args, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == "".join(
+        f"{workload} seed 5 [fit]: {name} differs\n"
+        for workload in ("fit-city", "fit-fine")
+        for name in ("fit_report.csv", "model.json"))
+
+
 @pytest.mark.parametrize("argv, code", [(["--help"], 0),
                                         (["fit", "--bogus"], 2)],
                          ids=["help", "usage-error"])
