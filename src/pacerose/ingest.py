@@ -17,12 +17,15 @@ values divided by their sum. All three read ``BLOCK_ROWS`` source lines at a
 time, so no string fields outlive their block. A clean block, one whose
 every line is a row of the header's width, with no quote, NUL or
 ``\x1c``-``\x1f`` character, is read by one ``np.loadtxt`` call at C
-speed. Any other block, and a clean one that breaks a rule, is split by one
-strict CSV reader and converted by one numpy call, which name the first bad
-row. Each row rule is one entry, a row mask and a message template, of an
-ordered table; a block's first bad row is named with its first broken rule.
-Both readers give the same bits, so which one read a block never shows.
-A line with a NUL is rejected as ``row N: line contains NUL``.
+speed. Any other block is split by one strict CSV reader and converted by
+one numpy call. Either way a block is read once and judged once: each row
+rule is one entry, a row mask and a message template, of an ordered table,
+and a block's first bad row is named with its first broken rule. Both
+readers give the same bits, so which one read a block never shows. Each
+line's framing is judged by that line alone: a quoted field may not span
+lines, so a line that ends inside a quote is rejected as ``row N:
+unterminated quoted field``, and a line with a NUL as ``row N: line
+contains NUL``.
 ``directions`` turns the endpoint columns of either array into bearings, and
 a trip's pace is ``duration_s / distance_km``.
 
@@ -122,53 +125,21 @@ def _content(first: int, lines):
             if (line := raw.strip()) and not line.startswith("#"))
 
 
-def _rest(blocks):
-    """The stripped content lines of the remaining ``blocks``."""
-    return (line for first, lines in blocks
-            for _, line in _content(first, lines))
-
-
-def _without_nul(line: str) -> str:
+def _row_error(line: str):
+    """None when the stripped content ``line`` is one CSV row, else why not:
+    ``line contains NUL``, ``unterminated quoted field`` when the line ends
+    inside a quote, or the strict CSV reader's error. A quoted field may not
+    span lines, so each line is judged alone. NUL is looked for here: only
+    some Pythons' CSV readers reject it."""
     if "\x00" in line:
-        raise csv.Error("line contains NUL")
-    return line
-
-
-def _csv_reader(lines):
-    """A strict ``csv.reader`` of ``lines`` that raises csv.Error("line
-    contains NUL") when it reaches a line with a NUL, on every Python: 3.10's
-    reader rejects that line only once it gets to the NUL, later ones read
-    it."""
-    return csv.reader(map(_without_nul, lines), strict=True)
-
-
-def _frames_alone(line: str) -> bool:
+        return "line contains NUL"
+    # a quote the line leaves open is closed on the second line
+    reader = csv.reader([line, '"'], strict=True)
     try:
-        return len(list(_csv_reader([line]))) == 1
-    except csv.Error:
-        return False
-
-
-def _framing_error(lineno: int, lines) -> InputFormatError:
-    """The error of the row at ``lineno``, which does not end on its line.
-
-    ``lines`` are the content lines from that row to the end of input. A
-    quoted field may not span lines; one left open is reported at the row
-    that opened it.
-    """
-    ended = []
-
-    def feed():
-        yield from lines
-        ended.append(True)
-
-    try:
-        next(_csv_reader(feed()))
+        next(reader)
     except csv.Error as exc:
-        # at the end of input a strict reader fails only on an open quote
-        if not ended:
-            return InputFormatError(f"row {lineno}: {exc}")
-    return InputFormatError(f"row {lineno}: unterminated quoted field")
+        return str(exc)
+    return None if reader.line_num == 1 else "unterminated quoted field"
 
 
 def _header(source, what: str, accepted, shown=None):
@@ -182,17 +153,17 @@ def _header(source, what: str, accepted, shown=None):
     blocks = _source_blocks(source)
     for first, lines in blocks:
         for lineno, line in _content(first, lines):
-            rest = chain([(lineno + 1, lines[lineno - first + 1:])], blocks)
-            if not _frames_alone(line):
-                raise _framing_error(lineno, chain([line], _rest(rest)))
-            (fields,) = _csv_reader([line])
-            fields = [f.strip() for f in fields]
+            reason = _row_error(line)
+            if reason:
+                raise InputFormatError(f"row {lineno}: {reason}")
+            fields = [f.strip() for f in next(csv.reader([line]))]
             got = tuple(f.lower() for f in fields)
             if got not in accepted:
                 shown = shown or ",".join(accepted[0])
                 raise InputFormatError(f"row {lineno}: expected header "
                                        f"{shown}, got {','.join(fields)}")
-            return got, rest
+            return got, chain([(lineno + 1, lines[lineno - first + 1:])],
+                              blocks)
     raise InputFormatError(f"{what} file has no header row")
 
 
@@ -236,56 +207,50 @@ def _loadtxt(lines, width: int, text=None):
     return np.concatenate([table["head"], table["tail"]], axis=1), texts
 
 
-def _split(lines):
-    """CSV rows of the stripped content ``lines`` of a block, and the index
-    of the first line that does not end its row (None when all do); the
-    rows are those of the lines before it."""
-    try:
-        rows = list(_csv_reader(lines))
-        if len(rows) == len(lines):
-            return rows, None
-    except csv.Error:
-        pass
-    bad = next(i for i, line in enumerate(lines) if not _frames_alone(line))
-    return list(_csv_reader(lines[:bad])), bad
-
-
 def _rows(blocks, width: int, judge, text=None):
     """Yield ``(line numbers, values, kept)`` per block of ``blocks``.
 
     ``judge(values, unparsed, texts)`` gives the ordered rules of a block,
     after the width rule, and what the caller keeps of it, such as the
     mask of its rows to keep (see ``_convert`` for the arguments). A block
-    is read by one ``np.loadtxt`` call when it can be and breaks no rule;
-    any other block is split by one strict CSV reader and checked with
-    ``_check``, so ``judge`` may be called twice on one block and must
-    change no state. When a row does not end on its own line, the rows
-    before it are checked and yielded and then its InputFormatError is
+    is read by one ``np.loadtxt`` call when it can be, and otherwise its
+    content lines by one strict CSV reader; either way it is judged once
+    and checked once with ``_check``. When a line is not one row of its
+    own, the rows before it are checked and then its InputFormatError is
     raised.
     """
     for first, lines in blocks:
         fast = _loadtxt(lines, width, text)
+        framing = None
         if fast is not None:
             values, texts = fast
-            rules, kept = judge(values, np.zeros(values.shape, dtype=bool),
-                                texts)
-            if not any(mask.any() for mask, _ in rules):
-                yield first + np.arange(len(lines)), values, kept
-                continue
-        content = list(_content(first, lines))
-        if not content:
-            continue
-        linenos, lines = zip(*content)
-        rows, bad = _split(lines)
-        if rows:
+            linenos = first + np.arange(len(lines))
+            unparsed = np.zeros(values.shape, dtype=bool)
+            rules = []
+        else:
+            content = list(_content(first, lines))
+            linenos = np.array([n for n, _ in content], dtype=int)
+            lines = [line for _, line in content]
+            # a line that is not one row, NUL included, is named by
+            # _row_error
+            try:
+                rows = ([] if "\x00" in "".join(lines)
+                        else list(csv.reader(lines, strict=True)))
+            except csv.Error:
+                rows = []
+            if len(rows) != len(lines):
+                bad, reason = next((i, reason) for i, line in enumerate(lines)
+                                   if (reason := _row_error(line)))
+                framing = InputFormatError(f"row {linenos[bad]}: {reason}")
+                linenos, lines = linenos[:bad], lines[:bad]
+                rows = list(csv.reader(lines))
             width_rule, values, unparsed, texts = _convert(rows, width, text)
-            rules, kept = judge(values, unparsed, texts)
-            numbers = np.array(linenos[:len(rows)])
-            _check(numbers, rows, [width_rule, *rules])
-            yield numbers, values, kept
-        if bad is not None:
-            raise _framing_error(linenos[bad],
-                                 chain(lines[bad:], _rest(blocks)))
+            rules = [width_rule]
+        judged, kept = judge(values, unparsed, texts)
+        _check(linenos, lines, rules + judged)
+        if framing:
+            raise framing
+        yield linenos, values, kept
 
 
 def _parsed(parse, text: str):
@@ -321,7 +286,7 @@ def _convert(rows, width: int, text=None):
                             dtype=bool)
         cells = np.where(unparsed, "nan", np.array(cells, dtype=object))
         values = np.array(cells, dtype=float)
-    shape = (len(rows), -1)
+    shape = (len(rows), width - (text is not None))
     return ((wrong, f"expected {width} fields, got {{n}}"),
             values.reshape(shape), unparsed.reshape(shape), texts)
 
@@ -346,19 +311,21 @@ def _latitude_rules(header, values, lonlat: bool):
              f"got {{row[{column}]!r}}") for column in (1, 3) if lonlat]
 
 
-def _check(linenos, rows, rules):
+def _check(linenos, lines, rules):
     """Raise the error of the first row of a block that breaks a rule.
 
-    ``rules`` is an ordered list of (mask of the rows that break the rule,
-    message template). A row is reported with the first rule it breaks,
-    whose template is formatted with the row's fields, without the blanks
+    ``lines`` are the block's rows, one source line each. ``rules`` is an
+    ordered list of (mask of the rows that break the rule, message
+    template). A row is reported with the first rule it breaks, whose
+    template is formatted with the fields of its line, without the blanks
     around them, as ``row`` and their count as ``n``.
     """
     broken = np.array([mask for mask, _ in rules])
     bad = broken.any(axis=0)
     if bad.any():
         i = int(bad.argmax())
-        fields = [_BLANKS.sub("", f) for f in rows[i]]
+        row = next(csv.reader([lines[i].strip()]))
+        fields = [_BLANKS.sub("", f) for f in row]
         template = rules[int(broken[:, i].argmax())][1]
         raise InputFormatError(
             f"row {linenos[i]}: " + template.format(row=fields, n=len(fields))
@@ -379,7 +346,9 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
 
     def judge(block, unparsed, _):
         duration, distance = block[:, 4], block[:, 5]
-        kept = (duration > 0.0) & (distance > 0.0)
+        skips = {"duration_s": duration <= 0.0}
+        skips["distance_km"] = ~skips["duration_s"] & (distance <= 0.0)
+        kept = ~(skips["duration_s"] | skips["distance_km"])
         with np.errstate(all="ignore"):
             overflow = kept & ~np.isfinite(duration / distance)
         return [
@@ -387,14 +356,12 @@ def parse_trips(source, lonlat: bool = False) -> np.ndarray:
             *_latitude_rules(expected, block, lonlat),
             (overflow, "pace duration_s / distance_km is not finite "
                        "({row[4]} / {row[5]})"),
-        ], kept
+        ], (kept, skips)
 
     data = array("d")
     skipped = {"duration_s": 0, "distance_km": 0}
     first = {what: [] for what in skipped}
-    for linenos, block, kept in _rows(blocks, 6, judge):
-        skips = {"duration_s": block[:, 4] <= 0.0}
-        skips["distance_km"] = ~skips["duration_s"] & (block[:, 5] <= 0.0)
+    for linenos, block, (kept, skips) in _rows(blocks, 6, judge):
         for what, mask in skips.items():
             skipped[what] += int(mask.sum())
             first[what] += linenos[mask][:WARN_ROWS - len(first[what])].tolist()

@@ -249,6 +249,25 @@ def test_broken_quoting_in_center_rad_is_rejected(tmp_path, row, reason):
     assert str(err.value) == f"{path} row 3: {reason}"
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 4096])
+@pytest.mark.parametrize("where, row", [("header", 1), ("row", 3)])
+@pytest.mark.parametrize("after", ["bad-closing-quote", "128-kib-of-rows"])
+def test_open_quote_is_judged_on_its_own_line(tmp_path, block_rows, where,
+                                              row, after):
+    # a reader that lets the quote run on names the open row with a fault
+    # of a later row, or with the field size limit of 128 KiB
+    rest = (['1,2,1"x', "1,2,1"] if after == "bad-closing-quote"
+            else [f"{b},2000.25,3000.25" for b in range(1, 10_000)])
+    lines = (['bin,center_rad,"value'] if where == "header"
+             else [HIST_HEADER, "0,1,1", '1,2,"1'])
+    path = tmp_path / "hist.csv"
+    path.write_text("\n".join(lines + rest) + "\n")
+    with mock.patch.object(ingest, "BLOCK_ROWS", block_rows), \
+            pytest.raises(InputFormatError) as err:
+        read_histogram_csv(str(path), 2)
+    assert str(err.value) == f"{path} row {row}: unterminated quoted field"
+
+
 @pytest.mark.parametrize("text, message", [
     ("# only a comment\n\n", "histogram file has no header row"),
     ("bin,center,value\n0,1,1\n", "row 1: expected header "
@@ -261,13 +280,16 @@ def test_header_errors_name_the_file(tmp_path, text, message):
     assert str(err.value) == f"{tmp_path / 'hist.csv'}{sep}{message}"
 
 
-def test_judge_changes_no_state_between_readers(tmp_path):
-    # a clean block that breaks the repeated-bin rule is judged by the
-    # loadtxt reader and then again by the CSV reader
+def test_clean_block_breaking_a_rule_is_judged_once(tmp_path):
+    # a clean block that breaks the repeated-bin rule is judged on the
+    # loadtxt reader's values alone; the CSV reader does not read it again
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(ingest, "_convert",
+                              wraps=ingest._convert) as convert, \
             pytest.raises(InputFormatError) as err:
         read(tmp_path, "bin,center_rad,value\n0,1,1\n1,2,1\n1,3,1\n")
     assert loadtxt.call_count == 1
+    assert convert.call_count == 0
     assert str(err.value).endswith("row 4: repeated bin 1")
 
 

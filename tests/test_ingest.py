@@ -32,6 +32,12 @@ TRIP_HEADER = "origin_x,origin_y,dest_x,dest_y,duration_s,distance_km"
 NET_HEADER = "ax,ay,bx,by,class"
 
 
+def open_quote(line):
+    """``line`` with a quote opened before its last field."""
+    head, last = line.rsplit(",", 1)
+    return f'{head},"{last}'
+
+
 def trips_from(text):
     return parse_trips(io.StringIO(text))
 
@@ -143,6 +149,27 @@ class TestParseTrips:
     def test_unterminated_quote_names_its_row(self, body, row):
         with pytest.raises(InputFormatError) as err:
             trips_from(f"{TRIP_HEADER}\n{body}")
+        assert str(err.value) == f"row {row}: unterminated quoted field"
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    @pytest.mark.parametrize("parse, header, good", [
+        (parse_trips, TRIP_HEADER, "1000.5,2000.5,3000.5,4000.5,60.0,1.5"),
+        (parse_network, NET_HEADER, "1000.5,2000.5,3000.5,4000.5,primary"),
+    ], ids=["trips", "edges"])
+    @pytest.mark.parametrize("where, row", [("header", 1), ("row", 3)])
+    @pytest.mark.parametrize("after", ["bad-closing-quote", "128-kib-of-rows"])
+    def test_open_quote_is_judged_on_its_own_line(self, block_rows, parse,
+                                                  header, good, where, row,
+                                                  after):
+        # a reader that lets the quote run on names the open row with a
+        # fault of a later row, or with the field size limit of 128 KiB
+        rest = ([good + '"x', good] if after == "bad-closing-quote"
+                else [good] * 4000)
+        lines = ([open_quote(header)] if where == "header"
+                 else [header, good, open_quote(good)])
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            with pytest.raises(InputFormatError) as err:
+                parse(io.StringIO("\n".join(lines + rest) + "\n"))
         assert str(err.value) == f"row {row}: unterminated quoted field"
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
@@ -704,26 +731,25 @@ def reference_load(text, lonlat, compass):
     return rows, thetas, paces, skipped
 
 
-def single_reader_error(text):
-    """(row, reason) of the first row that one strict CSV reader over all
-    content lines frames across lines, or None when none does."""
-    numbered = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
-                if line.strip() and not line.strip().startswith("#")]
-    current, ended = [], []
+def per_line_error(text):
+    """(row, reason) of the first content line that is not one CSV row by
+    itself, or None when every line is: a quoted field may not span lines,
+    so a quote still open at the end of its line is "unterminated quoted
+    field", and any other fault is the strict CSV reader's error."""
+    for n, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        ended = []
 
-    def feed():
-        for n, line in numbered:
-            current.append(n)
+        def feed():
             yield line
-        ended.append(True)
+            ended.append(True)
 
-    try:
-        for _ in csv.reader(feed(), strict=True):
-            if len(current) > 1:
-                return current[0], "unterminated quoted field"
-            current.clear()
-    except csv.Error as exc:
-        return current[0], "unterminated quoted field" if ended else str(exc)
+        try:
+            list(csv.reader(feed(), strict=True))
+        except csv.Error as exc:
+            return n, "unterminated quoted field" if ended else str(exc)
     return None
 
 
@@ -870,11 +896,10 @@ class TestColumnarIngest:
             assert str(err.value).startswith(
                 f"row {target + 1}: field '{expected[1]}'")
 
-            # a quote opened in one field runs on until a later quote or
-            # the end of input
+            # a quote left open is named on its own line, whatever follows
             fields[column] = '"1'
             bad = lines[:target] + [",".join(fields)] + lines[target + 1:]
-            row, reason = single_reader_error("\n".join(bad))
+            row, reason = per_line_error("\n".join(bad))
             assert row == target + 1
             with pytest.raises(InputFormatError) as err:
                 parse_trips(io.StringIO("\n".join(bad)), lonlat=lonlat)
@@ -1035,6 +1060,22 @@ class TestLoadtxtReader:
             assert segments.tolist() == [
                 [float(v) for v in edge.split(",") if not v.isalpha()]
                 for edge in edges]
+
+    @pytest.mark.parametrize("parse, text, bins, message", [
+        (parse_trips, f"{TRIP_HEADER}\n0,0,1,1,60,1\n0,inf,1,1,60,1\n", (),
+         "row 3: field 'origin_y' must be finite, got 'inf'"),
+        (ingest.parse_histogram, "bin,center_rad,value\n0,1,1\n1,2,1\n1,3,1\n",
+         (2,), "row 4: repeated bin 1"),
+    ], ids=["trip-inf", "repeated-bin"])
+    def test_clean_block_that_breaks_a_rule_is_read_once(self, parse, text,
+                                                         bins, message):
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                mock.patch.object(ingest, "_convert",
+                                  wraps=ingest._convert) as convert, \
+                pytest.raises(InputFormatError) as err:
+            parse(io.StringIO(text), *bins)
+        assert (loadtxt.call_count, convert.call_count) == (1, 0)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_separator_inside_a_field_is_not_a_number(self, separator):
