@@ -44,11 +44,13 @@ import workloads  # noqa: E402
 # which every workload's fit has, also with the exactly zero odd network
 # columns of a point-symmetric network and with K above bins / 2; and a
 # fit --strict-rank lets through, at K = 1, where the model has no network
-# term
+# term; and the curves of those exactly zero odd network columns, whose
+# beta curve is computed on the whole grid
 FIT_VARIANTS = (["--baseline", "min", "--no-mask", "--curve-grid", "50"],
                 ["--strict-rank"], ["--no-point-symmetric", "--strict-rank"],
                 ["--bins", "6", "--k", "5", "--no-point-symmetric",
-                 "--strict-rank"], ["--k", "1", "--strict-rank"])
+                 "--strict-rank"], ["--k", "1", "--strict-rank"],
+                ["--no-point-symmetric", "--no-mask"])
 # the histograms' other branches: an odd bin count, whose mirror bins
 # theta + pi, and count weights in place of the workload's lengths
 HIST_VARIANTS = (["--bins", "33"], ["--no-length-weighted"])

@@ -211,10 +211,13 @@ def cmd_fit(cfg: RunConfig):
         "t_value", "p_value", "significant_5pct"))),
         ("summary.txt", _summary_text(fit))]
     for kind, curve in curves.items():
-        plot_values = curve.values
+        # in units of a power of two near its largest magnitude: no
+        # difference overflows, and curve_svg draws the same picture
+        largest = float(np.max(np.abs(curve.values)))
+        plot_values = curve.values / math.ldexp(1.0, math.frexp(largest)[1] - 1)
         title = f"{kind} influence curve"
         if cfg.baseline == "min":
-            plot_values = curve.values - curve.values.min()
+            plot_values = plot_values - plot_values.min()
             title += " (baseline: minimum)"
         files += [(f"{kind}_curve.csv", csv_text(
                       (curve.offsets, curve.values), ("offset_rad", "value"))),

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, NumericalError
 from .special import f_p_value, t_p_value
 
 RANK_RCOND = 1e-10
@@ -246,6 +246,8 @@ def ols_fit(X, y, column_names=None) -> FitResult:
     ------
     InsufficientDataError
         If N <= m + 1.
+    NumericalError
+        If a coefficient or standard error lies beyond the float range.
     """
     y = np.asarray(y, dtype=float)
     design = X if isinstance(X, FactoredDesign) else FactoredDesign.dense(X)
@@ -311,7 +313,11 @@ def ols_fit(X, y, column_names=None) -> FitResult:
     t_all = t_statistics(params, se)
     p_all = np.array([t_p_value(float(abs(t)), dof_residual) for t in t_all])
 
-    params, se = np.ldexp(params, exponent), np.ldexp(se, exponent)
+    with np.errstate(over="ignore"):
+        params, se = np.ldexp(params, exponent), np.ldexp(se, exponent)
+    if not (np.all(np.isfinite(params)) and np.all(np.isfinite(se))):
+        raise NumericalError(
+            "coefficients or standard errors exceed the float range")
     return FitResult(
         column_names=column_names,
         gamma=float(params[0]),

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import AngularHistogram, require_size
-from .errors import InputFormatError, SpecMismatchError, read_input
+from .errors import (InputFormatError, NumericalError, SpecMismatchError,
+                     read_input)
 from .estimator import FitResult, t_statistics
 from .features import ModelSpec, fourier_basis, model_signal
 from .files import json_object, json_value, write_atomic
@@ -44,27 +45,11 @@ class InfluenceCurve:
 
     ``offsets`` are strictly increasing. ``reconstruct_curve`` samples the
     even grid -pi + 2 pi i / G, i < G, in [-pi, pi); its offset G // 2 is
-    exactly 0.0.
+    exactly 0.0, and every value is finite.
     """
 
     offsets: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    kind: str = "alpha"
-    significance_filtered: bool = False
-
-    def __post_init__(self):
-        if self.kind not in ("alpha", "beta"):
-            raise ValueError("kind must be 'alpha' or 'beta'")
-        offsets = np.asarray(self.offsets, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if offsets.shape != values.shape or offsets.ndim != 1:
-            raise ValueError("offsets and values must be 1-D and equally long")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
-        if np.any(np.diff(offsets) <= 0.0):
-            raise ValueError("offsets must be strictly increasing")
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "values", values)
 
     def value_at_zero(self) -> float:
         """Curve value at the offset nearest 0 (0 itself on the grids of
@@ -118,7 +103,8 @@ def reconstruct_curve(
 
     ``mask`` (boolean, aligned with ``column_names``) keeps only masked-in
     terms; masked-out terms contribute zero. With no mask every coefficient
-    of the requested kind enters.
+    of the requested kind enters. A value beyond the float range raises
+    NumericalError.
     """
     check_grid_size(grid_size)
     if kind not in ("alpha", "beta"):
@@ -136,15 +122,13 @@ def reconstruct_curve(
     # extremes are reported at the first of two tied offsets
     period_pi = all(k % 2 == 0 for k in harmonics)
     computed = offsets[:grid_size // 2] if period_pi else offsets
-    values = fourier_basis(computed, series.size // 2) @ series
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = fourier_basis(computed, series.size // 2) @ series
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{kind} curve exceeds the float range")
     if period_pi:
         values = np.tile(values, 2)
-    return InfluenceCurve(
-        offsets=offsets,
-        values=values,
-        kind=kind,
-        significance_filtered=mask is not None,
-    )
+    return InfluenceCurve(offsets=offsets, values=values)
 
 
 def predict_pace(

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import normal_equations_fit
 from fixtures import ALL_CASES, PARAMETER_COUNT
-from pacerose.errors import InsufficientDataError
+from pacerose.errors import InsufficientDataError, NumericalError
 from pacerose.estimator import (
     BLOCK_ROWS,
     FactoredDesign,
@@ -66,6 +66,14 @@ class TestOlsBasics:
         with pytest.raises(ValueError) as err:
             ols_fit(X, y)
         assert str(err.value) == message
+
+    def test_coefficients_beyond_the_float_range_raise(self):
+        # y fits a float, the slope 1e310 does not
+        x = np.linspace(0.0, 1e-3, 10)
+        with pytest.raises(NumericalError) as err:
+            ols_fit(x, 1e306 + (1e308 * x) * 100)
+        assert str(err.value) == (
+            "coefficients or standard errors exceed the float range")
 
     def test_column_name_count_must_match_columns(self):
         with pytest.raises(ValueError) as err:

@@ -40,7 +40,32 @@ def histogram(bins, rows=None):
     return "\n".join(["bin,center_rad,value", *rows]) + "\n"
 
 
+def scaled_trips(scale):
+    """300 trips of 1 km at golden-ratio angles theta_i, whose durations
+    (120 + 25 cos 2 theta_i + 10 sin theta_i + 5 sin 7.3 i) s are
+    multiplied by ``scale``; no random numbers are drawn."""
+    rows = []
+    for i in range(300):
+        theta = 2.0 * math.pi * (i * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0)
+        duration = (120.0 + 25.0 * math.cos(2.0 * theta)
+                    + 10.0 * math.sin(theta) + 5.0 * math.sin(7.3 * i)) * scale
+        rows.append(f"0,0,{1000 * math.cos(theta)!r},"
+                    f"{1000 * math.sin(theta)!r},{duration!r},1")
+    return "\n".join([TRIP_HEADER, *rows]) + "\n"
+
+
+# paces near the float maximum: at 2.5e304 the curves are finite but their
+# differences are not, at 4.5e304 the alpha curve is beyond the float range,
+# at 1e306 so are the coefficients
+SCALES = (2.5e304, 4.5e304, 1e306)
+
 FILES = {
+    **{f"trips_x{scale:g}.csv": scaled_trips(scale) for scale in SCALES},
+    # 200 primary edges of 100 m from the origin at angles pi frac(j sqrt 2)
+    "radial_network.csv": "ax,ay,bx,by,class\n" + "".join(
+        f"0,0,{100 * math.cos(math.pi * (j * math.sqrt(2.0) % 1.0))!r},"
+        f"{100 * math.sin(math.pi * (j * math.sqrt(2.0) % 1.0))!r},primary\n"
+        for j in range(200)),
     "trips.csv": "\n".join([TRIP_HEADER] + [
         f"0,0,{1000 * math.cos(0.37 * i)!r},{1000 * math.sin(0.37 * i)!r},"
         f"{100 + 7 * (i % 11)},1" for i in range(80)]) + "\n",
@@ -358,3 +383,25 @@ def test_a_full_disk_while_writing_exits_2(work, command):
     assert_input_error(code, stderr)
     assert "No space left on device" in stderr
     assert written == []
+
+
+@pytest.mark.parametrize("scale, baseline, code, error", [
+    (2.5e304, "none", 0, ""),
+    (2.5e304, "min", 0, ""),
+    (4.5e304, "none", 4, "error: alpha curve exceeds the float range\n"),
+    (1e306, "none", 4, "error: coefficients or standard errors exceed the "
+     "float range\n"),
+], ids=["curves-plotted", "curves-plotted-baseline-min", "curve-beyond",
+        "coefficients-beyond"])
+def test_a_fit_beyond_the_float_range_exits_4(work, tmp_path, scale,
+                                              baseline, code, error):
+    got, stderr, _ = run_in(work, [
+        "fit", "--trips", f"@trips_x{scale:g}.csv",
+        "--network", "@radial_network.csv", "--baseline", baseline,
+        "--output-dir", str(tmp_path)])
+    assert (got, stderr) == (code, error)
+    svgs = [path.read_text() for path in tmp_path.glob("*.svg")]
+    assert len(svgs) == (2 if code == 0 else 0)
+    assert not any("nan" in svg for svg in svgs)
+    if code:
+        assert os.listdir(tmp_path) == []

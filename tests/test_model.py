@@ -10,11 +10,11 @@ import pytest
 from conftest import standard_demand, standard_network, standard_scenario
 from fixtures import CASE_A, CASE_A_ALPHA_AT_ZERO, PARAMETER_COUNT
 from pacerose.angles import AngularHistogram
-from pacerose.errors import InputFormatError, SpecMismatchError
+from pacerose.errors import (InputFormatError, NumericalError,
+                             SpecMismatchError)
 from pacerose.estimator import ols_fit, significance_mask
 from pacerose.features import ModelSpec, build_design_matrix
 from pacerose.model import (
-    InfluenceCurve,
     expected_sign_report,
     load_model,
     predict_pace,
@@ -64,7 +64,6 @@ class TestReconstructCurve:
         curve = reconstruct_curve(NAMES, coeffs, mask=mask, kind="alpha")
         assert curve.value_at_zero() == pytest.approx(CASE_A_ALPHA_AT_ZERO,
                                                       abs=0.01)
-        assert curve.significance_filtered
 
     def test_masked_out_terms_contribute_nothing(self):
         coeffs = np.zeros(len(NAMES))
@@ -139,6 +138,13 @@ class TestReconstructCurve:
         with pytest.raises(ValueError) as err:
             reconstruct_curve(NAMES, coefficients, kind=kind)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    def test_curve_beyond_the_float_range_raises(self, kind):
+        # each term fits a float, their sum at offset 0 does not
+        with pytest.raises(NumericalError) as err:
+            reconstruct_curve(NAMES, np.full(len(NAMES), 1.5e308), kind=kind)
+        assert str(err.value) == f"{kind} curve exceeds the float range"
 
     def test_unrecognized_column_name_rejected(self):
         with pytest.raises(ValueError) as err:
@@ -443,24 +449,3 @@ class TestModelPersistence:
         with pytest.raises(SpecMismatchError):
             load_model(path)
 
-
-class TestInfluenceCurveType:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InfluenceCurve(offsets=np.array([0.0, 0.0]),
-                           values=np.array([1.0, 2.0]), kind="alpha")
-        with pytest.raises(ValueError):
-            InfluenceCurve(offsets=np.array([0.0, 1.0]),
-                           values=np.array([1.0, 2.0]), kind="delta")
-
-    @pytest.mark.parametrize("offsets, values, message", [
-        ([0.0, 1.0], [1.0], "offsets and values must be 1-D and equally long"),
-        ([[0.0, 1.0]], [[1.0, 2.0]],
-         "offsets and values must be 1-D and equally long"),
-        ([0.0, 1.0], [1.0, math.nan], "curve values must be finite"),
-        ([0.0, 1.0], [-math.inf, 1.0], "curve values must be finite"),
-    ], ids=["unequal", "two-dimensional", "nan", "infinite"])
-    def test_bad_arguments_are_named(self, offsets, values, message):
-        with pytest.raises(ValueError) as err:
-            InfluenceCurve(offsets=offsets, values=values)
-        assert str(err.value) == message
